@@ -94,11 +94,14 @@ cover-check:
 		   if (pct < min) { print "coverage regressed below the ratchet"; exit 1 } }'
 
 # Short deterministic fuzz pass (CI runs the same budget): the
-# scheduling comparability invariant and the Schwarz no-false-pruning
-# bound.
+# scheduling comparability invariant, the Schwarz no-false-pruning
+# bound, the ERI kernel against its oracle and the Boys function's
+# invariants.
 fuzz:
 	go test ./internal/core/ -fuzz FuzzSemiVsHypergraphAssignment -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzSchwarzBound -fuzztime 30s -run '^$$'
+	go test ./internal/chem/ -fuzz FuzzERIBlockPair -fuzztime 30s -run '^$$'
+	go test ./internal/chem/ -fuzz FuzzBoys -fuzztime 30s -run '^$$'
 
 # Fuzz the job-server spec decoder: untrusted submissions must never
 # panic, and accepted specs must survive Validate and a JSON round trip.

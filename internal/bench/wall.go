@@ -42,6 +42,9 @@ type WallBenchRow struct {
 // benchmark (committed as BENCH_wall.json; regenerate with
 // `make bench-wall`).
 type WallBenchReport struct {
+	// Note is free text about a committed report (e.g. that it pre-dates
+	// a kernel change); Suite.WallBench never sets it.
+	Note       string `json:"note,omitempty"`
 	Scale      string `json:"scale"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`

@@ -16,10 +16,15 @@ import "execmodels/internal/linalg"
 //hotpath:isolated
 type ERIScratch struct {
 	blk  []float64 // ERI shell-quartet block buffer
+	acc  []float64 // ERIBlockPairInto's T[cd][tuv] accumulator
 	kAcc []float64 // per-σ exchange accumulators (one per K matrix)
 	ks   [2]*linalg.Matrix
 	dks  [2]*linalg.Matrix
 	rw   hermiteRWork
+
+	// R-cube offsets of the bra's and the ket's Hermite indices, recomputed
+	// per quartet because the cube's stride is ltot+1.
+	braOff, ketOff []int32
 }
 
 // NewERIScratch returns a scratch arena pre-sized for the largest shell
@@ -35,8 +40,11 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 		}
 	}
 	s := &ERIScratch{
-		blk:  make([]float64, maxNF*maxNF*maxNF*maxNF),
-		kAcc: make([]float64, 2),
+		blk:    make([]float64, maxNF*maxNF*maxNF*maxNF),
+		acc:    make([]float64, maxNF*maxNF*numHermite(2*maxL)),
+		braOff: make([]int32, 0, numHermite(2*maxL)),
+		ketOff: make([]int32, 0, numHermite(2*maxL)),
+		kAcc:   make([]float64, 2),
 	}
 	s.rw.grow(4 * maxL)
 	return s

@@ -23,9 +23,11 @@ func arenaWorkload(t testing.TB) (*FockWorkload, *linalg.Matrix) {
 }
 
 // The arena-backed fast path must reproduce the retained baseline
-// implementation exactly: the digest loop structure is identical, so the
-// floating-point accumulation order — and hence every bit of the result
-// — must agree.
+// implementation: same quartets, same digest order, and J/K equal to
+// 1e-12. The two kernels sum a block's Hermite terms in different orders
+// (the baseline term by term per component, the fast path factored
+// through T), so they differ by rounding, a few 1e-15 here; bitwise
+// equality was a property of sharing one loop nest, not a requirement.
 func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -38,10 +40,10 @@ func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 		if doneF != doneB {
 			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
 		}
-		if diff := jF.MaxAbsDiff(jB); diff != 0 {
+		if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
 			t.Errorf("task %d: J differs from baseline by %g", i, diff)
 		}
-		if diff := kF.MaxAbsDiff(kB); diff != 0 {
+		if diff := kF.MaxAbsDiff(kB); diff > 1e-12 {
 			t.Errorf("task %d: K differs from baseline by %g", i, diff)
 		}
 	}
@@ -96,8 +98,38 @@ func TestExecuteTaskSpinScratchZeroAlloc(t *testing.T) {
 	}
 }
 
+// NewERIScratch must size every buffer for the basis's largest class, so
+// that the first sweep on a fresh arena — d shells included — allocates
+// nothing: a worker's first task is as allocation-free as its last.
+func TestExecuteTaskScratchZeroAllocFreshArena(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	bs := mustBasis(t, "6-31g*", Water())
+	w := BuildFockWorkload(bs, 1e-10, 4)
+	d := linalg.Identity(bs.NBF)
+	j, k := linalg.NewMatrix(bs.NBF, bs.NBF), linalg.NewMatrix(bs.NBF, bs.NBF)
+	const runs = 3
+	fresh := make([]*ERIScratch, runs+1) // AllocsPerRun warms up once
+	for i := range fresh {
+		fresh[i] = w.NewScratch()
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		s := fresh[next]
+		next++
+		for i := range w.Tasks {
+			w.ExecuteTaskScratch(&w.Tasks[i], d, j, k, s)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("first sweep on a fresh NewERIScratch allocates %.1f times, want 0", avg)
+	}
+}
+
 // A zero-value scratch must work (growing on demand) so ad-hoc callers
-// like ERIBlockPair stay correct.
+// like ERIBlockPair stay correct: within rounding (1e-12) of the baseline,
+// which sums in a different order.
 func TestZeroValueScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -106,7 +138,7 @@ func TestZeroValueScratch(t *testing.T) {
 	jRef, kRef := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
 	w.ExecuteTaskScratch(&w.Tasks[0], d, j, k, &s)
 	w.ExecuteTaskBaseline(&w.Tasks[0], d, jRef, kRef)
-	if diff := jRef.MaxAbsDiff(j); diff != 0 {
+	if diff := jRef.MaxAbsDiff(j); diff > 1e-12 {
 		t.Errorf("zero-value scratch J differs by %g", diff)
 	}
 }

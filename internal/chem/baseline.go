@@ -26,6 +26,39 @@ import (
 // block, fresh Hermite R tables per primitive pair, per-call Cartesian
 // component tables and a π^{5/2} power in the primitive loop.
 
+// baselinePrim is the primitive-pair record the original PairData held:
+// one E table per Cartesian dimension, indexed through hermiteE.at.
+type baselinePrim struct {
+	p          float64 // exponent sum
+	P          Vec3    // Gaussian product center
+	cab        float64 // contraction coefficient product
+	ex, ey, ez *hermiteE
+}
+
+// baselinePrims rebuilds those records for a shell pair. PairData now
+// stores the flat expansion ERIBlockPairInto reads, so the baseline
+// derives its own tables per call rather than keeping both layouts alive
+// in every PairData.
+func baselinePrims(pd *PairData) []baselinePrim {
+	a, b := pd.A, pd.B
+	ab := a.Center.Sub(b.Center)
+	var prims []baselinePrim
+	for pi, ea := range a.Exps {
+		for pj, eb := range b.Exps {
+			p := ea + eb
+			prims = append(prims, baselinePrim{
+				p:   p,
+				P:   a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p)),
+				cab: a.Coefs[pi] * b.Coefs[pj],
+				ex:  newHermiteE(a.L, b.L, ea, eb, ab.X),
+				ey:  newHermiteE(a.L, b.L, ea, eb, ab.Y),
+				ez:  newHermiteE(a.L, b.L, ea, eb, ab.Z),
+			})
+		}
+	}
+	return prims
+}
+
 // eriBlockPairBaseline is the original ERIBlockPair. The result layout
 // matches ERIBlock(bra.A, bra.B, ket.A, ket.B).
 func eriBlockPairBaseline(bra, ket *PairData) []float64 {
@@ -35,9 +68,10 @@ func eriBlockPairBaseline(bra, ket *PairData) []float64 {
 	ca, cb, cc, cd := makeComponents(a.L), makeComponents(b.L), makeComponents(c.L), makeComponents(d.L)
 	ltot := a.L + b.L + c.L + d.L
 
-	for _, pp := range bra.prims {
+	ketPrims := baselinePrims(ket)
+	for _, pp := range baselinePrims(bra) {
 		e1x, e1y, e1z := pp.ex, pp.ey, pp.ez
-		for _, qq := range ket.prims {
+		for _, qq := range ketPrims {
 			e2x, e2y, e2z := qq.ex, qq.ey, qq.ez
 			alpha := pp.p * qq.p / (pp.p + qq.p)
 			r := newHermiteR(ltot, alpha, pp.P.Sub(qq.P))

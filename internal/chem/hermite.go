@@ -25,20 +25,36 @@ func (e *hermiteE) set(i, j, t int, v float64) {
 	e.data[(i*(e.jmax+1)+j)*(e.imax+e.jmax+1)+t] = v
 }
 
+// makeHermiteE allocates the table for angular momenta up to imax, jmax;
+// fill gives it values.
+func makeHermiteE(imax, jmax int) *hermiteE {
+	return &hermiteE{
+		imax: imax,
+		jmax: jmax,
+		data: make([]float64, (imax+1)*(jmax+1)*(imax+jmax+1)),
+	}
+}
+
 // newHermiteE builds the E table for exponents a, b and center separation
 // ab = A - B along one dimension, for angular momenta up to imax, jmax.
+func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
+	e := makeHermiteE(imax, jmax)
+	e.fill(a, b, ab)
+	return e
+}
+
+// fill (re)computes the table in place, so one table serves every
+// primitive pair of a shell pair. Every in-band entry is written before it
+// is read and at never reads outside the band, so nothing of the previous
+// contents survives.
 //
 // Recurrences (Helgaker, Jørgensen & Olsen, ch. 9):
 //
 //	E_t^{00}    = exp(-μ ab²)
 //	E_t^{i+1,j} = E_{t-1}^{ij}/(2p) + X_PA E_t^{ij} + (t+1) E_{t+1}^{ij}
 //	E_t^{i,j+1} = E_{t-1}^{ij}/(2p) + X_PB E_t^{ij} + (t+1) E_{t+1}^{ij}
-func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
-	e := &hermiteE{
-		imax: imax,
-		jmax: jmax,
-		data: make([]float64, (imax+1)*(jmax+1)*(imax+jmax+1)),
-	}
+func (e *hermiteE) fill(a, b, ab float64) {
+	imax, jmax := e.imax, e.jmax
 	p := a + b
 	mu := a * b / p
 	xpa := -b / p * ab // P - A
@@ -61,7 +77,6 @@ func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
 			}
 		}
 	}
-	return e
 }
 
 // hermiteR holds the Hermite Coulomb integrals R^0_{tuv}(p, PC) needed to
@@ -77,17 +92,16 @@ func (r *hermiteR) at(t, u, v int) float64 {
 }
 
 // hermiteRWork is a reusable workspace for Hermite Coulomb integral
-// construction: the Boys-function buffer and the per-order R cubes are
-// retained across calls so the steady-state ERI loop performs no heap
-// allocation per primitive quartet. The zero value is ready to use and
-// grows on demand; grow preallocates for a known maximum order.
+// construction: the Boys-function buffer and two R cubes are retained
+// across calls so the steady-state ERI loop performs no heap allocation
+// per primitive quartet. The zero value is ready to use and grows on
+// demand; grow preallocates for a known maximum order.
 //
 // compute's result aliases the workspace and is invalidated by the next
 // compute call, so a workspace must not be shared between goroutines.
 type hermiteRWork struct {
-	boys   []float64
-	orders [][]float64
-	r      hermiteR
+	boys []float64
+	cube []float64 // two (tmax+1)³ cubes: auxiliary orders n+1 and n
 }
 
 // grow preallocates the workspace for orders up to tmax.
@@ -96,88 +110,74 @@ func (w *hermiteRWork) grow(tmax int) {
 	if cap(w.boys) < n1 {
 		w.boys = make([]float64, n1) //lint:ignore allocfree cold start: Boys workspace grows to the basis's max total angular momentum once, then is reused
 	}
-	for len(w.orders) < n1 {
-		w.orders = append(w.orders, nil) //lint:ignore allocfree cold start: the per-order table of R-recursion cubes grows once per arena
-	}
-	for n := 0; n < n1; n++ {
-		if cap(w.orders[n]) < n1*n1*n1 {
-			w.orders[n] = make([]float64, n1*n1*n1) //lint:ignore allocfree cold start: each R-recursion cube is sized by the max angular momentum once, then reused
-		}
+	if cap(w.cube) < 2*n1*n1*n1 {
+		w.cube = make([]float64, 2*n1*n1*n1) //lint:ignore allocfree cold start: the two R-recursion cubes are sized by the max total angular momentum once, then reused
 	}
 }
 
 // newHermiteR computes R^0_{tuv} for all t+u+v <= tmax, with Gaussian
-// exponent p and separation pc = P - C.
+// exponent p and separation pc = P - C. A fresh workspace per call: the
+// result owns its data. Hot paths use hermiteRWork.compute directly to
+// amortize the allocations away.
+func newHermiteR(tmax int, p float64, pc Vec3) *hermiteR {
+	var w hermiteRWork
+	return &hermiteR{tmax: tmax, data: w.compute(tmax, p, pc, 1)}
+}
+
+// compute fills a cube of stride tmax+1 with scale·R^0_{tuv} for all
+// t+u+v <= tmax and returns it; entry (t,u,v) sits at (t·(tmax+1)+u)·(tmax+1)+v.
 //
 //	R^n_{000}    = (-2p)^n F_n(p·|PC|²)
 //	R^n_{t+1,uv} = t R^{n+1}_{t-1,uv} + X_PC R^{n+1}_{tuv}   (same for u, v)
 //
-// The computation runs over an auxiliary order-n dimension, consuming one
-// order per unit of total angular momentum.
-func newHermiteR(tmax int, p float64, pc Vec3) *hermiteR {
-	// A fresh workspace per call: the result owns its data. Hot paths use
-	// hermiteRWork.compute directly to amortize the allocations away.
-	var w hermiteRWork
-	r := w.compute(tmax, p, pc)
-	return &hermiteR{tmax: tmax, data: r.data}
-}
-
-// compute fills the workspace with R^0_{tuv} for all t+u+v <= tmax and
-// returns a view of it. Every entry read by the recurrence (and by at, for
-// indices within tmax) is written before use, so stale data from a
-// previous, larger computation never leaks into the result and no zeroing
-// pass is needed.
-func (w *hermiteRWork) compute(tmax int, p float64, pc Vec3) *hermiteR {
+// The recurrence consumes one auxiliary order n per unit of t+u+v, and
+// order n needs order n+1 only, so two cubes alternate from n = tmax down
+// to 0. It is linear in the Boys values, which is where scale enters.
+// Every entry read (here, and by callers within t+u+v <= tmax) is written
+// first, so stale data from an earlier call never leaks and nothing is
+// zeroed.
+func (w *hermiteRWork) compute(tmax int, p float64, pc Vec3, scale float64) []float64 {
 	n1 := tmax + 1
+	n2 := n1 * n1
+	n3 := n2 * n1
 	w.grow(tmax)
-	boysVals := w.boys[:n1]
-	Boys(tmax, p*pc.Norm2(), boysVals)
-
-	// orders[n][t][u][v] at auxiliary order n; a full (tmax+1)^3 cube per
-	// order. tmax stays <= ~8 for d functions so the cubes are small.
-	idx := func(t, u, v int) int { return (t*n1+u)*n1 + v }
-
-	orders := w.orders[:n1]
-	for n := 0; n <= tmax; n++ {
-		orders[n] = orders[n][:n1*n1*n1]
-		f := 1.0
-		for k := 0; k < n; k++ {
-			f *= -2 * p
-		}
-		orders[n][idx(0, 0, 0)] = f * boysVals[n]
+	f := w.boys[:n1]
+	Boys(tmax, p*pc.Norm2(), f)
+	for n := range f {
+		f[n] *= scale
+		scale *= -2 * p
 	}
-
-	// Fill v, then u, then t, consuming auxiliary orders top-down: the
-	// value R^n_{tuv} requires R^{n+1} entries with one lower total index.
-	for total := 1; total <= tmax; total++ {
-		for n := 0; n <= tmax-total; n++ {
-			dst, src := orders[n], orders[n+1]
-			for t := 0; t <= total; t++ {
-				for u := 0; u <= total-t; u++ {
-					v := total - t - u
-					var val float64
-					switch {
-					case t > 0:
-						if t > 1 {
-							val = float64(t-1) * src[idx(t-2, u, v)]
-						}
-						val += pc.X * src[idx(t-1, u, v)]
-					case u > 0:
-						if u > 1 {
-							val = float64(u-1) * src[idx(t, u-2, v)]
-						}
-						val += pc.Y * src[idx(t, u-1, v)]
-					default: // v > 0
-						if v > 1 {
-							val = float64(v-1) * src[idx(t, u, v-2)]
-						}
-						val += pc.Z * src[idx(t, u, v-1)]
-					}
-					dst[idx(t, u, v)] = val
+	src, dst := w.cube[:n3], w.cube[n3:2*n3]
+	if tmax == 0 {
+		dst[0] = f[0]
+		return dst
+	}
+	// Order tmax-1 is four entries; the loop takes over from t+u+v <= 2.
+	dst[0], dst[1], dst[n1], dst[n2] = f[tmax-1], pc.Z*f[tmax], pc.Y*f[tmax], pc.X*f[tmax]
+	for n := tmax - 2; n >= 0; n-- {
+		src, dst = dst, src
+		l := tmax - n // dst holds order n for t+u+v <= l, src order n+1 for <= l-1
+		dst[0] = f[n]
+		// For an index of 1 the lower neighbour's factor is 0 and max
+		// points it at a valid finite entry instead of out of the cube.
+		for v := 1; v <= l; v++ {
+			dst[v] = float64(v-1)*src[max(v-2, 0)] + pc.Z*src[v-1]
+		}
+		for u := 1; u <= l; u++ {
+			o, o1, o2, fu := u*n1, (u-1)*n1, max(u-2, 0)*n1, float64(u-1)
+			for v := 0; v <= l-u; v++ {
+				dst[o+v] = fu*src[o2+v] + pc.Y*src[o1+v]
+			}
+		}
+		for t := 1; t <= l; t++ {
+			ft := float64(t - 1)
+			for u := 0; u <= l-t; u++ {
+				o, o1, o2 := t*n2+u*n1, (t-1)*n2+u*n1, max(t-2, 0)*n2+u*n1
+				for v := 0; v <= l-t-u; v++ {
+					dst[o+v] = ft*src[o2+v] + pc.X*src[o1+v]
 				}
 			}
 		}
 	}
-	w.r = hermiteR{tmax: tmax, data: orders[0]}
-	return &w.r
+	return dst
 }

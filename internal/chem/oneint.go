@@ -30,8 +30,9 @@ func Kinetic(bs *BasisSet) *linalg.Matrix {
 // mol (already negative: V_{μν} = -Σ_C Z_C ⟨μ| 1/r_C |ν⟩).
 func NuclearAttraction(bs *BasisSet, mol *Molecule) *linalg.Matrix {
 	v := linalg.NewMatrix(bs.NBF, bs.NBF)
+	var rw hermiteRWork
 	forShellPairs(bs, func(a, b *Shell) {
-		blk := nuclearBlock(a, b, mol)
+		blk := nuclearBlock(a, b, mol, &rw)
 		scatterBlock(v, a, b, blk)
 	})
 	return v
@@ -88,14 +89,15 @@ func overlapBlock(a, b *Shell) []float64 {
 	blk := make([]float64, na*nb)
 	ca, cb := Components(a.L), Components(b.L)
 	ab := a.Center.Sub(b.Center)
+	ex, ey, ez := makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L)
 	for pi, ea := range a.Exps {
 		for pj, eb := range b.Exps {
 			coef := a.Coefs[pi] * b.Coefs[pj]
 			p := ea + eb
 			pref := coef * math.Pow(math.Pi/p, 1.5)
-			ex := newHermiteE(a.L, b.L, ea, eb, ab.X)
-			ey := newHermiteE(a.L, b.L, ea, eb, ab.Y)
-			ez := newHermiteE(a.L, b.L, ea, eb, ab.Z)
+			ex.fill(ea, eb, ab.X)
+			ey.fill(ea, eb, ab.Y)
+			ez.fill(ea, eb, ab.Z)
 			for fa, compA := range ca {
 				for fb, compB := range cb {
 					blk[fa*nb+fb] += pref *
@@ -121,15 +123,16 @@ func kineticBlock(a, b *Shell) []float64 {
 	blk := make([]float64, na*nb)
 	ca, cb := Components(a.L), Components(b.L)
 	ab := a.Center.Sub(b.Center)
+	// Need j up to b.L+2 in each dimension.
+	ex, ey, ez := makeHermiteE(a.L, b.L+2), makeHermiteE(a.L, b.L+2), makeHermiteE(a.L, b.L+2)
 	for pi, ea := range a.Exps {
 		for pj, eb := range b.Exps {
 			coef := a.Coefs[pi] * b.Coefs[pj]
 			p := ea + eb
 			pref := coef * math.Pow(math.Pi/p, 1.5)
-			// Need j up to b.L+2 in each dimension.
-			ex := newHermiteE(a.L, b.L+2, ea, eb, ab.X)
-			ey := newHermiteE(a.L, b.L+2, ea, eb, ab.Y)
-			ez := newHermiteE(a.L, b.L+2, ea, eb, ab.Z)
+			ex.fill(ea, eb, ab.X)
+			ey.fill(ea, eb, ab.Y)
+			ez.fill(ea, eb, ab.Z)
 			s1d := func(e *hermiteE, i, j int) float64 {
 				if j < 0 {
 					return 0
@@ -156,25 +159,26 @@ func kineticBlock(a, b *Shell) []float64 {
 }
 
 // nuclearBlock computes the contracted nuclear-attraction block
-// -Σ_C Z_C ⟨a| 1/r_C |b⟩ using Hermite Coulomb integrals.
-func nuclearBlock(a, b *Shell, mol *Molecule) []float64 {
+// -Σ_C Z_C ⟨a| 1/r_C |b⟩ using Hermite Coulomb integrals built in rw.
+func nuclearBlock(a, b *Shell, mol *Molecule, rw *hermiteRWork) []float64 {
 	na, nb := a.NumFuncs(), b.NumFuncs()
 	blk := make([]float64, na*nb)
 	ca, cb := Components(a.L), Components(b.L)
 	ab := a.Center.Sub(b.Center)
 	ltot := a.L + b.L
+	ex, ey, ez := makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L)
 	for pi, ea := range a.Exps {
 		for pj, eb := range b.Exps {
 			coef := a.Coefs[pi] * b.Coefs[pj]
 			p := ea + eb
 			P := a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p))
 			pref := coef * 2 * math.Pi / p
-			ex := newHermiteE(a.L, b.L, ea, eb, ab.X)
-			ey := newHermiteE(a.L, b.L, ea, eb, ab.Y)
-			ez := newHermiteE(a.L, b.L, ea, eb, ab.Z)
+			ex.fill(ea, eb, ab.X)
+			ey.fill(ea, eb, ab.Y)
+			ez.fill(ea, eb, ab.Z)
 			for _, atom := range mol.Atoms {
-				r := newHermiteR(ltot, p, P.Sub(atom.Pos))
-				z := -float64(atom.Z)
+				// The cube carries -Z_C·pref, so the terms below add up bare.
+				r := hermiteR{tmax: ltot, data: rw.compute(ltot, p, P.Sub(atom.Pos), -float64(atom.Z)*pref)}
 				for fa, A := range ca {
 					for fb, B := range cb {
 						var sum float64
@@ -197,7 +201,7 @@ func nuclearBlock(a, b *Shell, mol *Molecule) []float64 {
 								}
 							}
 						}
-						blk[fa*nb+fb] += z * pref * sum
+						blk[fa*nb+fb] += sum
 					}
 				}
 			}

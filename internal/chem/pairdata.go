@@ -10,35 +10,108 @@ var piPow25 = math.Pow(math.Pi, 2.5)
 // primitive b) combination of a shell pair: everything about the bra (or
 // ket) charge distribution that does not depend on the partner pair.
 type pairPrim struct {
-	p          float64 // exponent sum
-	P          Vec3    // Gaussian product center
-	cab        float64 // contraction coefficient product
-	ex, ey, ez *hermiteE
+	p float64 // exponent sum
+	P Vec3    // Gaussian product center
+	// e holds, for every term of PairData's term list, the product
+	// E_t·E_u·E_v scaled by the pair's share of the integral prefactor,
+	// (contraction coefficient product)/p; eKet is e with the ket sign
+	// (−1)^(t+u+v) folded in.
+	e, eKet []float64
 }
 
-// PairData caches the Hermite expansion tables of a shell pair. Computing
-// them once per pair — instead of once per quartet — removes the dominant
-// redundant work of the ERI engine: each pair appears in O(#pairs)
-// quartets.
+// PairData caches the Hermite expansion of a shell pair. Computing it once
+// per pair — instead of once per quartet — removes the dominant redundant
+// work of the ERI engine: each pair appears in O(#pairs) quartets.
+//
+// The expansion is stored flat. A term is one structurally non-zero
+// Hermite index (t,u,v) of one Cartesian component pair ab = fa·nb+fb,
+// i.e. t <= lx, u <= ly, v <= lz of the component pair's summed angular
+// momenta. The term list is shared by all primitive pairs; each holds one
+// coefficient per term.
 type PairData struct {
 	A, B  *Shell
 	prims []pairPrim
+	start []int32 // terms of component pair ab are start[ab]:start[ab+1]
+	slot  []int32 // position of each term's (t,u,v) in hermiteOffsets(A.L+B.L)
 }
 
-// NewPairData precomputes the Hermite E tables for the shell pair (a, b).
+// numHermite returns the number of Hermite indices with t+u+v <= l.
+func numHermite(l int) int { return (l + 1) * (l + 2) * (l + 3) / 6 }
+
+// hermiteOffsets appends to dst, for every Hermite index t+u+v <= l in a
+// fixed order, its offset (t·n+u)·n+v in a cube of stride n.
+func hermiteOffsets(dst []int32, l, n int) []int32 {
+	for t := 0; t <= l; t++ {
+		for u := 0; u <= l-t; u++ {
+			for v := 0; v <= l-t-u; v++ {
+				dst = append(dst, int32((t*n+u)*n+v)) //lint:ignore allocfree cold start: NewERIScratch pre-sizes the offset buffers for the basis's largest class
+			}
+		}
+	}
+	return dst
+}
+
+// NewPairData precomputes the Hermite expansion of the shell pair (a, b).
 func NewPairData(a, b *Shell) *PairData {
-	ab := a.Center.Sub(b.Center)
-	pd := &PairData{A: a, B: b}
+	ca, cb := Components(a.L), Components(b.L)
+	lab := a.L + b.L
+	pd := &PairData{
+		A: a, B: b,
+		prims: make([]pairPrim, 0, len(a.Exps)*len(b.Exps)),
+		start: make([]int32, 0, len(ca)*len(cb)+1),
+		// A component pair's terms are a box inside t+u+v <= lab.
+		slot: make([]int32, 0, len(ca)*len(cb)*numHermite(lab)),
+	}
+	tuv := make([][3]int, 0, cap(pd.slot)) // Hermite index of each term
+	// slotOf inverts hermiteOffsets on a cube just large enough for lab.
+	slotOf := make([]int32, (lab+1)*(lab+1)*(lab+1))
+	for i, off := range hermiteOffsets(nil, lab, lab+1) {
+		slotOf[off] = int32(i)
+	}
+	for _, A := range ca {
+		for _, B := range cb {
+			pd.start = append(pd.start, int32(len(tuv)))
+			for t := 0; t <= A.Lx+B.Lx; t++ {
+				for u := 0; u <= A.Ly+B.Ly; u++ {
+					for v := 0; v <= A.Lz+B.Lz; v++ {
+						tuv = append(tuv, [3]int{t, u, v})
+						pd.slot = append(pd.slot, slotOf[(t*(lab+1)+u)*(lab+1)+v])
+					}
+				}
+			}
+		}
+	}
+	nt := len(tuv)
+	pd.start = append(pd.start, int32(nt))
+
+	sep := a.Center.Sub(b.Center)
+	ex, ey, ez := makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L)
+	coefs := make([]float64, 2*nt*cap(pd.prims))
 	for pi, ea := range a.Exps {
 		for pj, eb := range b.Exps {
 			p := ea + eb
+			ex.fill(ea, eb, sep.X)
+			ey.fill(ea, eb, sep.Y)
+			ez.fill(ea, eb, sep.Z)
+			e, eKet := coefs[:nt:nt], coefs[nt:2*nt:2*nt]
+			coefs = coefs[2*nt:]
+			scale := a.Coefs[pi] * b.Coefs[pj] / p
+			for ab := range pd.start[1:] {
+				A, B := ca[ab/len(cb)], cb[ab%len(cb)]
+				for k := pd.start[ab]; k < pd.start[ab+1]; k++ {
+					t, u, v := tuv[k][0], tuv[k][1], tuv[k][2]
+					e[k] = scale * ex.at(A.Lx, B.Lx, t) * ey.at(A.Ly, B.Ly, u) * ez.at(A.Lz, B.Lz, v)
+					eKet[k] = e[k]
+					if (t+u+v)&1 == 1 {
+						eKet[k] = -e[k]
+					}
+				}
+			}
 			pd.prims = append(pd.prims, pairPrim{
-				p:   p,
-				P:   a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p)),
-				cab: a.Coefs[pi] * b.Coefs[pj],
-				ex:  newHermiteE(a.L, b.L, ea, eb, ab.X),
-				ey:  newHermiteE(a.L, b.L, ea, eb, ab.Y),
-				ez:  newHermiteE(a.L, b.L, ea, eb, ab.Z),
+				p:    p,
+				P:    a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p)),
+				e:    e,
+				eKet: eKet,
 			})
 		}
 	}
@@ -59,85 +132,89 @@ func ERIBlockPair(bra, ket *PairData) []float64 {
 // returned slice aliases s and stays valid only until the next call using
 // s. With a warmed-up scratch the steady-state computation performs zero
 // heap allocations.
+//
+// The McMurchie–Davidson sum over a primitive quartet,
+//
+//	(ab|cd) += Σ_{tuv} E^{ab}_{tuv} Σ_{τνφ} (−1)^{τ+ν+φ} E^{cd}_{τνφ} · pref · R_{t+τ,u+ν,v+φ},
+//
+// is factored: for one bra primitive, T[cd][tuv] collects the inner sum
+// over all ket primitives, and the bra coefficients are then applied
+// once. R is read straight out of its cube: an index sum is an offset
+// sum, pref is folded into the cube, and the rest of the prefactor into
+// the coefficients.
 func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 	a, b, c, d := bra.A, bra.B, ket.A, ket.B
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
-	size := na * nb * nc * nd
-	if cap(s.blk) < size {
-		s.blk = make([]float64, size) //lint:ignore allocfree cold start: blk grows to the largest quartet block once, then every call reuses it
+	nab, ncd := len(bra.start)-1, len(ket.start)-1
+	if cap(s.blk) < nab*ncd {
+		s.blk = make([]float64, nab*ncd) //lint:ignore allocfree cold start: blk grows to the largest quartet block once, then every call reuses it
 	}
-	blk := s.blk[:size]
-	clear(blk)
-	ca, cb, cc, cd := Components(a.L), Components(b.L), Components(c.L), Components(d.L)
+	blk := s.blk[:nab*ncd]
 	ltot := a.L + b.L + c.L + d.L
+	if ltot == 0 {
+		// (ss|ss): one term a side, R is F_0.
+		var sum float64
+		var f [1]float64
+		for bp := range bra.prims {
+			pp := &bra.prims[bp]
+			for kp := range ket.prims {
+				qq := &ket.prims[kp]
+				ipq := 1 / (pp.p + qq.p)
+				Boys(0, pp.p*qq.p*ipq*pp.P.Sub(qq.P).Norm2(), f[:])
+				sum += pp.e[0] * qq.e[0] * math.Sqrt(ipq) * f[0]
+			}
+		}
+		blk[0] = 2 * piPow25 * sum
+		return blk
+	}
+	clear(blk)
+
+	// T costs (bra Hermite indices) × (ket terms) per primitive quartet and
+	// the final contraction only (bra terms) × (ket components) per bra
+	// primitive, so the pair with the larger angular momentum plays the
+	// bra: (ab|cd) = (cd|ab), written to blk through swapped strides.
+	nb, nk, sb, sk := nab, ncd, ncd, 1
+	if c.L+d.L > a.L+b.L {
+		bra, ket = ket, bra
+		nb, nk, sb, sk = ncd, nab, 1, ncd
+	}
+	lbra := bra.A.L + bra.B.L
+	n1 := ltot + 1
+	nh := numHermite(lbra)
+	if cap(s.acc) < nk*nh {
+		s.acc = make([]float64, nk*nh) //lint:ignore allocfree cold start: the T accumulator grows to the largest class once, then every call reuses it
+	}
+	acc := s.acc[:nk*nh]
+	s.braOff = hermiteOffsets(s.braOff[:0], lbra, n1)
+	s.ketOff = hermiteOffsets(s.ketOff[:0], ltot-lbra, n1)
+	braOff, ketOff := s.braOff, s.ketOff
 
 	for bp := range bra.prims {
 		pp := &bra.prims[bp]
-		e1x, e1y, e1z := pp.ex, pp.ey, pp.ez
+		clear(acc)
 		for kp := range ket.prims {
 			qq := &ket.prims[kp]
-			e2x, e2y, e2z := qq.ex, qq.ey, qq.ez
-			alpha := pp.p * qq.p / (pp.p + qq.p)
-			r := s.rw.compute(ltot, alpha, pp.P.Sub(qq.P))
-			pref := pp.cab * qq.cab * 2 * piPow25 /
-				(pp.p * qq.p * math.Sqrt(pp.p+qq.p))
-
-			idx := 0
-			for _, A := range ca {
-				for _, B := range cb {
-					lx1, ly1, lz1 := A.Lx+B.Lx, A.Ly+B.Ly, A.Lz+B.Lz
-					for _, C := range cc {
-						for _, D := range cd {
-							lx2, ly2, lz2 := C.Lx+D.Lx, C.Ly+D.Ly, C.Lz+D.Lz
-							var sum float64
-							for t := 0; t <= lx1; t++ {
-								et1 := e1x.at(A.Lx, B.Lx, t)
-								if et1 == 0 {
-									continue
-								}
-								for u := 0; u <= ly1; u++ {
-									eu1 := e1y.at(A.Ly, B.Ly, u)
-									if eu1 == 0 {
-										continue
-									}
-									for v := 0; v <= lz1; v++ {
-										ev1 := e1z.at(A.Lz, B.Lz, v)
-										if ev1 == 0 {
-											continue
-										}
-										e1 := et1 * eu1 * ev1
-										for tau := 0; tau <= lx2; tau++ {
-											et2 := e2x.at(C.Lx, D.Lx, tau)
-											if et2 == 0 {
-												continue
-											}
-											for nu := 0; nu <= ly2; nu++ {
-												eu2 := e2y.at(C.Ly, D.Ly, nu)
-												if eu2 == 0 {
-													continue
-												}
-												for phi := 0; phi <= lz2; phi++ {
-													ev2 := e2z.at(C.Lz, D.Lz, phi)
-													if ev2 == 0 {
-														continue
-													}
-													sign := 1.0
-													if (tau+nu+phi)&1 == 1 {
-														sign = -1
-													}
-													sum += e1 * sign * et2 * eu2 * ev2 *
-														r.at(t+tau, u+nu, v+phi)
-												}
-											}
-										}
-									}
-								}
-							}
-							blk[idx] += pref * sum
-							idx++
-						}
+			ipq := 1 / (pp.p + qq.p)
+			r := s.rw.compute(ltot, pp.p*qq.p*ipq, pp.P.Sub(qq.P), 2*piPow25*math.Sqrt(ipq))
+			for cd := 0; cd < nk; cd++ {
+				t := acc[cd*nh : (cd+1)*nh]
+				for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
+					e, rk := qq.eKet[k], r[ketOff[ket.slot[k]]:]
+					for i, bo := range braOff {
+						t[i] += e * rk[bo]
 					}
 				}
+			}
+		}
+		for ab := 0; ab < nb; ab++ {
+			b0, b1 := bra.start[ab], bra.start[ab+1]
+			eb, sl := pp.e[b0:b1], bra.slot[b0:b1]
+			for cd := 0; cd < nk; cd++ {
+				t := acc[cd*nh : (cd+1)*nh]
+				var sum float64
+				for k, e := range eb {
+					sum += e * t[sl[k]]
+				}
+				blk[ab*sb+cd*sk] += sum
 			}
 		}
 	}

@@ -17,10 +17,12 @@ type ShellPair struct {
 func SchwarzBounds(bs *BasisSet) []ShellPair {
 	n := len(bs.Shells)
 	pairs := make([]ShellPair, 0, n*(n+1)/2)
+	s := NewERIScratch(bs)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			a, b := &bs.Shells[i], &bs.Shells[j]
-			blk := ERIBlock(a, b, a, b)
+			pd := NewPairData(a, b)
+			blk := ERIBlockPairInto(pd, pd, s)
 			na, nb := a.NumFuncs(), b.NumFuncs()
 			var mx float64
 			// Diagonal elements (fa fb | fa fb) of the block.

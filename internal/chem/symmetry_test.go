@@ -169,9 +169,11 @@ func TestSymmetricSpinJKMatchesNaive(t *testing.T) {
 	}
 }
 
-// The spin baseline executor (in-worker screening, closure digest) and
-// the arena spin path (generation-time screening, stride digest) share
-// loop structure, so they must agree bitwise.
+// The spin baseline executor (in-worker screening, closure digest,
+// term-by-term ERI loop nest) and the arena spin path (generation-time
+// screening, stride digest, factored ERI kernel) select and digest the
+// same quartets in the same order; the ERI blocks differ by summation
+// order only, so J, Kα and Kβ agree to 1e-12.
 func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -192,13 +194,13 @@ func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 		if doneF != doneB {
 			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
 		}
-		if diff := jF.MaxAbsDiff(jB); diff != 0 {
+		if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
 			t.Errorf("task %d: J differs from spin baseline by %g", i, diff)
 		}
-		if diff := kAF.MaxAbsDiff(kAB); diff != 0 {
+		if diff := kAF.MaxAbsDiff(kAB); diff > 1e-12 {
 			t.Errorf("task %d: Kα differs from spin baseline by %g", i, diff)
 		}
-		if diff := kBF.MaxAbsDiff(kBB); diff != 0 {
+		if diff := kBF.MaxAbsDiff(kBB); diff > 1e-12 {
 			t.Errorf("task %d: Kβ differs from spin baseline by %g", i, diff)
 		}
 	}

@@ -49,6 +49,10 @@ type AllocReport struct {
 	// ReachableExtents maps file → [startLine, endLine] body ranges of
 	// functions reachable from any root.
 	ReachableExtents map[string][][2]int
+	// ReachableFuncs is the set of those functions by dataflow.FuncID
+	// ("pkg/path.Fn", "pkg/path.(T).M"), so a test can require that the
+	// proof reaches a kernel wherever its file is.
+	ReachableFuncs map[string]bool
 	// SiteLines maps file → set of lines carrying a reported allocation
 	// site or a call-chain step toward one (inlining attributes callee
 	// allocations to call-site lines).
@@ -59,6 +63,7 @@ type AllocReport struct {
 func (a *AllocFree) Analyze(pkgs []*Package) AllocReport {
 	rep := AllocReport{
 		ReachableExtents: map[string][][2]int{},
+		ReachableFuncs:   map[string]bool{},
 		SiteLines:        map[string]map[int]bool{},
 	}
 	dfp := dataflowPkgs(pkgs)
@@ -120,6 +125,7 @@ func (a *AllocFree) Analyze(pkgs []*Package) AllocReport {
 				return
 			}
 			visited[f.ID] = true
+			rep.ReachableFuncs[f.ID] = true
 			if f.Decl.Body != nil {
 				start := f.Pkg.Fset.Position(f.Decl.Pos())
 				end := f.Pkg.Fset.Position(f.Decl.End())

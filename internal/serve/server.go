@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -246,8 +247,19 @@ func (s *Server) worker() {
 // runJob executes one SCF job end to end: resume from the spool
 // checkpoint when one exists, stream per-iteration progress, checkpoint
 // every cfg.CheckpointEvery iterations, and persist the terminal state.
+//
+// A panic on the job's goroutine — the integral kernel, the builder, a
+// callback — is that job's failure, not the server's: it is recorded
+// through failJob, so the spool holds a result and a restarted server
+// does not re-enqueue the job and die again, and the worker carries on.
 func (s *Server) runJob(job *Job) {
 	reg := s.metrics.Tenant(job.Tenant())
+	defer func() {
+		if p := recover(); p != nil {
+			s.cfg.Logf("serve: job %s: panic: %v\n%s", job.ID, p, debug.Stack())
+			s.failJob(job, reg, fmt.Errorf("panic: %v", p))
+		}
+	}()
 
 	ckpt, err := s.store.LoadCheckpoint(job.ID)
 	if err != nil {

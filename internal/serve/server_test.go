@@ -14,6 +14,7 @@ import (
 
 	"execmodels/internal/chem"
 	"execmodels/internal/core"
+	"execmodels/internal/linalg"
 )
 
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -336,6 +337,50 @@ func TestServerRestartResumesFromSpool(t *testing.T) {
 	st := getStatus(t, ts, jobID)
 	if st.State != StateDone || !st.Converged {
 		t.Fatalf("post-restart status: %+v", st)
+	}
+}
+
+// A job whose Fock builder panics must end failed with the panic text in
+// its result, leave its worker alive for the next job, and not come back
+// on restart: before runJob recovered, the panic killed the process and
+// the restarted server re-enqueued the job and died again.
+func TestServerSurvivesPanickingJob(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, Config{SpoolDir: dir, Workers: 1})
+	serial := s.newBuilder
+	builds := 0
+	s.newBuilder = func() (chem.FockBuilder, error) {
+		if builds++; builds > 1 {
+			return serial()
+		}
+		return func(*chem.FockWorkload, *linalg.Matrix, *linalg.Matrix) *linalg.Matrix {
+			panic("poisoned integral")
+		}, nil
+	}
+	s.Start()
+
+	const spec = `{"tenant":"alice","molecule":"h2","basis":"sto-3g"}`
+	bad, _ := submit(t, ts, spec)
+	res := waitResult(t, s.store, bad, 30*time.Second)
+	if res.Converged || !strings.Contains(res.Error, "panic: poisoned integral") {
+		t.Fatalf("panicking job result: %+v", res)
+	}
+	if st := getStatus(t, ts, bad); st.State != StateFailed {
+		t.Fatalf("panicking job status: %+v", st)
+	}
+
+	good, _ := submit(t, ts, spec)
+	if res := waitResult(t, s.store, good, 30*time.Second); !res.Converged || res.Error != "" {
+		t.Fatalf("job after the panic: %+v", res)
+	}
+	s.Drain()
+
+	s2, err := New(Config{SpoolDir: dir, Workers: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("New (restart): %v", err)
+	}
+	if s2.Recovered() != 0 {
+		t.Fatalf("restart re-enqueued %d job(s), want 0", s2.Recovered())
 	}
 }
 
