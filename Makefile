@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench bench-wall bench-serve cover cover-check fuzz fuzz-serve serve serve-smoke blame metrics experiments figures faults clean
+.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench bench-wall wall-smoke bench-serve cover cover-check fuzz fuzz-serve serve serve-smoke blame metrics experiments figures faults clean
 
 all: build test lint
 
@@ -64,6 +64,15 @@ bench:
 bench-wall:
 	go run ./cmd/benchsuite -wall BENCH_wall.json -scale small
 	go run ./cmd/benchsuite -exp W1 -scale small
+
+# CI's "Wall bench smoke" step: the wall bench capped at 2 workers, then
+# hfscf itself under a feedback policy (RHF) and a pull policy (UHF) —
+# each exits non-zero unless converged — and a refused unknown -sched.
+wall-smoke:
+	go run ./cmd/benchsuite -wall bench_wall_ci.json -scale small -wall-workers 2 -wall-sched semimatching,persistence-feedback
+	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
+	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
+	! go run ./cmd/hfscf -sched bogus
 
 # Run the SCF job server locally (spool ./spool, Ctrl-C drains cleanly).
 serve:

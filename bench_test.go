@@ -293,7 +293,13 @@ func BenchmarkWallStealingFock(b *testing.B) {
 	d := linalg.Identity(bs.NBF)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.WallStealing(w, h, d, 4, int64(i))
+		ws, err := core.NewWallScheduler("stealing", 4, core.WallOptions{Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ws.Build(w, h, d); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func main() {
 		wallOut   = flag.String("wall", "", "run the wall-clock Fock benchmark and write its JSON report (BENCH_wall.json) to this file, then exit")
 		wallCap   = flag.Int("wall-workers", 0, "with -wall: cap the worker sweep at this count (0 = full sweep; CI smoke uses 2)")
 		wallSched = flag.String("wall-sched", "semimatching,hypergraph,persistence-feedback",
-			"with -wall: comma list of scheduler-seam policies measured as extra rows; persistence-feedback enables the W3 feedback section; empty = legacy modes only")
+			"with -wall: comma list of policies measured as rows after static, dynamic and stealing; persistence-feedback enables the W3 feedback section")
 	)
 	flag.Parse()
 
@@ -57,8 +57,8 @@ func main() {
 			continue
 		}
 		// Fail fast on a typo before any benchmark time is spent.
-		if _, err := core.SchedulerByName(p, core.SchedOptions{}); err != nil {
-			log.Fatalf("-wall-sched: %v (valid: %s)", err, strings.Join(core.SchedulerNames(), " "))
+		if _, err := core.NewWallScheduler(p, 1, core.WallOptions{}); err != nil {
+			log.Fatalf("-wall-sched: %v", err)
 		}
 		s.WallScheds = append(s.WallScheds, p)
 	}

@@ -1,12 +1,12 @@
-// hfscf runs a restricted Hartree–Fock calculation end to end, with the
-// Fock build executed serially or under one of the wall-clock parallel
-// execution models.
+// hfscf runs a restricted or unrestricted Hartree–Fock calculation end to
+// end, with the Fock build executed serially or on goroutines under any
+// balancing policy of the scheduler seam (core.WallSchedulerNames).
 //
 // Usage:
 //
 //	hfscf -molecule water -basis sto-3g
-//	hfscf -molecule waters:8 -mode stealing -workers 8
-//	hfscf -molecule alkane:6 -basis 6-31g -mode dynamic
+//	hfscf -molecule waters:8 -sched stealing -workers 8
+//	hfscf -molecule alkane:6 -basis 6-31g -sched semimatching
 package main
 
 import (
@@ -28,24 +28,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hfscf: ")
 	var (
-		molecule  = flag.String("molecule", "water", "water | h2 | waters:N | alkane:N | random:N | xyz:FILE")
-		basis     = flag.String("basis", "sto-3g", "basis set: sto-3g, 6-31g or 6-31g*")
-		mode      = flag.String("mode", "serial", "fock build: serial | static | dynamic | stealing")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel modes")
-		maxIter   = flag.Int("maxiter", 50, "maximum SCF iterations")
-		screen    = flag.Float64("screen", 1e-10, "Schwarz screening threshold")
-		block     = flag.Int("block", 4, "bra-pair block size for the Fock workload")
-		pairblock = flag.Int("pairblock", 0, "re-block parallel tasks to this many bra pairs (0 = keep -block; screening data is shared, so re-blocking is cheap)")
-		orbitals  = flag.Bool("orbitals", false, "print orbital energies")
-		seed      = flag.Int64("seed", 7, "seed for generated geometries and the work-stealing scheduler")
-		dynblock  = flag.Int("dynblock", 1, "tasks fetched per shared-counter op in -mode dynamic")
-		diis      = flag.Bool("diis", true, "DIIS convergence acceleration")
-		mp2       = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems only)")
-		props     = flag.Bool("properties", false, "print dipole moment and Mulliken charges")
-		uhf       = flag.Bool("uhf", false, "unrestricted Hartree-Fock")
-		mult      = flag.Int("multiplicity", 0, "spin multiplicity 2S+1 for -uhf (0 = lowest)")
-		charge    = flag.Int("charge", 0, "net molecular charge")
-		nosym     = flag.Bool("nosym", false, "disable 8-fold symmetry folding and Schwarz screening: every Fock build runs the naive N^4 quadruple loop (ground-truth escape hatch; serial RHF only, ~8x+ slower)")
+		molecule = flag.String("molecule", "water", "water | h2 | waters:N | alkane:N | random:N | xyz:FILE")
+		basis    = flag.String("basis", "sto-3g", "basis set: sto-3g, 6-31g or 6-31g*")
+		sched    = flag.String("sched", "serial", "fock build policy: serial | "+strings.Join(core.WallSchedulerNames(), " | "))
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "workers for parallel policies")
+		maxIter  = flag.Int("maxiter", 50, "maximum SCF iterations")
+		screen   = flag.Float64("screen", 1e-10, "Schwarz screening threshold")
+		block    = flag.Int("block", 4, "bra-pair block size for the Fock workload")
+		orbitals = flag.Bool("orbitals", false, "print orbital energies")
+		seed     = flag.Int64("seed", 7, "seed for generated geometries and the work-stealing scheduler")
+		dynblock = flag.Int("dynblock", 1, "tasks fetched per shared-counter op in -sched dynamic")
+		diis     = flag.Bool("diis", true, "DIIS convergence acceleration")
+		mp2      = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems only)")
+		props    = flag.Bool("properties", false, "print dipole moment and Mulliken charges")
+		uhf      = flag.Bool("uhf", false, "unrestricted Hartree-Fock")
+		mult     = flag.Int("multiplicity", 0, "spin multiplicity 2S+1 for -uhf (0 = lowest)")
+		charge   = flag.Int("charge", 0, "net molecular charge")
+		nosym    = flag.Bool("nosym", false, "disable 8-fold symmetry folding and Schwarz screening: every Fock build runs the naive N^4 quadruple loop (ground-truth escape hatch; serial RHF only, ~8x+ slower)")
 	)
 	flag.Parse()
 
@@ -58,25 +57,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	wallOpts := core.WallOptions{Seed: *seed, Block: *dynblock, PairBlock: *pairblock}
-
-	if *nosym && (*mode != "serial" || *uhf) {
-		log.Fatal("-nosym is the serial restricted ground-truth path; it cannot combine with -mode or -uhf")
+	if *nosym && (*sched != "serial" || *uhf) {
+		log.Fatal("-nosym is the serial restricted ground-truth path; it cannot combine with -sched or -uhf")
+	}
+	builder, uhfBuilder, err := fockBuilders(*sched, *workers, core.WallOptions{Seed: *seed, Block: *dynblock})
+	if err != nil {
+		log.Fatal(err)
 	}
 
+	fockMode := *sched
+	if *sched != "serial" {
+		fockMode = fmt.Sprintf("%s (%d workers)", *sched, *workers)
+	}
 	if *uhf {
-		runUHF(mol, bs, *mult, *maxIter, *screen, *block, *mode, *workers, wallOpts)
+		fmt.Printf("fock mode %s\n", fockMode)
+		runUHF(mol, bs, chem.UHFOptions{
+			Multiplicity: *mult,
+			MaxIter:      *maxIter,
+			Screening:    *screen,
+			BlockSize:    *block,
+			Builder:      uhfBuilder,
+		})
 		return
 	}
-
-	var builder chem.FockBuilder
-	if *mode != "serial" {
-		builder, err = core.ParallelFockBuilder(*mode, *workers, wallOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *nosym {
+		fockMode = "serial (naive N^4, no symmetry/screening)"
 		builder = func(fw *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
 			return chem.BuildFockNaive(fw.Basis, h, d)
 		}
@@ -84,11 +89,7 @@ func main() {
 
 	fmt.Printf("molecule  %s (%d atoms, %d electrons)\n", mol.Name, len(mol.Atoms), mol.NumElectrons())
 	fmt.Printf("basis     %s (%d shells, %d functions)\n", bs.Name, len(bs.Shells), bs.NBF)
-	fmt.Printf("fock mode %s", fockModeName(*mode, *nosym))
-	if *mode != "serial" {
-		fmt.Printf(" (%d workers)", *workers)
-	}
-	fmt.Println()
+	fmt.Printf("fock mode %s\n", fockMode)
 
 	start := time.Now()
 	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{
@@ -148,11 +149,20 @@ func main() {
 	}
 }
 
-func fockModeName(mode string, nosym bool) string {
-	if nosym {
-		return "serial (naive N^4, no symmetry/screening)"
+// fockBuilders maps -sched onto the restricted and unrestricted Fock
+// builders: nil builders (chem's serial sweep) for "serial", otherwise
+// the named policy on the wall-clock backend. Each builder owns its own
+// scheduler state; a run uses one of the two.
+func fockBuilders(sched string, workers int, opt core.WallOptions) (chem.FockBuilder, chem.UHFFockBuilder, error) {
+	if sched == "serial" {
+		return nil, nil, nil
 	}
-	return mode
+	rhf, err := core.SchedulerFockBuilder(sched, workers, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	uhf, err := core.SchedulerUHFFockBuilder(sched, workers, opt)
+	return rhf, uhf, err
 }
 
 // printQuartetStats reports how much work the 8-fold symmetry folding and
@@ -169,26 +179,7 @@ func printQuartetStats(w *chem.FockWorkload, nosym bool) {
 }
 
 // runUHF drives the unrestricted branch of the tool.
-func runUHF(mol *chem.Molecule, bs *chem.BasisSet, mult, maxIter int, screen float64, block int,
-	mode string, workers int, wallOpts core.WallOptions) {
-	opts := chem.UHFOptions{
-		Multiplicity: mult,
-		MaxIter:      maxIter,
-		Screening:    screen,
-		BlockSize:    block,
-	}
-	if mode != "serial" {
-		builder, err := core.ParallelUHFFockBuilder(mode, workers, wallOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts.Builder = builder
-	}
-	fmt.Printf("fock mode %s", mode)
-	if mode != "serial" {
-		fmt.Printf(" (%d workers)", workers)
-	}
-	fmt.Println()
+func runUHF(mol *chem.Molecule, bs *chem.BasisSet, opts chem.UHFOptions) {
 	start := time.Now()
 	res, err := chem.RunUHF(mol, bs, opts)
 	if err != nil {

@@ -3,7 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"execmodels/internal/core"
 )
 
 func TestParseMoleculeVariants(t *testing.T) {
@@ -51,5 +54,26 @@ func TestParseMoleculeXYZ(t *testing.T) {
 	}
 	if len(mol.Atoms) != 3 || mol.Name != "test water" {
 		t.Fatalf("parsed %+v", mol)
+	}
+}
+
+// The -sched flag's step from a name to builders: serial means chem's own
+// sweep (nil builders), every wall-capable policy yields both spin shapes,
+// and a name the wall backend cannot run is refused with the names it can.
+func TestFockBuilders(t *testing.T) {
+	opt := core.WallOptions{Seed: 7, Block: 1}
+	if rhf, uhf, err := fockBuilders("serial", 2, opt); rhf != nil || uhf != nil || err != nil {
+		t.Errorf("serial: builders (%v, %v), err %v; want nil, nil, nil", rhf != nil, uhf != nil, err)
+	}
+	for _, sched := range []string{"stealing", "semimatching"} { // a pull and an assignment policy
+		if rhf, uhf, err := fockBuilders(sched, 2, opt); rhf == nil || uhf == nil || err != nil {
+			t.Errorf("%s: builders (%v, %v), err %v; want both", sched, rhf != nil, uhf != nil, err)
+		}
+	}
+	valid := strings.Join(core.WallSchedulerNames(), ", ")
+	for _, sched := range []string{"bogus", "work-stealing-one"} {
+		if _, _, err := fockBuilders(sched, 2, opt); err == nil || !strings.Contains(err.Error(), valid) {
+			t.Errorf("%s: err = %v, want one listing %s", sched, err, valid)
+		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"syscall"
 	"time"
 
+	"execmodels/internal/core"
 	"execmodels/internal/serve"
 )
 
@@ -37,11 +38,10 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		spool       = flag.String("spool", "spool", "checkpoint/restart spool directory")
 		workers     = flag.Int("workers", 0, "job worker pool size (0 = GOMAXPROCS)")
-		mode        = flag.String("mode", "", "Fock executor per job: serial|static|dynamic|stealing (default serial unless -fock-workers > 1)")
-		sched       = flag.String("sched", "", "scheduler-seam balancing policy per job (overrides -mode): static|cyclic|dynamic|stealing|lpt|semimatching|hypergraph|persistence|persistence-sm|persistence-feedback")
+		sched       = flag.String("sched", "", "balancing policy of each job's Fock builds: "+strings.Join(core.WallSchedulerNames(), " | ")+" (default: stealing when -fock-workers > 1, else a serial build)")
 		fockWorkers = flag.Int("fock-workers", 1, "intra-job Fock-build workers")
-		dynBlock    = flag.Int("dyn-block", 4, "dynamic-mode fetch block")
-		seed        = flag.Int64("seed", 1, "stealing-mode seed")
+		dynBlock    = flag.Int("dyn-block", 4, "tasks fetched per shared-counter op under -sched dynamic")
+		seed        = flag.Int64("seed", 1, "victim-selection seed under -sched stealing")
 		maxDepth    = flag.Int("max-depth", 512, "admission bound on queued jobs (-1 disables)")
 		maxFlops    = flag.Float64("max-queued-flops", 1e9, "admission bound on queued work, NBF^4 units (-1 disables)")
 		weightSpec  = flag.String("weights", "", "tenant fair-share weights, e.g. acme=3,guest=1")
@@ -56,7 +56,6 @@ func main() {
 	}
 	s, err := serve.New(serve.Config{
 		Workers:         *workers,
-		Mode:            *mode,
 		Sched:           *sched,
 		FockWorkers:     *fockWorkers,
 		DynBlock:        *dynBlock,

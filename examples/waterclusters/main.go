@@ -36,7 +36,7 @@ func main() {
 		len(w.Tasks), w.CostImbalance())
 
 	for _, mode := range []string{"static", "dynamic", "stealing"} {
-		builder, err := core.ParallelFockBuilder(mode, *workers, core.WallOptions{Seed: 7})
+		builder, err := core.SchedulerFockBuilder(mode, *workers, core.WallOptions{Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -31,20 +31,15 @@ func (s *Suite) AblationWallVsSim() *Table {
 		Title:  f("wall-clock vs simulated time, %d workers/ranks", workers),
 		Header: []string{"model", "wall(s)", "wall-imbalance", "sim(s)", "sim-imbalance"},
 	}
-	type pair struct {
-		name string
-		wall func() *core.WallResult
-		sim  core.Model
-	}
-	for _, pr := range []pair{
-		{"static-block", func() *core.WallResult { return core.WallStatic(s.fock, h, d, workers) }, core.StaticBlock{}},
-		{"dynamic-counter", func() *core.WallResult { return core.WallDynamic(s.fock, h, d, workers, 1) }, core.DynamicCounter{Chunk: 1}},
-		{"work-stealing", func() *core.WallResult { return core.WallStealing(s.fock, h, d, workers, s.Seed) }, core.WorkStealing{Seed: s.Seed}},
-	} {
-		wr := pr.wall()
-		sr := pr.sim.Run(s.work, simMachine)
+	for _, name := range wallModes {
+		sched, err := core.SchedulerByName(name, core.SchedOptions{Seed: s.Seed, Block: 1})
+		if err != nil {
+			panic(err)
+		}
+		wr, _ := wallSchedRun(name, s.fock, h, d, workers, 1, s.Seed, 1)
+		sr := core.RunScheduler(sched, s.work, simMachine)
 		t.Rows = append(t.Rows, []string{
-			pr.name,
+			sched.Name(),
 			f("%.4g", wr.Elapsed.Seconds()), f("%.3f", wr.LoadImbalance()),
 			f("%.4g", sr.Makespan), f("%.3f", sr.LoadImbalance()),
 		})

@@ -95,11 +95,11 @@ type Suite struct {
 	// (the CI smoke run caps at 2 so it finishes in seconds).
 	MaxWorkers int
 
-	// WallScheds lists scheduler-seam policies (core.SchedulerNames) to
-	// measure as extra wall-benchmark rows via core.NewWallScheduler.
-	// Including "persistence-feedback" additionally runs the W3
-	// measured-cost feedback experiment into the report's feedback
-	// section. Empty means legacy modes only.
+	// WallScheds lists the policies (core.WallSchedulerNames) measured as
+	// wall-benchmark rows after static, dynamic and stealing, which every
+	// report carries. Including "persistence-feedback" additionally runs
+	// the W3 measured-cost feedback experiment into the report's feedback
+	// section.
 	WallScheds []string
 
 	once  sync.Once

@@ -161,38 +161,10 @@ func serialSweeps(fw *chem.FockWorkload, d *linalg.Matrix, baseline bool, minTim
 	return elapsed, sweeps, allocs
 }
 
-// wallModeRun executes one (mode, workers) configuration reps times and
-// returns the fastest result plus allocations per task of the first run.
-func wallModeRun(mode string, fw *chem.FockWorkload, h, d *linalg.Matrix, workers, block int, seed int64, reps int) (*core.WallResult, float64) {
-	run := func() *core.WallResult {
-		switch mode {
-		case "static":
-			return core.WallStatic(fw, h, d, workers)
-		case "dynamic":
-			return core.WallDynamic(fw, h, d, workers, block)
-		case "stealing":
-			return core.WallStealing(fw, h, d, workers, seed)
-		}
-		panic("bench: unknown wall mode " + mode)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	best := run()
-	runtime.ReadMemStats(&after)
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(fw.Tasks))
-	for i := 1; i < reps; i++ {
-		if r := run(); r.Elapsed < best.Elapsed {
-			best = r
-		}
-	}
-	return best, allocs
-}
-
-// wallSchedRun executes one scheduler-seam policy reps times through
-// core.NewWallScheduler and returns the fastest result plus allocations
-// per task of the first run. A fresh scheduler per rep keeps any
-// feedback state from leaking between repetitions.
+// wallSchedRun executes one (policy, workers) configuration reps times
+// through core.NewWallScheduler and returns the fastest result plus
+// allocations per task of the first run. A fresh scheduler per rep keeps
+// any persistence state from leaking between repetitions.
 func wallSchedRun(policy string, fw *chem.FockWorkload, h, d *linalg.Matrix, workers, block int, seed int64, reps int) (*core.WallResult, float64) {
 	run := func() *core.WallResult {
 		ws, err := core.NewWallScheduler(policy, workers, core.WallOptions{Seed: seed, Block: block})
@@ -219,11 +191,15 @@ func wallSchedRun(policy string, fw *chem.FockWorkload, h, d *linalg.Matrix, wor
 	return best, allocs
 }
 
-// wallSchedPolicies returns the scheduler-seam policies swept as
-// benchmark rows: every entry of WallScheds except persistence-feedback,
+// wallModes are the three policies every report carries, in the row order
+// BENCH_wall.json has always had.
+var wallModes = []string{"static", "dynamic", "stealing"}
+
+// wallSchedPolicies returns the policies swept as benchmark rows:
+// wallModes, then every entry of WallScheds except persistence-feedback,
 // whose iterative protocol is the separate W3 feedback experiment.
 func (s *Suite) wallSchedPolicies() []string {
-	var out []string
+	out := append([]string(nil), wallModes...)
 	for _, p := range s.WallScheds {
 		if p != "persistence-feedback" {
 			out = append(out, p)
@@ -262,8 +238,8 @@ func wallParallelRow(molecule, mode string, fw *chem.FockWorkload, res *core.Wal
 }
 
 // WallBench measures the wall-clock Fock backend: the retained pre-arena
-// serial path ("before"), the arena serial path ("after"), the three
-// parallel modes across the worker sweep, and the pair-block granularity
+// serial path ("before"), the arena serial path ("after"), the parallel
+// policies across the worker sweep, and the pair-block granularity
 // sweep at the top worker count, on each benchmark molecule.
 func (s *Suite) WallBench() *WallBenchReport {
 	rep := &WallBenchReport{
@@ -319,15 +295,9 @@ func (s *Suite) WallBench() *WallBenchReport {
 				Speedup:       1,
 			})
 
+		// Every row runs the same core.Scheduler plans the simulator uses,
+		// lowered onto the wall backend.
 		for _, workers := range workerSweep {
-			for _, mode := range []string{"static", "dynamic", "stealing"} {
-				res, allocs := wallModeRun(mode, fw, h, d, workers, wallDynBlock, s.Seed, reps)
-				rep.Rows = append(rep.Rows,
-					wallParallelRow(wm.name, mode, fw, res, workers, wallPairBlock, allocs, arenaPerSweep, flops))
-			}
-			// Scheduler-seam policies from the -wall-sched list run through
-			// the same core.Scheduler plans the simulator uses, lowered onto
-			// the wall backend.
 			for _, pol := range s.wallSchedPolicies() {
 				res, allocs := wallSchedRun(pol, fw, h, d, workers, wallDynBlock, s.Seed, reps)
 				rep.Rows = append(rep.Rows,
@@ -344,8 +314,8 @@ func (s *Suite) WallBench() *WallBenchReport {
 				continue // already measured in the worker sweep
 			}
 			fwb := fw.Reblock(pb)
-			for _, mode := range []string{"static", "dynamic", "stealing"} {
-				res, allocs := wallModeRun(mode, fwb, h, d, topWorkers, wallDynBlock, s.Seed, reps)
+			for _, mode := range wallModes {
+				res, allocs := wallSchedRun(mode, fwb, h, d, topWorkers, wallDynBlock, s.Seed, reps)
 				rep.Rows = append(rep.Rows,
 					wallParallelRow(wm.name, mode, fwb, res, topWorkers, pb, allocs, arenaPerSweep, flops))
 			}

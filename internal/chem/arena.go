@@ -8,7 +8,7 @@ import "execmodels/internal/linalg"
 // the steady-state Fock build performs zero heap allocations per task.
 //
 // A scratch is not safe for concurrent use; each worker goroutine owns
-// its own (see core.wallRun) — the shareiso check proves no scratch
+// its own (see core.wallRunJK) — the shareiso check proves no scratch
 // crosses a goroutine boundary without a happens-before edge. The zero
 // value works and grows on demand, but NewERIScratch pre-sizes
 // everything so even the first task is allocation-free.

@@ -336,8 +336,8 @@ func (w *FockWorkload) blockTasks(blockSize int) {
 // Reblock returns a workload over the same screened pairs, Schwarz data
 // and per-pair Hermite tables, re-decomposed into tasks of blockSize bra
 // pairs. Because the expensive screening and pair setup are shared,
-// granularity sweeps (WallOptions.PairBlock, the W2 experiment) cost
-// only the task bookkeeping. The returned workload digests exactly the
+// granularity sweeps (the W2 experiment) cost only the task
+// bookkeeping. The returned workload digests exactly the
 // same quartets in the same global bra-major order, so a serial sweep
 // over its tasks is bit-identical to one over the original's.
 func (w *FockWorkload) Reblock(blockSize int) *FockWorkload {
@@ -377,22 +377,14 @@ func (w *FockWorkload) Stats() WorkloadStats {
 	return st
 }
 
-// ExecuteTask runs one Fock task against density d, accumulating into the
-// caller's partial J and K matrices. It returns the number of quartets
-// actually computed — always exactly the task's NumQuarts, since the
-// quartet multiset was resolved at generation time into the Kets lists
-// (each unique quartet appears on exactly one task).
-//
-// Each call sets up a fresh scratch arena; loops over many tasks should
-// use ExecuteTaskScratch with a single arena per worker instead.
-func (w *FockWorkload) ExecuteTask(t *FockTask, d, j, k *linalg.Matrix) int {
-	return w.ExecuteTaskScratch(t, d, j, k, w.NewScratch())
-}
-
-// ExecuteTaskScratch is ExecuteTask with a caller-owned scratch arena.
-// With a warmed-up arena the steady state performs zero heap allocations
-// per task (enforced by a testing.AllocsPerRun gate and proved by the
-// allocfree check).
+// ExecuteTaskScratch runs one Fock task against density d through the
+// caller's scratch arena (one per worker), accumulating into the caller's
+// partial J and K matrices. It returns the number of quartets actually
+// computed — always exactly the task's NumQuarts, since the quartet
+// multiset was resolved at generation time into the Kets lists (each
+// unique quartet appears on exactly one task). With a warmed-up arena the
+// steady state performs zero heap allocations per task (enforced by a
+// testing.AllocsPerRun gate and proved by the allocfree check).
 //
 //hotpath:allocfree
 func (w *FockWorkload) ExecuteTaskScratch(t *FockTask, d, j, k *linalg.Matrix, s *ERIScratch) int {
@@ -400,15 +392,9 @@ func (w *FockWorkload) ExecuteTaskScratch(t *FockTask, d, j, k *linalg.Matrix, s
 	return w.executeTask(t, d, s.ks[:1], s.dks[:1], j, s)
 }
 
-// ExecuteTaskSpin is the unrestricted (UHF) variant: J contracts the
-// total density while separate exchange matrices contract the α and β
-// densities.
-func (w *FockWorkload) ExecuteTaskSpin(t *FockTask, dTot, dA, dB, j, kA, kB *linalg.Matrix) int {
-	return w.ExecuteTaskSpinScratch(t, dTot, dA, dB, j, kA, kB, w.NewScratch())
-}
-
-// ExecuteTaskSpinScratch is ExecuteTaskSpin with a caller-owned scratch
-// arena.
+// ExecuteTaskSpinScratch is the unrestricted (UHF) variant: J contracts
+// the total density while separate exchange matrices contract the α and
+// β densities.
 //
 //hotpath:allocfree
 func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, kB *linalg.Matrix, s *ERIScratch) int {
@@ -443,11 +429,11 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 }
 
 // ExecuteTaskBaseline is the pre-arena reference implementation of
-// ExecuteTask, retained verbatim as the "before" point of the repo's
+// ExecuteTaskScratch, retained verbatim as the "before" point of the repo's
 // perf trajectory (BENCH_wall.json) and as the allocation-behavior foil
 // in tests: it allocates the ERI block, the Hermite R workspace and the
-// digest closures per quartet. Its results must match ExecuteTask
-// exactly up to floating-point accumulation order.
+// digest closures per quartet. Its results must match
+// ExecuteTaskScratch exactly up to floating-point accumulation order.
 func (w *FockWorkload) ExecuteTaskBaseline(t *FockTask, d, j, k *linalg.Matrix) int {
 	shells := w.Basis.Shells
 	ks, dks := []*linalg.Matrix{k}, []*linalg.Matrix{d}

@@ -219,16 +219,18 @@ func TestWorkloadTaskPartition(t *testing.T) {
 	}
 }
 
-// ExecuteTask must compute exactly the quartets the cost model counted.
+// ExecuteTaskScratch must compute exactly the quartets the cost model
+// counted.
 func TestExecuteTaskQuartetCount(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", WaterCluster(2, 1))
 	w := BuildFockWorkload(bs, 1e-10, 4)
 	n := bs.NBF
 	d := linalg.Identity(n)
+	scratch := w.NewScratch()
 	for i := range w.Tasks {
 		j := linalg.NewMatrix(n, n)
 		k := linalg.NewMatrix(n, n)
-		got := w.ExecuteTask(&w.Tasks[i], d, j, k)
+		got := w.ExecuteTaskScratch(&w.Tasks[i], d, j, k, scratch)
 		if got != w.Tasks[i].NumQuarts {
 			t.Fatalf("task %d executed %d quartets, estimated %d", i, got, w.Tasks[i].NumQuarts)
 		}

@@ -21,16 +21,16 @@ type UHFOptions struct {
 	DIISVectors  int     // subspace size (default 6)
 
 	// Builder, if non-nil, computes each iteration's J/Kα/Kβ matrices in
-	// place of the serial task loop — the hook the wall-clock parallel
-	// executors plug into (core.ParallelUHFFockBuilder), mirroring
-	// RunSCF's FockBuilder parameter.
+	// place of the serial task loop — the hook the wall-clock backend
+	// plugs into (core.SchedulerUHFFockBuilder), mirroring RunSCF's
+	// FockBuilder parameter.
 	Builder UHFFockBuilder
 }
 
 // UHFFockBuilder computes the Coulomb matrix (contracted against the
 // total density) and the per-spin exchange matrices (against dA and dB)
 // for one unrestricted Fock build. Implementations must be equivalent to
-// the serial ExecuteTaskSpin sweep up to floating-point accumulation
+// the serial ExecuteTaskSpinScratch sweep up to floating-point accumulation
 // order.
 type UHFFockBuilder func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix)
 

@@ -186,9 +186,10 @@ func TestExecuteTaskSpinConsistency(t *testing.T) {
 	jU := newMat(n)
 	kA := newMat(n)
 	kB := newMat(n)
+	scratch := w.NewScratch()
 	for i := range w.Tasks {
-		w.ExecuteTask(&w.Tasks[i], dTot, jR, kR)
-		w.ExecuteTaskSpin(&w.Tasks[i], dTot, dHalf, dHalf, jU, kA, kB)
+		w.ExecuteTaskScratch(&w.Tasks[i], dTot, jR, kR, scratch)
+		w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, dHalf, dHalf, jU, kA, kB, scratch)
 	}
 	if jR.MaxAbsDiff(jU) > 1e-10 {
 		t.Error("J differs between restricted and spin paths")

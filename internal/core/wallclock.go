@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,29 +15,20 @@ import (
 	"execmodels/internal/linalg"
 )
 
-// WallResult is the outcome of a real (wall-clock) parallel Fock build.
+// WallResult is the outcome of a real (wall-clock) parallel Fock build:
+// the merged matrices plus the scheduler telemetry of the run. J, KA and
+// KB are the Coulomb and exchange accumulations (KB only for an
+// unrestricted build, where the caller — chem.RunUHF — assembles the two
+// spin Fock matrices); F = H + J − KA/2 is set by the restricted Build.
 type WallResult struct {
 	F          *linalg.Matrix
+	J, KA, KB  *linalg.Matrix
 	Elapsed    time.Duration
 	WorkerBusy []time.Duration // per-worker time spent executing tasks
 	Steals     int64           // successful steal-half operations
 	StealRetry int64           // failed steal rounds (victim empty) — the tail-spin metric
 	StealSeed  int64           // the victim-selection seed actually used
 	CounterOps int64           // NXTVAL fetches (dynamic mode)
-}
-
-// WallSpinResult is the unrestricted counterpart: the merged J/Kα/Kβ
-// matrices of one parallel spin Fock build, with the same executor
-// telemetry as WallResult. The caller (chem.RunUHF via
-// ParallelUHFFockBuilder) assembles the two spin Fock matrices.
-type WallSpinResult struct {
-	J, KA, KB  *linalg.Matrix
-	Elapsed    time.Duration
-	WorkerBusy []time.Duration
-	Steals     int64
-	StealRetry int64
-	StealSeed  int64
-	CounterOps int64
 }
 
 // LoadImbalance returns max/mean worker busy time.
@@ -63,10 +55,25 @@ type wallCounters struct {
 // wallSched is one wall-clock scheduling discipline: next hands worker wk
 // its next task index (invoked only from worker wk's goroutine, so
 // per-worker state needs no synchronization), counters reports the
-// telemetry accumulated over the run.
+// telemetry accumulated over the run. A worker may die mid-task (see
+// wallRunJK), so next must never wait for a task that only one particular
+// worker could run.
 type wallSched interface {
 	next(wk int) (int, bool)
 	counters() wallCounters
+}
+
+// WorkerPanic is the value a wall-clock build panics with, on the
+// goroutine that called Build, when one of its worker goroutines
+// panicked: the worker's own panic value and the stack it was raised on,
+// which the caller's stack no longer shows.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nwall worker stack:\n%s", p.Value, p.Stack)
 }
 
 // wallAccum is one worker's slot in the shared accumulator table: the
@@ -89,10 +96,13 @@ type wallAccum struct {
 	// loop. Indexed by the task id the schedule hands out, so disjoint
 	// schedules write disjoint entries; sized before the clock starts.
 	taskSec []float64
-	_       [24]byte
+	// panicked is set by a worker whose task panicked, just before it
+	// returns; wallRunJK re-raises it on the calling goroutine.
+	panicked *WorkerPanic
+	_        [16]byte
 }
 
-// wallRunJK drives the shared scaffolding of all wall-clock executors: it
+// wallRunJK is the one function that runs a parallel Fock build: it
 // spawns workers, each pulling task indices from sched until exhausted and
 // digesting into its own wallAccum slot (through a worker-private scratch
 // arena, so the steady-state loop allocates nothing). The per-worker
@@ -106,11 +116,15 @@ type wallAccum struct {
 // measured wall time: every worker records into its own pre-sized slice
 // and the slices are folded after wg.Wait, so the measurement path stays
 // race-free and allocation-free inside the timed loop.
+//
+// A panic on a worker goroutine would kill the process with no caller
+// able to recover it, so each worker contains its own: it records the
+// panic in its slot and returns, the others drain the schedule, and after
+// wg.Wait the first recorded panic (in worker order) is raised again on
+// the calling goroutine, where a caller's recover (serve.runJob) can
+// reach it.
 func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
-	workers int, sched wallSched, taskSeconds []float64) (j, kA, kB *linalg.Matrix, elapsed time.Duration, busy []time.Duration) {
-	if workers < 1 {
-		panic(fmt.Sprintf("core: workers = %d", workers))
-	}
+	workers int, sched wallSched, taskSeconds []float64) *WallResult {
 	// Cold start: worker accumulators and scratch arenas are allocated
 	// before the clock starts, outside the proved-allocation-free loop.
 	slots := make([]wallAccum, workers)
@@ -127,22 +141,29 @@ func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					slots[wk].panicked = &WorkerPanic{Value: p, Stack: debug.Stack()}
+				}
+			}()
 			wallWorkerLoop(fw, dj, dkA, dkB, &slots[wk], wk, sched.next)
 		}(wk)
 	}
 	wg.Wait()
-	elapsed = sw.elapsed()
+	elapsed := sw.elapsed()
 
 	n := fw.Basis.NBF
-	j = linalg.NewMatrix(n, n)
-	kA = linalg.NewMatrix(n, n)
+	res := &WallResult{J: linalg.NewMatrix(n, n), KA: linalg.NewMatrix(n, n),
+		Elapsed: elapsed, WorkerBusy: make([]time.Duration, workers)}
 	if spin {
-		kB = linalg.NewMatrix(n, n)
+		res.KB = linalg.NewMatrix(n, n)
 	}
-	busy = make([]time.Duration, workers)
 	for wk := range slots {
-		slots[wk].acc.MergeInto(j, kA, kB)
-		busy[wk] = slots[wk].busy
+		if p := slots[wk].panicked; p != nil {
+			panic(p)
+		}
+		slots[wk].acc.MergeInto(res.J, res.KA, res.KB)
+		res.WorkerBusy[wk] = slots[wk].busy
 		if taskSeconds != nil {
 			// Each task ran on exactly one worker; fold the sparse
 			// per-worker records (zero = not executed here).
@@ -153,7 +174,9 @@ func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 			}
 		}
 	}
-	return j, kA, kB, elapsed, busy
+	c := sched.counters()
+	res.Steals, res.StealRetry, res.StealSeed, res.CounterOps = c.steals, c.retries, c.seed, c.counterOps
+	return res
 }
 
 // wallWorkerLoop is the steady-state body of every wall-clock worker:
@@ -169,7 +192,7 @@ func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 func wallWorkerLoop(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix,
 	slot *wallAccum, wk int, nextTask func(worker int) (int, bool)) {
 	for {
-		//lint:ignore allocfree indirect dispatch: every nextTask implementation (wallStaticSched, wallAssignSched, wallDynSched, wallStealSched .next) is itself an annotated allocfree root
+		//lint:ignore allocfree indirect dispatch: every nextTask implementation (wallAssignSched, wallDynSched, wallStealSched .next) is itself an annotated allocfree root
 		id, ok := nextTask(wk)
 		if !ok {
 			return
@@ -182,21 +205,6 @@ func wallWorkerLoop(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix,
 			slot.taskSec[id] = dt.Seconds()
 		}
 	}
-}
-
-// wallBuild runs one restricted Fock build through sched and assembles
-// F = H + J − K/2 from the merged accumulators. taskSeconds, when
-// non-nil, receives per-task measured wall times (see wallRunJK).
-func wallBuild(sched wallSched, fw *chem.FockWorkload, h, d *linalg.Matrix, workers int, taskSeconds []float64) *WallResult {
-	j, k, _, elapsed, busy := wallRunJK(fw, d, d, nil, false, workers, sched, taskSeconds)
-	f := h.Clone()
-	f.AddScaled(1, j)
-	f.AddScaled(-0.5, k)
-	f.Symmetrize()
-	res := &WallResult{F: f, Elapsed: elapsed, WorkerBusy: busy}
-	c := sched.counters()
-	res.Steals, res.StealRetry, res.StealSeed, res.CounterOps = c.steals, c.retries, c.seed, c.counterOps
-	return res
 }
 
 // padCell is a per-worker counter padded to a 64-byte cache line:
@@ -225,47 +233,12 @@ type dynSpan struct {
 
 // atomicInt64Pad is an atomic counter padded to its own cache line, for
 // the genuinely shared counters (remaining tasks, steal stats) that sit
-// next to each other in WallStealing.
+// next to each other in wallStealSched.
 //
 //hotpath:padded
 type atomicInt64Pad struct {
 	atomic.Int64
 	_ [56]byte
-}
-
-// wallStaticSched deals each worker a contiguous block of tasks and
-// walks it with a per-worker padded cursor.
-type wallStaticSched struct {
-	n, per  int
-	cursors []padCell
-}
-
-func newWallStaticSched(n, workers int) *wallStaticSched {
-	return &wallStaticSched{n: n, per: (n + workers - 1) / workers, cursors: make([]padCell, workers)}
-}
-
-// next implements the static schedule for worker wk.
-//
-//hotpath:allocfree
-func (s *wallStaticSched) next(wk int) (int, bool) {
-	lo, hi := wk*s.per, (wk+1)*s.per
-	if hi > s.n {
-		hi = s.n
-	}
-	c := int(s.cursors[wk].n)
-	s.cursors[wk].n++
-	if lo+c >= hi {
-		return 0, false
-	}
-	return lo + c, true
-}
-
-func (s *wallStaticSched) counters() wallCounters { return wallCounters{} }
-
-// WallStatic executes the Fock build with a static block schedule on real
-// goroutines.
-func WallStatic(fw *chem.FockWorkload, h, d *linalg.Matrix, workers int) *WallResult {
-	return wallBuild(newWallStaticSched(len(fw.Tasks), workers), fw, h, d, workers, nil)
 }
 
 // wallDynSched serves blocks of consecutive tasks from a shared atomic
@@ -306,14 +279,6 @@ func (s *wallDynSched) next(wk int) (int, bool) {
 }
 
 func (s *wallDynSched) counters() wallCounters { return wallCounters{counterOps: s.counter.Ops()} }
-
-// WallDynamic executes the Fock build pulling blocks of `block`
-// consecutive tasks from a shared atomic counter (NXTVAL with a chunk
-// size, as the simulated dynamic-counter model's F3 sweep studies).
-// block < 1 is treated as 1, the classic one-task-per-fetch NXTVAL.
-func WallDynamic(fw *chem.FockWorkload, h, d *linalg.Matrix, workers, block int) *WallResult {
-	return wallBuild(newWallDynSched(len(fw.Tasks), workers, block), fw, h, d, workers, nil)
-}
 
 // Backoff schedule for idle thieves: a few yielded retries, then sleeps
 // growing linearly to a cap. Without this, workers that finish early
@@ -405,112 +370,10 @@ func (s *wallStealSched) counters() wallCounters {
 	return wallCounters{steals: s.steals.Load(), retries: s.retries.Load(), seed: s.seed}
 }
 
-// WallStealing executes the Fock build with per-worker deques and
-// steal-half work stealing on real goroutines. seed drives the
-// per-worker victim-selection RNG streams.
-func WallStealing(fw *chem.FockWorkload, h, d *linalg.Matrix, workers int, seed int64) *WallResult {
-	return wallBuild(newWallStealSched(len(fw.Tasks), workers, seed), fw, h, d, workers, nil)
-}
-
-// WallOptions carries the tunables of the wall-clock executors that
-// ParallelFockBuilder threads through to every Fock build of an SCF run.
+// WallOptions carries the tunables NewWallScheduler threads through to
+// every Fock build of an SCF run. Task granularity is not among them: it
+// belongs to the workload (SCFOptions.BlockSize, FockWorkload.Reblock).
 type WallOptions struct {
 	Seed  int64 // work-stealing victim-selection seed
 	Block int   // dynamic-counter tasks per NXTVAL fetch (<1 means 1)
-
-	// PairBlock, when > 0, re-blocks each workload to tasks of PairBlock
-	// bra shell-pairs before executing (chem.Reblock — screening data and
-	// Hermite tables are shared, so this costs only task bookkeeping).
-	// 0 keeps the workload's own decomposition.
-	PairBlock int
-}
-
-// newWallSched builds the scheduling discipline for one wall-clock run.
-// It is the single point where options meet the executors — no literal
-// seeds or block sizes may appear here (regression-tested).
-func newWallSched(mode string, n, workers int, opt WallOptions) (wallSched, error) {
-	switch mode {
-	case "static":
-		return newWallStaticSched(n, workers), nil
-	case "dynamic":
-		return newWallDynSched(n, workers, opt.Block), nil
-	case "stealing":
-		return newWallStealSched(n, workers, opt.Seed), nil
-	default:
-		return nil, fmt.Errorf("core: unknown wall-clock mode %q", mode)
-	}
-}
-
-// wallExec dispatches one wall-clock Fock build by mode name.
-func wallExec(mode string, fw *chem.FockWorkload, h, d *linalg.Matrix, workers int, opt WallOptions) (*WallResult, error) {
-	sched, err := newWallSched(mode, len(fw.Tasks), workers, opt)
-	if err != nil {
-		return nil, err
-	}
-	return wallBuild(sched, fw, h, d, workers, nil), nil
-}
-
-// WallUHF runs one unrestricted parallel Fock build: J contracted against
-// the total density, Kα/Kβ against the spin densities, through the same
-// scheduler implementations and the same allocation-free worker loop as
-// the restricted executors (the spin shape is a dispatch inside
-// chem.ExecuteTaskAccum, not a separate loop).
-func WallUHF(mode string, fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix, workers int, opt WallOptions) (*WallSpinResult, error) {
-	sched, err := newWallSched(mode, len(fw.Tasks), workers, opt)
-	if err != nil {
-		return nil, err
-	}
-	j, kA, kB, elapsed, busy := wallRunJK(fw, dTot, dA, dB, true, workers, sched, nil)
-	res := &WallSpinResult{J: j, KA: kA, KB: kB, Elapsed: elapsed, WorkerBusy: busy}
-	c := sched.counters()
-	res.Steals, res.StealRetry, res.StealSeed, res.CounterOps = c.steals, c.retries, c.seed, c.counterOps
-	return res, nil
-}
-
-// reblockCache memoizes WallOptions.PairBlock re-blocking per source
-// workload, so an SCF run re-blocks once, not once per iteration. The
-// builders that hold one are invoked sequentially (one Fock build per SCF
-// iteration), so no locking is needed.
-type reblockCache struct {
-	src, dst *chem.FockWorkload
-}
-
-func (c *reblockCache) get(fw *chem.FockWorkload, block int) *chem.FockWorkload {
-	if block < 1 {
-		return fw
-	}
-	if c.src != fw {
-		c.src, c.dst = fw, fw.Reblock(block)
-	}
-	return c.dst
-}
-
-// ParallelFockBuilder returns a chem.FockBuilder that runs every Fock
-// build of an SCF iteration through the given wall-clock executor. mode
-// is "static", "dynamic" or "stealing"; opt supplies the stealing seed,
-// the dynamic fetch block and the bra-pair task granularity.
-func ParallelFockBuilder(mode string, workers int, opt WallOptions) (chem.FockBuilder, error) {
-	// Validate eagerly so a typo fails at setup, not mid-SCF.
-	if _, err := newWallSched(mode, 0, 1, opt); err != nil {
-		return nil, err
-	}
-	var cache reblockCache
-	return func(fw *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
-		res, _ := wallExec(mode, cache.get(fw, opt.PairBlock), h, d, workers, opt)
-		return res.F
-	}, nil
-}
-
-// ParallelUHFFockBuilder is ParallelFockBuilder's unrestricted
-// counterpart: a chem.UHFFockBuilder that computes each UHF iteration's
-// J/Kα/Kβ through the given wall-clock executor.
-func ParallelUHFFockBuilder(mode string, workers int, opt WallOptions) (chem.UHFFockBuilder, error) {
-	if _, err := newWallSched(mode, 0, 1, opt); err != nil {
-		return nil, err
-	}
-	var cache reblockCache
-	return func(fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix) {
-		res, _ := WallUHF(mode, cache.get(fw, opt.PairBlock), dTot, dA, dB, workers, opt)
-		return res.J, res.KA, res.KB
-	}, nil
 }

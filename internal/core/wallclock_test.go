@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"execmodels/internal/chem"
@@ -31,6 +33,37 @@ func wallDensity(fw *chem.FockWorkload, mol *chem.Molecule, h *linalg.Matrix) *l
 	return d
 }
 
+// mustWallScheduler is NewWallScheduler — the wall backend's only entry
+// point — for a policy the test knows to be valid.
+func mustWallScheduler(t testing.TB, mode string, workers int, opt WallOptions) *WallScheduler {
+	t.Helper()
+	ws, err := NewWallScheduler(mode, workers, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// wallBuild runs one restricted Fock build under the named policy.
+func wallBuild(t testing.TB, mode string, fw *chem.FockWorkload, h, d *linalg.Matrix, workers int, opt WallOptions) *WallResult {
+	t.Helper()
+	res, err := mustWallScheduler(t, mode, workers, opt).Build(fw, h, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// wallBuildUHF is wallBuild's unrestricted counterpart.
+func wallBuildUHF(t testing.TB, mode string, fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix, workers int, opt WallOptions) *WallResult {
+	t.Helper()
+	res, err := mustWallScheduler(t, mode, workers, opt).BuildUHF(fw, dTot, dA, dB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // All wall-clock executors must reproduce the serial Fock matrix exactly
 // (up to floating-point accumulation order).
 func TestWallExecutorsMatchSerial(t *testing.T) {
@@ -42,13 +75,13 @@ func TestWallExecutorsMatchSerial(t *testing.T) {
 	want := fw.BuildFock(h, d)
 	for _, tc := range []struct {
 		name string
-		run  func() *WallResult
+		opt  WallOptions
 	}{
-		{"static", func() *WallResult { return WallStatic(fw, h, d, 4) }},
-		{"dynamic", func() *WallResult { return WallDynamic(fw, h, d, 4, 1) }},
-		{"stealing", func() *WallResult { return WallStealing(fw, h, d, 4, 7) }},
+		{"static", WallOptions{}},
+		{"dynamic", WallOptions{Block: 1}},
+		{"stealing", WallOptions{Seed: 7}},
 	} {
-		res := tc.run()
+		res := wallBuild(t, tc.name, fw, h, d, 4, tc.opt)
 		if diff := res.F.MaxAbsDiff(want); diff > 1e-9 {
 			t.Errorf("%s: Fock differs from serial by %v", tc.name, diff)
 		}
@@ -79,19 +112,10 @@ func TestWallModesEquivalenceMatrix(t *testing.T) {
 		workerCounts = append(workerCounts, nt+1) // more workers than tasks
 	}
 	for _, workers := range workerCounts {
-		for _, tc := range []struct {
-			name string
-			run  func() *WallResult
-		}{
-			{"static", func() *WallResult { return WallStatic(fw, h, d, workers) }},
-			{"dynamic/b1", func() *WallResult { return WallDynamic(fw, h, d, workers, 1) }},
-			{"dynamic/b3", func() *WallResult { return WallDynamic(fw, h, d, workers, 3) }},
-			{"dynamic/b7", func() *WallResult { return WallDynamic(fw, h, d, workers, 7) }},
-			{"stealing", func() *WallResult { return WallStealing(fw, h, d, workers, 13) }},
-		} {
-			res := tc.run()
+		for _, ex := range wallDiffExecs() {
+			res := wallBuild(t, ex.mode, fw, h, d, workers, ex.opt)
 			if diff := res.F.MaxAbsDiff(want); diff > 1e-9 {
-				t.Errorf("%s workers=%d: Fock differs from serial by %v", tc.name, workers, diff)
+				t.Errorf("%s workers=%d: Fock differs from serial by %v", ex.name, workers, diff)
 			}
 		}
 	}
@@ -103,7 +127,7 @@ func TestWallDynamicCounterOps(t *testing.T) {
 	n := bs.NBF
 	h := linalg.NewMatrix(n, n)
 	d := linalg.Identity(n)
-	res := WallDynamic(fw, h, d, 3, 1)
+	res := wallBuild(t, "dynamic", fw, h, d, 3, WallOptions{Block: 1})
 	// One fetch per task plus one final miss per worker.
 	want := int64(len(fw.Tasks) + 3)
 	if res.CounterOps != want {
@@ -124,7 +148,7 @@ func TestWallDynamicBlockedCounterOps(t *testing.T) {
 	for _, tc := range []struct{ workers, block int }{
 		{1, 2}, {3, 2}, {3, 4}, {2, 1000}, // incl. block > #tasks
 	} {
-		res := WallDynamic(fw, h, d, tc.workers, tc.block)
+		res := wallBuild(t, "dynamic", fw, h, d, tc.workers, WallOptions{Block: tc.block})
 		want := int64((nt+tc.block-1)/tc.block + tc.workers)
 		if res.CounterOps != want {
 			t.Errorf("workers=%d block=%d: counter ops = %d, want %d",
@@ -135,7 +159,7 @@ func TestWallDynamicBlockedCounterOps(t *testing.T) {
 		}
 	}
 	// A non-positive block must degrade to the classic NXTVAL, not panic.
-	if res := WallDynamic(fw, h, d, 2, 0); res.CounterOps != int64(nt+2) {
+	if res := wallBuild(t, "dynamic", fw, h, d, 2, WallOptions{}); res.CounterOps != int64(nt+2) {
 		t.Errorf("block=0: counter ops = %d, want %d", res.CounterOps, nt+2)
 	}
 }
@@ -146,7 +170,7 @@ func TestWallSingleWorker(t *testing.T) {
 	h := linalg.NewMatrix(n, n)
 	d := linalg.Identity(n)
 	serial := fw.BuildFock(h, d)
-	res := WallStealing(fw, h, d, 1, 1)
+	res := wallBuild(t, "stealing", fw, h, d, 1, WallOptions{Seed: 1})
 	if diff := res.F.MaxAbsDiff(serial); diff > 1e-10 {
 		t.Errorf("single-worker stealing differs by %v", diff)
 	}
@@ -155,24 +179,18 @@ func TestWallSingleWorker(t *testing.T) {
 	}
 }
 
-// Regression (satellite: seed plumbing): the seed handed to WallStealing
-// — and the one wallExec threads through from WallOptions, the path
-// ParallelFockBuilder uses — must be the seed the executor actually ran
-// with. ParallelFockBuilder("stealing", ...) used to hard-code seed 1.
+// Regression (satellite: seed plumbing): the seed in WallOptions — the
+// one every SchedulerFockBuilder threads through — must be the seed the
+// stealing schedule actually ran with; a builder once hard-coded seed 1.
 func TestWallStealingSeedPlumbed(t *testing.T) {
 	fw := fockWorkload(t, 1)
 	n := fw.Basis.NBF
 	h := linalg.NewMatrix(n, n)
 	d := linalg.Identity(n)
-	if res := WallStealing(fw, h, d, 2, 42); res.StealSeed != 42 {
-		t.Errorf("WallStealing ran with seed %d, want 42", res.StealSeed)
-	}
-	res, err := wallExec("stealing", fw, h, d, 2, WallOptions{Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.StealSeed != 99 {
-		t.Errorf("wallExec ran with seed %d, want 99 (hard-coded seed regression)", res.StealSeed)
+	for _, seed := range []int64{42, 99} {
+		if res := wallBuild(t, "stealing", fw, h, d, 2, WallOptions{Seed: seed}); res.StealSeed != seed {
+			t.Errorf("stealing ran with seed %d, want %d (hard-coded seed regression)", res.StealSeed, seed)
+		}
 	}
 }
 
@@ -194,7 +212,7 @@ func TestWallStealingTailBackoff(t *testing.T) {
 	}
 	h := chem.CoreHamiltonian(bs, mol)
 	d := linalg.Identity(bs.NBF)
-	res := WallStealing(fw, h, d, 8, 3)
+	res := wallBuild(t, "stealing", fw, h, d, 8, WallOptions{Seed: 3})
 	serial := fw.BuildFock(h, d)
 	if diff := res.F.MaxAbsDiff(serial); diff > 1e-9 {
 		t.Errorf("Fock differs by %v", diff)
@@ -215,15 +233,16 @@ func TestWallStealingTailBackoff(t *testing.T) {
 // execlint verify cache-line sizing and atomic-field isolation on the
 // gc/amd64 layout.
 
+// workers < 1 is refused where a build is set up — NewWallScheduler's
+// error — so no build can reach the worker spawn loop without a worker.
 func TestWallBadWorkersPanics(t *testing.T) {
-	fw := fockWorkload(t, 1)
-	n := fw.Basis.NBF
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, mode := range []string{"static", "dynamic", "stealing"} {
+		for _, workers := range []int{0, -1} {
+			if _, err := NewWallScheduler(mode, workers, WallOptions{}); err == nil {
+				t.Errorf("%s: workers = %d accepted", mode, workers)
+			}
 		}
-	}()
-	WallStatic(fw, linalg.NewMatrix(n, n), linalg.Identity(n), 0)
+	}
 }
 
 // SCF through each parallel builder must converge to the serial energy.
@@ -238,7 +257,7 @@ func TestParallelSCFEnergyMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"static", "dynamic", "stealing"} {
-		builder, err := ParallelFockBuilder(mode, 4, WallOptions{Seed: 3, Block: 2})
+		builder, err := SchedulerFockBuilder(mode, 4, WallOptions{Seed: 3, Block: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +272,53 @@ func TestParallelSCFEnergyMatch(t *testing.T) {
 			t.Errorf("%s: energy %v differs from serial %v", mode, res.Energy, ref.Energy)
 		}
 	}
-	if _, err := ParallelFockBuilder("bogus", 2, WallOptions{}); err == nil {
+	if _, err := SchedulerFockBuilder("bogus", 2, WallOptions{}); err == nil {
 		t.Error("expected error for unknown mode")
+	}
+}
+
+// poisonedWorkload returns a copy of fw whose task k lists a ket pair
+// index one past the end of Pairs, so executing it panics inside the
+// kernel. Tasks and the edited Kets row are copied first: the rows of a
+// workload share one backing array.
+func poisonedWorkload(fw *chem.FockWorkload, k int) *chem.FockWorkload {
+	bad := *fw
+	bad.Tasks = append([]chem.FockTask(nil), fw.Tasks...)
+	task := &bad.Tasks[k]
+	task.Kets = append([][]int32(nil), task.Kets...)
+	task.Kets[0] = append(append([]int32(nil), task.Kets[0]...), int32(len(fw.Pairs)))
+	return &bad
+}
+
+// A task that panics on a worker goroutine must not take the process
+// down: the panic surfaces on the goroutine that called Build, with the
+// worker's value and stack, after the surviving workers have drained the
+// schedule. The poisoned task is the first one worker 0 pops under
+// stealing, so that worker dies with a full deque the others must steal.
+func TestWallWorkerPanicReachesCaller(t *testing.T) {
+	fw := fockWorkload(t, 2)
+	mol := chem.WaterCluster(2, 11)
+	h := chem.CoreHamiltonian(fw.Basis, mol)
+	d := wallDensity(fw, mol, h)
+	const workers = 3
+	bad := poisonedWorkload(fw, (len(fw.Tasks)+workers-1)/workers-1)
+	for _, mode := range []string{"static", "dynamic", "stealing"} {
+		t.Run(mode, func(t *testing.T) {
+			ws := mustWallScheduler(t, mode, workers, WallOptions{Seed: 13})
+			defer func() {
+				p, ok := recover().(*WorkerPanic)
+				if !ok {
+					t.Fatalf("Build did not panic with a *WorkerPanic")
+				}
+				if re, ok := p.Value.(runtime.Error); !ok || !strings.Contains(re.Error(), "index out of range") {
+					t.Errorf("panic value = %v, want the kernel's index error", p.Value)
+				}
+				if !strings.Contains(string(p.Stack), "executeTask") {
+					t.Errorf("stack does not show the worker's frames:\n%s", p.Stack)
+				}
+			}()
+			ws.Build(bad, h, d)
+			t.Fatal("Build returned from a poisoned workload")
+		})
 	}
 }

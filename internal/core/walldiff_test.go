@@ -107,10 +107,7 @@ func TestWallDifferentialMatrix(t *testing.T) {
 			}
 			for _, ex := range execs {
 				for _, wk := range workers {
-					res, err := wallExec(ex.mode, fw, h, d, wk, ex.opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					res := wallBuild(t, ex.mode, fw, h, d, wk, ex.opt)
 					if diff := res.F.MaxAbsDiff(refF); diff > fockDiffTol {
 						t.Errorf("RHF %s workers=%d: Fock differs from baseline by %g", ex.name, wk, diff)
 					}
@@ -121,10 +118,7 @@ func TestWallDifferentialMatrix(t *testing.T) {
 					if mc.waters >= 8 && wk != 3 {
 						continue
 					}
-					spin, err := WallUHF(ex.mode, fw, dTot, dA, dB, wk, ex.opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					spin := wallBuildUHF(t, ex.mode, fw, dTot, dA, dB, wk, ex.opt)
 					if diff := spin.J.MaxAbsDiff(refJ); diff > fockDiffTol {
 						t.Errorf("UHF %s workers=%d: J differs by %g", ex.name, wk, diff)
 					}
@@ -150,18 +144,18 @@ func TestWallStaticBitwiseDeterministic(t *testing.T) {
 	h := chem.CoreHamiltonian(fw.Basis, mol)
 	d := wallDensity(fw, mol, h)
 	serial := fw.BuildFock(h, d)
-	if res := WallStatic(fw, h, d, 1); res.F.MaxAbsDiff(serial) != 0 {
+	if res := wallBuild(t, "static", fw, h, d, 1, WallOptions{}); res.F.MaxAbsDiff(serial) != 0 {
 		t.Errorf("single-worker static differs from serial by %g, want bitwise equality",
 			res.F.MaxAbsDiff(serial))
 	}
-	a := WallStatic(fw, h, d, 3)
-	b := WallStatic(fw, h, d, 3)
+	a := wallBuild(t, "static", fw, h, d, 3, WallOptions{})
+	b := wallBuild(t, "static", fw, h, d, 3, WallOptions{})
 	if diff := a.F.MaxAbsDiff(b.F); diff != 0 {
 		t.Errorf("static 3-worker builds differ by %g between runs, want bitwise determinism", diff)
 	}
 }
 
-// WallOptions.PairBlock re-blocks the task decomposition without changing
+// FockWorkload.Reblock changes the task decomposition without changing
 // the quartet multiset or the global digestion order, so serial results
 // are bitwise invariant and parallel results stay within the matrix
 // tolerance.
@@ -172,18 +166,13 @@ func TestWallPairBlockEquivalence(t *testing.T) {
 	d := wallDensity(fw, mol, h)
 	serial := fw.BuildFock(h, d)
 	for _, pb := range []int{1, 2, 7, 64} {
-		res, err := wallExec("static", fw.Reblock(pb), h, d, 1, WallOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fwb := fw.Reblock(pb)
+		res := wallBuild(t, "static", fwb, h, d, 1, WallOptions{})
 		if diff := res.F.MaxAbsDiff(serial); diff != 0 {
 			t.Errorf("pairblock %d: single-worker static differs by %g, want bitwise", pb, diff)
 		}
 		for _, ex := range wallDiffExecs() {
-			pres, err := wallExec(ex.mode, fw.Reblock(pb), h, d, 3, ex.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pres := wallBuild(t, ex.mode, fwb, h, d, 3, ex.opt)
 			if diff := pres.F.MaxAbsDiff(serial); diff > fockDiffTol {
 				t.Errorf("pairblock %d %s: Fock differs by %g", pb, ex.name, diff)
 			}
@@ -191,8 +180,8 @@ func TestWallPairBlockEquivalence(t *testing.T) {
 	}
 }
 
-// SCF through every parallel builder, including re-blocked granularities,
-// must converge to the serial energy to 1e-9.
+// SCF through every parallel builder, at several task granularities, must
+// converge to the serial energy to 1e-9.
 func TestWallSCFEnergyMatrix(t *testing.T) {
 	mol := chem.Water()
 	bs, err := chem.NewBasis("sto-3g", mol)
@@ -204,14 +193,12 @@ func TestWallSCFEnergyMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ex := range wallDiffExecs() {
-		for _, pb := range []int{0, 1, 7} {
-			opt := ex.opt
-			opt.PairBlock = pb
-			builder, err := ParallelFockBuilder(ex.mode, 3, opt)
+		for _, pb := range []int{0, 1, 7} { // 0 = RunSCF's default block
+			builder, err := SchedulerFockBuilder(ex.mode, 3, ex.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := chem.RunSCF(mol, bs, chem.SCFOptions{}, builder)
+			res, err := chem.RunSCF(mol, bs, chem.SCFOptions{BlockSize: pb}, builder)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,13 +230,11 @@ func TestWallUHFSCFEnergyMatch(t *testing.T) {
 		t.Fatal("serial UHF did not converge")
 	}
 	for _, ex := range wallDiffExecs() {
-		opt := ex.opt
-		opt.PairBlock = 2
-		builder, err := ParallelUHFFockBuilder(ex.mode, 3, opt)
+		builder, err := SchedulerUHFFockBuilder(ex.mode, 3, ex.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := chem.RunUHF(mol, bs, chem.UHFOptions{Builder: builder})
+		res, err := chem.RunUHF(mol, bs, chem.UHFOptions{BlockSize: 2, Builder: builder})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +246,7 @@ func TestWallUHFSCFEnergyMatch(t *testing.T) {
 			t.Errorf("%s: UHF energy %v differs from serial %v", ex.name, res.Energy, ref.Energy)
 		}
 	}
-	if _, err := ParallelUHFFockBuilder("bogus", 2, WallOptions{}); err == nil {
+	if _, err := SchedulerUHFFockBuilder("bogus", 2, WallOptions{}); err == nil {
 		t.Error("expected error for unknown mode")
 	}
 }
@@ -292,7 +277,7 @@ func TestWallWorkerLoopZeroAlloc(t *testing.T) {
 			if tc.spin {
 				dkB = d
 			}
-			sched := newWallStaticSched(len(fw.Tasks), 1)
+			sched := newWallAssignSched(staticBlockAssign(len(fw.Tasks), 1), 1)
 			next := sched.next // bind once: method-value creation allocates
 			wallWorkerLoop(fw, d, d, dkB, slot, 0, next)
 			avg := testing.AllocsPerRun(5, func() {

@@ -2,18 +2,18 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"execmodels/internal/chem"
 	"execmodels/internal/linalg"
 	"execmodels/internal/obs"
 )
 
-// This file connects the scheduler seam (scheduler.go) to the wall-clock
-// backend: any Scheduler — including the assignment-based policies that
-// previously existed only in the simulator (semi-matching, hypergraph,
-// persistence) — plans a Fock task set, the plan is lowered onto the
-// goroutine executors, and measured per-task wall times feed back into
-// FeedbackScheduler implementations for the next SCF iteration.
+// This file is the wall-clock backend's only entry point: a Scheduler
+// (scheduler.go) plans a Fock task set, newWallSchedFromPlan lowers the
+// plan onto a goroutine schedule, wallRunJK (wallclock.go) runs it, and
+// measured per-task wall times feed back into FeedbackScheduler
+// implementations for the next SCF iteration.
 
 // FockTaskSet converts a screened Fock workload into the scheduler-seam
 // description: stable content keys (chem.FockTask.Key), NBF⁴-style flop
@@ -53,9 +53,9 @@ func FockTaskSet(fw *chem.FockWorkload) *TaskSet {
 }
 
 // wallAssignSched executes a fixed task→rank assignment on the wall-clock
-// backend: each worker walks its own pre-dealt task list (ascending task
-// index, so a static-block assignment reproduces wallStaticSched's
-// execution order bit for bit) with a padded per-worker cursor. This is
+// backend: each worker walks its own pre-dealt task list in ascending
+// task index (so a one-worker static-block build digests in the serial
+// sweep's order, bit for bit) with a padded per-worker cursor. This is
 // the lowering that lets every assignment-based simulator policy run
 // unchanged on real goroutines.
 type wallAssignSched struct {
@@ -93,11 +93,12 @@ func (s *wallAssignSched) next(wk int) (int, bool) {
 func (s *wallAssignSched) counters() wallCounters { return wallCounters{} }
 
 // newWallSchedFromPlan lowers one scheduler plan onto the wall-clock
-// executors. Assignment plans run through wallAssignSched; pull plans map
-// onto the existing counter and stealing schedules. Self-scheduling
-// chunk policies and the stealing variants (steal-one, max-loaded
-// victim, hierarchical) model cluster behaviors with no goroutine
-// counterpart and are rejected as simulator-only.
+// backend — the only place a policy meets a wallSched. Assignment plans
+// run through wallAssignSched; pull plans map onto the counter and
+// stealing schedules. Self-scheduling chunk policies and the stealing
+// variants (steal-one, max-loaded victim, hierarchical) model cluster
+// behaviors with no goroutine counterpart and are rejected as
+// simulator-only.
 func newWallSchedFromPlan(plan *Plan, n, workers int) (wallSched, error) {
 	switch {
 	case plan.Assign != nil:
@@ -109,7 +110,7 @@ func newWallSchedFromPlan(plan *Plan, n, workers int) (wallSched, error) {
 		return newWallDynSched(n, workers, plan.Pull.Chunk), nil
 	case plan.Pull != nil && plan.Pull.Kind == PullStealing:
 		if plan.Pull.Steal != StealHalf || plan.Pull.Victim != RandomVictim || plan.Pull.Hierarchical {
-			return nil, fmt.Errorf("core: only steal-half/random-victim stealing runs on the wall-clock backend")
+			return nil, fmt.Errorf("core: stealing variants other than steal-half/random-victim are simulator-only")
 		}
 		return newWallStealSched(n, workers, plan.Pull.Seed), nil
 	}
@@ -120,38 +121,59 @@ func newWallSchedFromPlan(plan *Plan, n, workers int) (wallSched, error) {
 // wall-clock backend, closing the feedback loop when the scheduler
 // implements FeedbackScheduler: iteration k's per-task wall times are
 // measured in the worker loop and Observed before iteration k+1 plans.
-// A WallScheduler carries per-job state (re-block cache, task-set cache,
-// measured-cost history) and is driven sequentially — one Fock build per
-// SCF iteration — so it must not be shared between concurrent jobs.
+// A WallScheduler carries per-job state (task-set cache, measured-cost
+// history) and is driven sequentially — one Fock build per SCF
+// iteration — so it must not be shared between concurrent jobs.
 type WallScheduler struct {
 	sched   Scheduler
 	fb      FeedbackScheduler // non-nil iff sched feeds back
 	workers int
-	opt     WallOptions
 
-	cache   reblockCache
 	tsSrc   *chem.FockWorkload
 	ts      *TaskSet
 	taskSec []float64
 }
 
-// NewWallScheduler builds a wall-clock runner for the named scheduler
-// policy (SchedulerByName vocabulary). Policies whose plans cannot run
-// on the wall-clock backend fail here, at setup, not mid-SCF.
-func NewWallScheduler(name string, workers int, opt WallOptions) (*WallScheduler, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("core: workers = %d", workers)
-	}
+// wallPolicy resolves a SchedulerByName policy and checks, on an empty
+// task set, that its plans lower onto the wall-clock backend (pull
+// policies are task-set independent; assignment plans always lower).
+func wallPolicy(name string, opt WallOptions) (Scheduler, error) {
 	sched, err := SchedulerByName(name, SchedOptions{Seed: opt.Seed, Block: opt.Block})
 	if err != nil {
 		return nil, err
 	}
-	// Validate plan compatibility eagerly on an empty task set (pull
-	// policies are task-set independent; assignment plans always lower).
-	if _, err := newWallSchedFromPlan(sched.Plan(&TaskSet{}, workers), 0, workers); err != nil {
+	if _, err := newWallSchedFromPlan(sched.Plan(&TaskSet{}, 1), 0, 1); err != nil {
 		return nil, err
 	}
-	ws := &WallScheduler{sched: sched, workers: workers, opt: opt}
+	return sched, nil
+}
+
+// WallSchedulerNames returns the SchedulerNames entries NewWallScheduler
+// accepts — the policies that run on the wall-clock backend — in
+// presentation order.
+func WallSchedulerNames() []string {
+	var names []string
+	for _, name := range SchedulerNames() {
+		if _, err := wallPolicy(name, WallOptions{}); err == nil {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// NewWallScheduler builds a wall-clock runner for the named scheduler
+// policy (SchedulerByName vocabulary). Unknown names and policies whose
+// plans cannot run on the wall-clock backend fail here, at setup, not
+// mid-SCF, with an error that lists WallSchedulerNames.
+func NewWallScheduler(name string, workers int, opt WallOptions) (*WallScheduler, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("core: workers = %d", workers)
+	}
+	sched, err := wallPolicy(name, opt)
+	if err != nil {
+		return nil, fmt.Errorf("%w (wall-clock policies: %s)", err, strings.Join(WallSchedulerNames(), ", "))
+	}
+	ws := &WallScheduler{sched: sched, workers: workers}
 	ws.fb, _ = sched.(FeedbackScheduler)
 	return ws, nil
 }
@@ -169,8 +191,8 @@ func (s *WallScheduler) CostProfile() *obs.CostProfile {
 	return nil
 }
 
-// taskSetFor caches the seam task set per (re-blocked) workload, so an
-// SCF run hashes task identities once, not once per iteration.
+// taskSetFor caches the seam task set per workload, so an SCF run hashes
+// task identities once, not once per iteration.
 func (s *WallScheduler) taskSetFor(fw *chem.FockWorkload) *TaskSet {
 	if s.tsSrc != fw {
 		s.tsSrc, s.ts = fw, FockTaskSet(fw)
@@ -178,14 +200,14 @@ func (s *WallScheduler) taskSetFor(fw *chem.FockWorkload) *TaskSet {
 	return s.ts
 }
 
-// prep plans one Fock build: re-block, plan, lower, and (for feedback
-// policies) arm the per-task measurement buffer.
-func (s *WallScheduler) prep(fw *chem.FockWorkload) (*chem.FockWorkload, *TaskSet, wallSched, []float64, error) {
-	fw = s.cache.get(fw, s.opt.PairBlock)
+// run plans one build over fw, lowers the plan, executes it (spin selects
+// the unrestricted J/Kα/Kβ shape) and, for feedback policies, Observes
+// the measured per-task times.
+func (s *WallScheduler) run(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool) (*WallResult, error) {
 	ts := s.taskSetFor(fw)
 	sched, err := newWallSchedFromPlan(s.sched.Plan(ts, s.workers), ts.Len(), s.workers)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	var taskSec []float64
 	if s.fb != nil {
@@ -194,39 +216,32 @@ func (s *WallScheduler) prep(fw *chem.FockWorkload) (*chem.FockWorkload, *TaskSe
 		}
 		taskSec = s.taskSec[:ts.Len()]
 	}
-	return fw, ts, sched, taskSec, nil
+	res := wallRunJK(fw, dj, dkA, dkB, spin, s.workers, sched, taskSec)
+	if s.fb != nil {
+		s.fb.Observe(ts, taskSec)
+	}
+	return res, nil
 }
 
 // Build runs one restricted Fock build (F = H + J − K/2) under the
 // scheduler's current plan and feeds measured task times back into
 // feedback policies.
 func (s *WallScheduler) Build(fw *chem.FockWorkload, h, d *linalg.Matrix) (*WallResult, error) {
-	fw, ts, sched, taskSec, err := s.prep(fw)
+	res, err := s.run(fw, d, d, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	res := wallBuild(sched, fw, h, d, s.workers, taskSec)
-	if s.fb != nil {
-		s.fb.Observe(ts, taskSec)
-	}
+	res.F = h.Clone()
+	res.F.AddScaled(1, res.J)
+	res.F.AddScaled(-0.5, res.KA)
+	res.F.Symmetrize()
 	return res, nil
 }
 
 // BuildUHF runs one unrestricted J/Kα/Kβ build under the scheduler's
 // current plan, with the same feedback path as Build.
-func (s *WallScheduler) BuildUHF(fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (*WallSpinResult, error) {
-	fw, ts, sched, taskSec, err := s.prep(fw)
-	if err != nil {
-		return nil, err
-	}
-	j, kA, kB, elapsed, busy := wallRunJK(fw, dTot, dA, dB, true, s.workers, sched, taskSec)
-	if s.fb != nil {
-		s.fb.Observe(ts, taskSec)
-	}
-	res := &WallSpinResult{J: j, KA: kA, KB: kB, Elapsed: elapsed, WorkerBusy: busy}
-	c := sched.counters()
-	res.Steals, res.StealRetry, res.StealSeed, res.CounterOps = c.steals, c.retries, c.seed, c.counterOps
-	return res, nil
+func (s *WallScheduler) BuildUHF(fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (*WallResult, error) {
+	return s.run(fw, dTot, dA, dB, true)
 }
 
 // SchedulerFockBuilder returns a chem.FockBuilder that runs every Fock

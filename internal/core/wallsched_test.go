@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,39 +82,77 @@ func TestNewWallSchedFromPlanRejectsSimulatorOnly(t *testing.T) {
 	}
 }
 
-// Simulator-only policies must fail at construction, not mid-SCF.
+// WallSchedulerNames partitions the registry: every listed policy
+// constructs, every other SchedulerNames entry is simulator-only and must
+// fail at construction, not mid-SCF, with an error that lists the policies
+// that do run.
 func TestNewWallSchedulerValidatesEagerly(t *testing.T) {
-	for _, name := range []string{"self-sched-guided", "self-sched-factoring",
-		"work-stealing-one", "work-stealing-maxvictim", "work-stealing-hier"} {
-		if _, err := NewWallScheduler(name, 2, WallOptions{}); err == nil {
-			t.Errorf("%s: wall backend accepted a simulator-only policy", name)
+	wall := WallSchedulerNames()
+	if !reflect.DeepEqual(wall, wallSchedPolicyCases()) {
+		t.Fatalf("WallSchedulerNames() = %v, want %v", wall, wallSchedPolicyCases())
+	}
+	listed := map[string]bool{}
+	for _, name := range wall {
+		listed[name] = true
+		for _, workers := range []int{1, 3} {
+			if _, err := NewWallScheduler(name, workers, WallOptions{}); err != nil {
+				t.Errorf("%s workers=%d: %v", name, workers, err)
+			}
 		}
 	}
-	if _, err := NewWallScheduler("no-such-policy", 2, WallOptions{}); err == nil {
-		t.Error("unknown policy accepted")
+	valid := strings.Join(wall, ", ")
+	for _, name := range SchedulerNames() {
+		if listed[name] {
+			continue
+		}
+		_, err := NewWallScheduler(name, 2, WallOptions{})
+		if err == nil || !strings.Contains(err.Error(), "simulator-only") || !strings.Contains(err.Error(), valid) {
+			t.Errorf("%s: err = %v, want simulator-only and the valid names", name, err)
+		}
+	}
+	if _, err := NewWallScheduler("no-such-policy", 2, WallOptions{}); err == nil || !strings.Contains(err.Error(), valid) {
+		t.Errorf("unknown policy: err = %v, want the valid names", err)
 	}
 	if _, err := NewWallScheduler("static", 0, WallOptions{}); err == nil {
 		t.Error("zero workers accepted")
 	}
 }
 
+// README's -sched table is this vocabulary, row for row.
+func TestReadmeSchedTableListsWallSchedulerNames(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "| `-sched` | Plan | Notes |\n|---|---|---|\n")
+	if !ok {
+		t.Fatal("README.md has no -sched table")
+	}
+	var rows []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			break
+		}
+		rows = append(rows, strings.Split(line, "`")[1])
+	}
+	if want := WallSchedulerNames(); !reflect.DeepEqual(rows, want) {
+		t.Errorf("README -sched table rows = %v, want %v", rows, want)
+	}
+}
+
 // The fixed-assignment lowering walks each worker's list in ascending
-// task order, so a static-block assignment reproduces the dedicated
-// static schedule exactly.
+// task order, so a static-block assignment runs contiguous blocks of
+// ceil(n/workers) tasks, front to back.
 func TestWallAssignSchedOrder(t *testing.T) {
 	const n, workers = 11, 3
 	s := newWallAssignSched(staticBlockAssign(n, workers), workers)
-	ref := newWallStaticSched(n, workers)
-	for wk := 0; wk < workers; wk++ {
-		for {
-			a, okA := s.next(wk)
-			b, okB := ref.next(wk)
-			if okA != okB || (okA && a != b) {
-				t.Fatalf("worker %d: assign schedule (%d,%v) diverges from static (%d,%v)", wk, a, okA, b, okB)
-			}
-			if !okA {
-				break
-			}
+	for wk, want := range [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10}} {
+		var got []int
+		for id, ok := s.next(wk); ok; id, ok = s.next(wk) {
+			got = append(got, id)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d ran %v, want %v", wk, got, want)
 		}
 	}
 }
@@ -142,9 +181,7 @@ func wallSchedPolicyCases() []string {
 }
 
 // Every seam policy, at one/odd/NumCPU workers, must reproduce the
-// serial Fock matrix within the differential tolerance; the static
-// policy must additionally be bit-identical to the dedicated static
-// executor (same dealing, same merge order).
+// serial Fock matrix within the differential tolerance.
 func TestWallSchedulerPolicyMatrix(t *testing.T) {
 	fw := fockWorkload(t, 2)
 	mol := chem.WaterCluster(2, 11)
@@ -154,22 +191,9 @@ func TestWallSchedulerPolicyMatrix(t *testing.T) {
 
 	for _, policy := range wallSchedPolicyCases() {
 		for _, wk := range wallDiffWorkers() {
-			ws, err := NewWallScheduler(policy, wk, WallOptions{Seed: 13, Block: 3})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", policy, wk, err)
-			}
-			res, err := ws.Build(fw, h, d)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", policy, wk, err)
-			}
+			res := wallBuild(t, policy, fw, h, d, wk, WallOptions{Seed: 13, Block: 3})
 			if diff := res.F.MaxAbsDiff(serial); diff > fockDiffTol {
 				t.Errorf("%s workers=%d: Fock differs from serial by %g", policy, wk, diff)
-			}
-			if policy == "static" {
-				refRes := WallStatic(fw, h, d, wk)
-				if diff := res.F.MaxAbsDiff(refRes.F); diff != 0 {
-					t.Errorf("static seam workers=%d: differs from WallStatic by %g, want bitwise identity", wk, diff)
-				}
 			}
 		}
 	}
@@ -191,14 +215,7 @@ func TestWallSchedulerUHFBuild(t *testing.T) {
 	refJ, refKA, refKB := serialSpinJK(fw, dTot, dA, dB)
 
 	for _, policy := range []string{"semimatching", "persistence-feedback"} {
-		ws, err := NewWallScheduler(policy, 3, WallOptions{Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ws.BuildUHF(fw, dTot, dA, dB)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := wallBuildUHF(t, policy, fw, dTot, dA, dB, 3, WallOptions{Seed: 13})
 		if diff := res.J.MaxAbsDiff(refJ); diff > fockDiffTol {
 			t.Errorf("%s: J differs by %g", policy, diff)
 		}

@@ -10,7 +10,7 @@
 //     admission control (admission.go) that rejects with Retry-After
 //     when the backlog exceeds bounds;
 //   - a bounded worker pool (server.go) running jobs on the wall-clock
-//     Fock backend via core.ParallelFockBuilder, streaming per-iteration
+//     Fock backend via core.SchedulerFockBuilder, streaming per-iteration
 //     SCF progress, and checkpointing every committed iteration in the
 //     core.SCFCheckpoint spool format so a killed-and-restarted server
 //     resumes mid-job (store.go);

@@ -24,19 +24,16 @@ import (
 type Config struct {
 	// Workers is the job-level worker-pool size (default: GOMAXPROCS).
 	Workers int
-	// Mode is the wall-clock Fock executor per job: serial | static |
-	// dynamic | stealing (default "stealing" when FockWorkers > 1, else
-	// "serial").
-	Mode string
-	// Sched, when non-empty, selects a scheduler-seam balancing policy
-	// (core.SchedulerNames: semimatching, persistence-feedback, ...)
-	// instead of Mode for the per-job Fock builds. Feedback policies keep
+	// Sched is the balancing policy of each job's Fock builds
+	// (core.WallSchedulerNames: stealing, semimatching,
+	// persistence-feedback, ...). Empty selects "stealing" when
+	// FockWorkers > 1 and a serial build otherwise. Feedback policies keep
 	// per-job measured-cost state, so each job gets a private builder.
 	Sched string
 	// FockWorkers is the intra-job Fock-build parallelism (default 1:
 	// with many concurrent jobs, job-level parallelism wins).
 	FockWorkers int
-	// DynBlock is the dynamic-mode NXTVAL fetch block.
+	// DynBlock is the NXTVAL fetch block of the "dynamic" policy.
 	DynBlock int
 	// Seed drives stealing victim selection inside Fock builds.
 	Seed int64
@@ -65,12 +62,8 @@ func (c *Config) setDefaults() {
 	if c.FockWorkers < 1 {
 		c.FockWorkers = 1
 	}
-	if c.Mode == "" {
-		if c.FockWorkers > 1 {
-			c.Mode = "stealing"
-		} else {
-			c.Mode = "serial"
-		}
+	if c.Sched == "" && c.FockWorkers > 1 {
+		c.Sched = "stealing"
 	}
 	if c.MaxDepth == 0 {
 		c.MaxDepth = 512
@@ -98,7 +91,7 @@ type Server struct {
 	store     *Store
 	metrics   *Metrics
 	admission Admission
-	// newBuilder builds one job's Fock builder (nil for serial mode).
+	// newBuilder builds one job's Fock builder (nil for a serial build).
 	// Feedback schedulers accumulate per-job measured-cost state, so
 	// builders are never shared between concurrently running jobs.
 	newBuilder func() (chem.FockBuilder, error)
@@ -137,18 +130,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	opt := core.WallOptions{Seed: cfg.Seed, Block: cfg.DynBlock}
 	newBuilder := func() (chem.FockBuilder, error) { return nil, nil } // serial
-	switch {
-	case cfg.Sched != "":
+	if cfg.Sched != "" {
 		newBuilder = func() (chem.FockBuilder, error) {
 			return core.SchedulerFockBuilder(cfg.Sched, cfg.FockWorkers, opt)
 		}
-	case cfg.Mode != "serial":
-		newBuilder = func() (chem.FockBuilder, error) {
-			return core.ParallelFockBuilder(cfg.Mode, cfg.FockWorkers, opt)
-		}
 	}
-	// Validate eagerly so a bad -mode/-sched fails at startup, not when
-	// the first job runs.
+	// Validate eagerly so a bad -sched fails at startup, not when the
+	// first job runs.
 	if _, err := newBuilder(); err != nil {
 		return nil, err
 	}
@@ -252,11 +240,17 @@ func (s *Server) worker() {
 // callback — is that job's failure, not the server's: it is recorded
 // through failJob, so the spool holds a result and a restarted server
 // does not re-enqueue the job and die again, and the worker carries on.
+// A panic on one of a parallel builder's worker goroutines arrives here
+// too: core re-raises it on this goroutine as a *core.WorkerPanic.
 func (s *Server) runJob(job *Job) {
 	reg := s.metrics.Tenant(job.Tenant())
 	defer func() {
 		if p := recover(); p != nil {
-			s.cfg.Logf("serve: job %s: panic: %v\n%s", job.ID, p, debug.Stack())
+			stack := debug.Stack()
+			if wp, ok := p.(*core.WorkerPanic); ok {
+				p, stack = wp.Value, wp.Stack
+			}
+			s.cfg.Logf("serve: job %s: panic: %v\n%s", job.ID, p, stack)
 			s.failJob(job, reg, fmt.Errorf("panic: %v", p))
 		}
 	}()

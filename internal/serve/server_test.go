@@ -384,6 +384,94 @@ func TestServerSurvivesPanickingJob(t *testing.T) {
 	}
 }
 
+// The same poison on a parallel builder: the task panics on one of the
+// builder's worker goroutines, where runJob's recover cannot reach it.
+// core re-raises it on the job's goroutine after the build's workers have
+// stopped; before that, the panic killed the process however the job was
+// wrapped. The builder under test is the server's own FockWorkers: 2
+// default, handed a copy of the workload whose first task names a ket
+// pair that does not exist (Tasks and the edited Kets row are copied: the
+// rows share one backing array with the real workload).
+func TestServerSurvivesPanickingParallelJob(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := testServer(t, Config{SpoolDir: dir, Workers: 1, FockWorkers: 2})
+	parallel := s.newBuilder
+	jobs := 0
+	s.newBuilder = func() (chem.FockBuilder, error) {
+		build, err := parallel()
+		if jobs++; jobs > 1 || err != nil {
+			return build, err
+		}
+		return func(fw *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+			bad := *fw
+			bad.Tasks = append([]chem.FockTask(nil), fw.Tasks...)
+			kets := append([][]int32(nil), bad.Tasks[0].Kets...)
+			kets[0] = append(append([]int32(nil), kets[0]...), int32(len(fw.Pairs)))
+			bad.Tasks[0].Kets = kets
+			return build(&bad, h, d)
+		}, nil
+	}
+	s.Start()
+
+	const spec = `{"tenant":"alice","molecule":"water","basis":"sto-3g"}`
+	bad, _ := submit(t, ts, spec)
+	res := waitResult(t, s.store, bad, 30*time.Second)
+	if res.Converged || !strings.Contains(res.Error, "panic: runtime error: index out of range") {
+		t.Fatalf("panicking job result: %+v", res)
+	}
+	if st := getStatus(t, ts, bad); st.State != StateFailed {
+		t.Fatalf("panicking job status: %+v", st)
+	}
+
+	good, _ := submit(t, ts, spec)
+	if res := waitResult(t, s.store, good, 30*time.Second); !res.Converged || res.Error != "" {
+		t.Fatalf("job after the panic: %+v", res)
+	}
+	s.Drain()
+
+	s2, err := New(Config{SpoolDir: dir, Workers: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("New (restart): %v", err)
+	}
+	if s2.Recovered() != 0 {
+		t.Fatalf("restart re-enqueued %d job(s), want 0", s2.Recovered())
+	}
+}
+
+// Jobs served with intra-job parallelism — the default policy and two
+// seam policies, one of them with per-job feedback state — must reach the
+// energy of a stand-alone serial SCF.
+func TestServerParallelFockMatchesSerial(t *testing.T) {
+	want := referenceEnergy(t, &JobSpec{Tenant: "alice", Molecule: "water", Basis: "sto-3g"})
+	for _, tc := range []struct{ name, sched string }{
+		{"default", ""}, {"semimatching", "semimatching"}, {"persistence-feedback", "persistence-feedback"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := testServer(t, Config{Workers: 1, FockWorkers: 2, Sched: tc.sched})
+			s.Start()
+			defer s.Drain()
+			id, _ := submit(t, ts, `{"tenant":"alice","molecule":"water","basis":"sto-3g"}`)
+			res := waitResult(t, s.store, id, 30*time.Second)
+			if !res.Converged || res.Error != "" {
+				t.Fatalf("job result: %+v", res)
+			}
+			if math.Abs(res.Energy-want) > 1e-9 {
+				t.Fatalf("served energy %.12f, serial reference %.12f", res.Energy, want)
+			}
+		})
+	}
+}
+
+// A policy the wall-clock backend cannot run must stop the server at
+// start-up, not fail the first job.
+func TestNewRejectsUnrunnableSched(t *testing.T) {
+	for _, sched := range []string{"bogus", "self-sched-guided"} {
+		if _, err := New(Config{SpoolDir: t.TempDir(), FockWorkers: 2, Sched: sched, Logf: t.Logf}); err == nil {
+			t.Errorf("Sched %q accepted", sched)
+		}
+	}
+}
+
 // TestServerDrainPreservesQueuedWork verifies graceful drain: with one
 // worker and two jobs, draining mid-first-job leaves the untouched second
 // job (and, when the first was interrupted, its checkpoint) in the spool,
