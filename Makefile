@@ -66,13 +66,16 @@ bench-wall:
 	go run ./cmd/benchsuite -exp W1 -scale small
 
 # CI's "Wall bench smoke" step: the wall bench capped at 2 workers, then
-# hfscf itself under a feedback policy (RHF) and a pull policy (UHF) —
-# each exits non-zero unless converged — and a refused unknown -sched.
+# hfscf itself under a feedback policy (RHF), a pull policy (UHF) and on
+# the README's ionized doublet — each exits non-zero unless converged —
+# and the two refusals: an unknown -sched, closed-shell -mp2 under -uhf.
 wall-smoke:
 	go run ./cmd/benchsuite -wall bench_wall_ci.json -scale small -wall-workers 2 -wall-sched semimatching,persistence-feedback
 	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
 	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
+	go run ./cmd/hfscf -molecule water -charge 1 -uhf
 	! go run ./cmd/hfscf -sched bogus
+	! go run ./cmd/hfscf -molecule water -uhf -mp2
 
 # Run the SCF job server locally (spool ./spool, Ctrl-C drains cleanly).
 serve:

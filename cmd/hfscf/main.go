@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -38,7 +39,7 @@ func main() {
 		orbitals = flag.Bool("orbitals", false, "print orbital energies")
 		seed     = flag.Int64("seed", 7, "seed for generated geometries and the work-stealing scheduler")
 		dynblock = flag.Int("dynblock", 1, "tasks fetched per shared-counter op in -sched dynamic")
-		diis     = flag.Bool("diis", true, "DIIS convergence acceleration")
+		diis     = flag.Bool("diis", true, "DIIS convergence acceleration (RHF; -uhf runs damped)")
 		mp2      = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems only)")
 		props    = flag.Bool("properties", false, "print dipole moment and Mulliken charges")
 		uhf      = flag.Bool("uhf", false, "unrestricted Hartree-Fock")
@@ -57,8 +58,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *nosym && (*sched != "serial" || *uhf) {
-		log.Fatal("-nosym is the serial restricted ground-truth path; it cannot combine with -sched or -uhf")
+	if *nosym && *sched != "serial" {
+		log.Fatal("-nosym is the serial restricted ground-truth path; it cannot combine with -sched")
+	}
+	if *uhf && (*nosym || *mp2 || *props) {
+		log.Fatal("-nosym, -mp2 and -properties are restricted closed-shell code; they cannot combine with -uhf")
 	}
 	builder, uhfBuilder, err := fockBuilders(*sched, *workers, core.WallOptions{Seed: *seed, Block: *dynblock})
 	if err != nil {
@@ -68,17 +72,6 @@ func main() {
 	fockMode := *sched
 	if *sched != "serial" {
 		fockMode = fmt.Sprintf("%s (%d workers)", *sched, *workers)
-	}
-	if *uhf {
-		fmt.Printf("fock mode %s\n", fockMode)
-		runUHF(mol, bs, chem.UHFOptions{
-			Multiplicity: *mult,
-			MaxIter:      *maxIter,
-			Screening:    *screen,
-			BlockSize:    *block,
-			Builder:      uhfBuilder,
-		})
-		return
 	}
 	if *nosym {
 		fockMode = "serial (naive N^4, no symmetry/screening)"
@@ -92,20 +85,45 @@ func main() {
 	fmt.Printf("fock mode %s\n", fockMode)
 
 	start := time.Now()
-	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{
-		MaxIter:   *maxIter,
-		Screening: *screen,
-		BlockSize: *block,
-		UseDIIS:   *diis,
-	}, builder)
+	var (
+		res *chem.SCFResult // under -uhf, the fields the two result types share
+		u   *chem.UHFResult
+	)
+	if *uhf {
+		u, err = chem.RunUHF(mol, bs, chem.UHFOptions{
+			Multiplicity: *mult,
+			MaxIter:      *maxIter,
+			Screening:    *screen,
+			BlockSize:    *block,
+			Builder:      uhfBuilder,
+		})
+		if err == nil {
+			res = &chem.SCFResult{
+				Energy: u.Energy, Electronic: u.Electronic, Nuclear: u.Nuclear,
+				Iterations: u.Iterations, Converged: u.Converged, Workload: u.Workload,
+			}
+		}
+	} else {
+		res, err = chem.RunSCF(mol, bs, chem.SCFOptions{
+			MaxIter:   *maxIter,
+			Screening: *screen,
+			BlockSize: *block,
+			UseDIIS:   *diis,
+		}, builder)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	elapsed := time.Since(start)
+	report(mol, bs, res, u, time.Since(start), *nosym, *orbitals, *props, *mp2)
+}
 
+// report prints the result of a run — the same lines for both spin
+// treatments, then the spin-specific ones (u is nil for a restricted run)
+// — and exits non-zero unless the SCF converged.
+func report(mol *chem.Molecule, bs *chem.BasisSet, res *chem.SCFResult, u *chem.UHFResult, elapsed time.Duration, nosym, orbitals, props, mp2 bool) {
 	fmt.Printf("\ntasks     %d (cost max/mean %.2f)\n",
 		len(res.Workload.Tasks), res.Workload.CostImbalance())
-	printQuartetStats(res.Workload, *nosym)
+	printQuartetStats(res.Workload, nosym)
 	if !res.Converged {
 		fmt.Printf("WARNING   not converged after %d iterations\n", res.Iterations)
 	} else {
@@ -114,18 +132,31 @@ func main() {
 	fmt.Printf("E(nuc)    %+.8f hartree\n", res.Nuclear)
 	fmt.Printf("E(elec)   %+.8f hartree\n", res.Electronic)
 	fmt.Printf("E(total)  %+.8f hartree\n", res.Energy)
-	if *orbitals {
-		fmt.Println("\norbital energies (hartree):")
-		nocc := mol.NumElectrons() / 2
-		for i, e := range res.OrbitalE {
-			occ := " "
-			if i < nocc {
-				occ = "*"
+	type orbitalSet struct {
+		label    string
+		energies []float64
+		nocc     int
+	}
+	sets := []orbitalSet{{"", res.OrbitalE, res.NOcc}}
+	if u != nil {
+		fmt.Printf("occupation %dα / %dβ\n", u.NAlpha, u.NBeta)
+		// A closed shell's ⟨S²⟩ is zero up to rounding of either sign.
+		fmt.Printf("<S²>      %.4f\n", math.Max(u.S2, 0))
+		sets = []orbitalSet{{"α ", u.OrbitalEA, u.NAlpha}, {"β ", u.OrbitalEB, u.NBeta}}
+	}
+	if orbitals {
+		for _, set := range sets {
+			fmt.Printf("\n%sorbital energies (hartree):\n", set.label)
+			for i, e := range set.energies {
+				occ := " "
+				if i < set.nocc {
+					occ = "*"
+				}
+				fmt.Printf("  %3d %s %+.6f\n", i+1, occ, e)
 			}
-			fmt.Printf("  %3d %s %+.6f\n", i+1, occ, e)
 		}
 	}
-	if *props && res.Converged {
+	if props && res.Converged {
 		mu := chem.DipoleMoment(mol, bs, res.D)
 		fmt.Printf("\ndipole    (%+.4f, %+.4f, %+.4f) a.u., |mu| = %.4f a.u. = %.4f D\n",
 			mu.X, mu.Y, mu.Z, mu.Norm(), mu.Norm()*2.541746)
@@ -136,7 +167,7 @@ func main() {
 			fmt.Printf("  %-3s %+.4f\n", a.Symbol(), q[i])
 		}
 	}
-	if *mp2 && res.Converged {
+	if mp2 && res.Converged {
 		e2, err := chem.MP2Energy(bs, res)
 		if err != nil {
 			log.Fatal(err)
@@ -176,28 +207,6 @@ func printQuartetStats(w *chem.FockWorkload, nosym bool) {
 	fold := float64(st.NaiveQuartets) / float64(st.UniqueQuartets)
 	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening\n",
 		st.UniqueQuartets, st.NaiveQuartets, fold, st.Surviving)
-}
-
-// runUHF drives the unrestricted branch of the tool.
-func runUHF(mol *chem.Molecule, bs *chem.BasisSet, opts chem.UHFOptions) {
-	start := time.Now()
-	res, err := chem.RunUHF(mol, bs, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	printQuartetStats(res.Workload, false)
-	if !res.Converged {
-		fmt.Printf("WARNING   not converged after %d iterations\n", res.Iterations)
-	} else {
-		fmt.Printf("converged in %d iterations (%v)\n", res.Iterations,
-			time.Since(start).Round(time.Millisecond))
-	}
-	fmt.Printf("occupation %dα / %dβ\n", res.NAlpha, res.NBeta)
-	fmt.Printf("E(total)  %+.8f hartree\n", res.Energy)
-	fmt.Printf("<S²>      %.4f\n", res.S2)
-	if !res.Converged {
-		os.Exit(1)
-	}
 }
 
 func parseMolecule(spec string, seed int64) (*chem.Molecule, error) {

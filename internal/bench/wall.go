@@ -238,7 +238,8 @@ func wallParallelRow(molecule, mode string, fw *chem.FockWorkload, res *core.Wal
 }
 
 // WallBench measures the wall-clock Fock backend: the retained pre-arena
-// serial path ("before"), the arena serial path ("after"), the parallel
+// serial executor ("before": the reference ERIBlock per quartet, screening
+// in the worker loop), the arena serial path ("after"), the parallel
 // policies across the worker sweep, and the pair-block granularity
 // sweep at the top worker count, on each benchmark molecule.
 func (s *Suite) WallBench() *WallBenchReport {

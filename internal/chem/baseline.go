@@ -1,14 +1,9 @@
 package chem
 
-import (
-	"math"
+import "execmodels/internal/linalg"
 
-	"execmodels/internal/linalg"
-)
-
-// This file preserves the pre-arena ERI hot path verbatim, and hosts the
-// two reference implementations the differential test harness pins the
-// fast path against:
+// This file hosts the two reference implementations the differential test
+// harness pins the fast path against:
 //
 //   - ExecuteTaskBaseline / ExecuteTaskSpinBaseline: the pre-arena task
 //     executor, still screening inside the worker loop. It is the "before"
@@ -22,150 +17,35 @@ import (
 //     canonical-quartet enumeration and symmetric digest are validated
 //     against (and the cmd/hfscf -nosym escape hatch).
 //
-// The baseline executor's per-quartet costs are the point: a fresh result
-// block, fresh Hermite R tables per primitive pair, per-call Cartesian
-// component tables and a π^{5/2} power in the primitive loop.
+// Both compute every block with ERIBlock, the one ERI reference: a fresh
+// result block and fresh Hermite E and R tables per primitive quartet,
+// nothing cached per shell pair. Those per-quartet costs are the point of
+// the baseline executor.
 
-// baselinePrim is the primitive-pair record the original PairData held:
-// one E table per Cartesian dimension, indexed through hermiteE.at.
-type baselinePrim struct {
-	p          float64 // exponent sum
-	P          Vec3    // Gaussian product center
-	cab        float64 // contraction coefficient product
-	ex, ey, ez *hermiteE
-}
-
-// baselinePrims rebuilds those records for a shell pair. PairData now
-// stores the flat expansion ERIBlockPairInto reads, so the baseline
-// derives its own tables per call rather than keeping both layouts alive
-// in every PairData.
-func baselinePrims(pd *PairData) []baselinePrim {
-	a, b := pd.A, pd.B
-	ab := a.Center.Sub(b.Center)
-	var prims []baselinePrim
-	for pi, ea := range a.Exps {
-		for pj, eb := range b.Exps {
-			p := ea + eb
-			prims = append(prims, baselinePrim{
-				p:   p,
-				P:   a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p)),
-				cab: a.Coefs[pi] * b.Coefs[pj],
-				ex:  newHermiteE(a.L, b.L, ea, eb, ab.X),
-				ey:  newHermiteE(a.L, b.L, ea, eb, ab.Y),
-				ez:  newHermiteE(a.L, b.L, ea, eb, ab.Z),
-			})
-		}
-	}
-	return prims
-}
-
-// eriBlockPairBaseline is the original ERIBlockPair. The result layout
-// matches ERIBlock(bra.A, bra.B, ket.A, ket.B).
-func eriBlockPairBaseline(bra, ket *PairData) []float64 {
-	a, b, c, d := bra.A, bra.B, ket.A, ket.B
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
-	blk := make([]float64, na*nb*nc*nd)
-	ca, cb, cc, cd := makeComponents(a.L), makeComponents(b.L), makeComponents(c.L), makeComponents(d.L)
-	ltot := a.L + b.L + c.L + d.L
-
-	ketPrims := baselinePrims(ket)
-	for _, pp := range baselinePrims(bra) {
-		e1x, e1y, e1z := pp.ex, pp.ey, pp.ez
-		for _, qq := range ketPrims {
-			e2x, e2y, e2z := qq.ex, qq.ey, qq.ez
-			alpha := pp.p * qq.p / (pp.p + qq.p)
-			r := newHermiteR(ltot, alpha, pp.P.Sub(qq.P))
-			pref := pp.cab * qq.cab * 2 * math.Pow(math.Pi, 2.5) /
-				(pp.p * qq.p * math.Sqrt(pp.p+qq.p))
-
-			idx := 0
-			for _, A := range ca {
-				for _, B := range cb {
-					lx1, ly1, lz1 := A.Lx+B.Lx, A.Ly+B.Ly, A.Lz+B.Lz
-					for _, C := range cc {
-						for _, D := range cd {
-							lx2, ly2, lz2 := C.Lx+D.Lx, C.Ly+D.Ly, C.Lz+D.Lz
-							var sum float64
-							for t := 0; t <= lx1; t++ {
-								et1 := e1x.at(A.Lx, B.Lx, t)
-								if et1 == 0 {
-									continue
-								}
-								for u := 0; u <= ly1; u++ {
-									eu1 := e1y.at(A.Ly, B.Ly, u)
-									if eu1 == 0 {
-										continue
-									}
-									for v := 0; v <= lz1; v++ {
-										ev1 := e1z.at(A.Lz, B.Lz, v)
-										if ev1 == 0 {
-											continue
-										}
-										e1 := et1 * eu1 * ev1
-										for tau := 0; tau <= lx2; tau++ {
-											et2 := e2x.at(C.Lx, D.Lx, tau)
-											if et2 == 0 {
-												continue
-											}
-											for nu := 0; nu <= ly2; nu++ {
-												eu2 := e2y.at(C.Ly, D.Ly, nu)
-												if eu2 == 0 {
-													continue
-												}
-												for phi := 0; phi <= lz2; phi++ {
-													ev2 := e2z.at(C.Lz, D.Lz, phi)
-													if ev2 == 0 {
-														continue
-													}
-													sign := 1.0
-													if (tau+nu+phi)&1 == 1 {
-														sign = -1
-													}
-													sum += e1 * sign * et2 * eu2 * ev2 *
-														r.at(t+tau, u+nu, v+phi)
-												}
-											}
-										}
-									}
-								}
-							}
-							blk[idx] += pref * sum
-							idx++
-						}
-					}
-				}
-			}
-		}
-	}
-	if a.L >= 2 || b.L >= 2 || c.L >= 2 || d.L >= 2 {
-		normA, normB := makeComponentNorms(a.L), makeComponentNorms(b.L)
-		normC, normD := makeComponentNorms(c.L), makeComponentNorms(d.L)
-		idx := 0
-		for _, va := range normA {
-			for _, vb := range normB {
-				for _, vc := range normC {
-					for _, vd := range normD {
-						blk[idx] *= va * vb * vc * vd
-						idx++
-					}
-				}
-			}
-		}
-	}
-	return blk
+// ExecuteTaskBaseline is the pre-arena reference implementation of
+// ExecuteTaskScratch, retained as the "before" point of the repo's perf
+// trajectory (BENCH_wall.json) and as the allocation-behavior foil in
+// tests: it allocates the ERI block, the Hermite workspaces and the
+// digest closures per quartet. Its results must match ExecuteTaskScratch
+// exactly up to floating-point accumulation order.
+func (w *FockWorkload) ExecuteTaskBaseline(t *FockTask, d, j, k *linalg.Matrix) int {
+	return w.executeTaskBaseline(t, d, []*linalg.Matrix{k}, []*linalg.Matrix{d}, j)
 }
 
 // ExecuteTaskSpinBaseline is the unrestricted counterpart of
-// ExecuteTaskBaseline: the same pre-arena quartet loop with the Schwarz
-// bound still tested inside the worker, digesting J against the total
-// density and separate exchange matrices against the α/β densities. The
-// differential harness pins ExecuteTaskSpinScratch bitwise against it.
+// ExecuteTaskBaseline: J digests the total density and separate exchange
+// matrices the α/β densities. The differential harness pins
+// ExecuteTaskSpinScratch against it.
 func (w *FockWorkload) ExecuteTaskSpinBaseline(t *FockTask, dTot, dA, dB, j, kA, kB *linalg.Matrix) int {
+	return w.executeTaskBaseline(t, dTot, []*linalg.Matrix{kA, kB}, []*linalg.Matrix{dA, dB}, j)
+}
+
+// executeTaskBaseline is the pre-arena quartet loop, with the Schwarz
+// bound still tested inside the worker.
+func (w *FockWorkload) executeTaskBaseline(t *FockTask, dj *linalg.Matrix, ks, dks []*linalg.Matrix, j *linalg.Matrix) int {
 	shells := w.Basis.Shells
-	ks, dks := []*linalg.Matrix{kA, kB}, []*linalg.Matrix{dA, dB}
 	var done int
 	for bi, bra := range t.BraPairs {
-		braPD := w.pairData[t.PairOffset+bi]
 		for ki, ket := range w.Pairs {
 			if t.PairOffset+bi < ki {
 				break
@@ -173,8 +53,8 @@ func (w *FockWorkload) ExecuteTaskSpinBaseline(t *FockTask, dTot, dA, dB, j, kA,
 			if bra.Bound*ket.Bound < w.Threshold {
 				continue
 			}
-			blk := eriBlockPairBaseline(braPD, w.pairData[ki])
-			digestUniqueQuartet(j, dTot, ks, dks, shells, bra.I, bra.J, ket.I, ket.J, blk)
+			blk := ERIBlock(&shells[bra.I], &shells[bra.J], &shells[ket.I], &shells[ket.J])
+			digestUniqueQuartet(j, dj, ks, dks, shells, bra.I, bra.J, ket.I, ket.J, blk)
 			done++
 		}
 	}
@@ -191,11 +71,7 @@ func (w *FockWorkload) BuildFockBaseline(h, d *linalg.Matrix) *linalg.Matrix {
 	for i := range w.Tasks {
 		w.ExecuteTaskBaseline(&w.Tasks[i], d, j, k)
 	}
-	f := h.Clone()
-	f.AddScaled(1, j)
-	f.AddScaled(-0.5, k)
-	f.Symmetrize()
-	return f
+	return assembleFock(h, j, k, 0.5)
 }
 
 // naiveJK accumulates J and the given exchange matrices over every
@@ -233,11 +109,7 @@ func BuildFockNaive(bs *BasisSet, h, d *linalg.Matrix) *linalg.Matrix {
 	j := linalg.NewMatrix(n, n)
 	k := linalg.NewMatrix(n, n)
 	naiveJK(bs, d, []*linalg.Matrix{d}, j, []*linalg.Matrix{k})
-	f := h.Clone()
-	f.AddScaled(1, j)
-	f.AddScaled(-0.5, k)
-	f.Symmetrize()
-	return f
+	return assembleFock(h, j, k, 0.5)
 }
 
 // NaiveSpinJK is the unrestricted naive reference: J contracted against

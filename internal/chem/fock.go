@@ -428,33 +428,6 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 	return done
 }
 
-// ExecuteTaskBaseline is the pre-arena reference implementation of
-// ExecuteTaskScratch, retained verbatim as the "before" point of the repo's
-// perf trajectory (BENCH_wall.json) and as the allocation-behavior foil
-// in tests: it allocates the ERI block, the Hermite R workspace and the
-// digest closures per quartet. Its results must match
-// ExecuteTaskScratch exactly up to floating-point accumulation order.
-func (w *FockWorkload) ExecuteTaskBaseline(t *FockTask, d, j, k *linalg.Matrix) int {
-	shells := w.Basis.Shells
-	ks, dks := []*linalg.Matrix{k}, []*linalg.Matrix{d}
-	var done int
-	for bi, bra := range t.BraPairs {
-		braPD := w.pairData[t.PairOffset+bi]
-		for ki, ket := range w.Pairs {
-			if t.PairOffset+bi < ki {
-				break
-			}
-			if bra.Bound*ket.Bound < w.Threshold {
-				continue
-			}
-			blk := eriBlockPairBaseline(braPD, w.pairData[ki])
-			digestUniqueQuartet(j, d, ks, dks, shells, bra.I, bra.J, ket.I, ket.J, blk)
-			done++
-		}
-	}
-	return done
-}
-
 // TotalFlops returns the summed cost estimate across all tasks.
 func (w *FockWorkload) TotalFlops() float64 {
 	var s float64
@@ -475,9 +448,15 @@ func (w *FockWorkload) BuildFock(h, d *linalg.Matrix) *linalg.Matrix {
 	for i := range w.Tasks {
 		w.ExecuteTaskScratch(&w.Tasks[i], d, j, k, s)
 	}
+	return assembleFock(h, j, k, 0.5)
+}
+
+// assembleFock returns F = H + J − kShare·K: kShare is ½ against the
+// closed-shell total density and 1 against one spin's density.
+func assembleFock(h, j, k *linalg.Matrix, kShare float64) *linalg.Matrix {
 	f := h.Clone()
 	f.AddScaled(1, j)
-	f.AddScaled(-0.5, k)
+	f.AddScaled(-kShare, k)
 	// Screening drops tiny asymmetric contributions; restore exact symmetry.
 	f.Symmetrize()
 	return f

@@ -231,7 +231,7 @@ func TestFockOracleWithDShells(t *testing.T) {
 	h := CoreHamiltonian(bs, mol)
 	s := Overlap(bs)
 	x := linalg.InvSqrtSym(s, 1e-10)
-	d, _, _ := densityFromFock(h, x, 4)
+	d, _, _ := densityFromFock(h, x, 4, 2)
 	w := BuildFockWorkload(bs, 1e-14, 3)
 	got := w.BuildFock(h, d)
 	want := referenceFock(bs, eri, h, d)

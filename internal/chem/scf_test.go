@@ -39,7 +39,7 @@ func TestBuildFockMatchesReference(t *testing.T) {
 		// A plausible density: from the core guess.
 		s := Overlap(bs)
 		x := linalg.InvSqrtSym(s, 1e-10)
-		d, _, _ := densityFromFock(h, x, mol.NumElectrons()/2)
+		d, _, _ := densityFromFock(h, x, mol.NumElectrons()/2, 2)
 
 		w := BuildFockWorkload(bs, 1e-14, 3)
 		got := w.BuildFock(h, d)

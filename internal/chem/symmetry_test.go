@@ -430,6 +430,6 @@ func TestUHFBuilderHook(t *testing.T) {
 func testDensity(bs *BasisSet, mol *Molecule, h *linalg.Matrix) *linalg.Matrix {
 	s := Overlap(bs)
 	x := linalg.InvSqrtSym(s, 1e-10)
-	d, _, _ := densityFromFock(h, x, mol.NumElectrons()/2)
+	d, _, _ := densityFromFock(h, x, mol.NumElectrons()/2, 2)
 	return d
 }

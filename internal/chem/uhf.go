@@ -2,23 +2,24 @@ package chem
 
 import (
 	"fmt"
-	"math"
 
 	"execmodels/internal/linalg"
 )
 
 // UHFOptions configures the unrestricted Hartree–Fock driver.
 type UHFOptions struct {
-	Multiplicity int     // 2S+1; 0 = lowest consistent with electron parity
-	MaxIter      int     // default 100
-	ConvDensity  float64 // default 1e-8
-	ConvEnergy   float64 // default 1e-9
-	Screening    float64 // default 1e-10
-	BlockSize    int     // default 4
-	Damping      float64 // density damping in [0,1); default 0.3 (UHF is twitchy)
-	NoDamping    bool    // force damping off
-	UseDIIS      bool    // Pulay DIIS on the combined (Fα, Fβ) error vector
-	DIISVectors  int     // subspace size (default 6)
+	Multiplicity int // 2S+1; 0 = lowest consistent with electron parity
+	MaxIter      int // default 100
+	// ConvDensity bounds the RMS change of the iterated matrices, here Dα
+	// and Dβ: for a closed shell, half as strict as the same value in
+	// SCFOptions, which bounds D = 2Dσ (default 1e-8).
+	ConvDensity float64
+	ConvEnergy  float64 // default 1e-9
+	Screening   float64 // default 1e-10
+	BlockSize   int     // default 4
+	Damping     float64 // density damping in [0,1); default 0.3 without DIIS (UHF is twitchy), 0 with it
+	UseDIIS     bool    // Pulay DIIS, one subspace per spin, each on its own residual Fσ·Dσ·S − S·Dσ·Fσ
+	DIISVectors int     // subspace size (default 6)
 
 	// Builder, if non-nil, computes each iteration's J/Kα/Kβ matrices in
 	// place of the serial task loop — the hook the wall-clock backend
@@ -34,37 +35,24 @@ type UHFOptions struct {
 // order.
 type UHFFockBuilder func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix)
 
-func (o *UHFOptions) setDefaults(nElectrons int) error {
-	if o.Multiplicity == 0 {
-		o.Multiplicity = 1 + nElectrons%2
+// loopOptions are the options as scfLoop reads them, with the two
+// defaults that differ from RunSCF's applied.
+func (o UHFOptions) loopOptions() SCFOptions {
+	l := SCFOptions{
+		MaxIter: o.MaxIter, ConvDensity: o.ConvDensity, ConvEnergy: o.ConvEnergy,
+		Screening: o.Screening, BlockSize: o.BlockSize,
+		Damping: o.Damping, UseDIIS: o.UseDIIS, DIISVectors: o.DIISVectors,
 	}
-	if (nElectrons-o.Multiplicity+1)%2 != 0 || o.Multiplicity < 1 {
-		return fmt.Errorf("chem: multiplicity %d impossible with %d electrons", o.Multiplicity, nElectrons)
+	if l.MaxIter == 0 {
+		l.MaxIter = 100
 	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 100
-	}
-	if o.ConvDensity == 0 {
-		o.ConvDensity = 1e-8
-	}
-	if o.ConvEnergy == 0 {
-		o.ConvEnergy = 1e-9
-	}
-	if o.Screening == 0 {
-		o.Screening = 1e-10
-	}
-	if o.BlockSize == 0 {
-		o.BlockSize = 4
-	}
-	if o.Damping == 0 && !o.NoDamping && !o.UseDIIS {
+	if l.Damping == 0 && !l.UseDIIS {
 		// Plain UHF iteration oscillates easily; default to damping
 		// unless DIIS is handling convergence.
-		o.Damping = 0.3
+		l.Damping = 0.3
 	}
-	if o.NoDamping {
-		o.Damping = 0
-	}
-	return nil
+	l.setDefaults()
+	return l
 }
 
 // UHFResult holds the final state of a UHF run.
@@ -88,118 +76,58 @@ type UHFResult struct {
 // and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ].
 func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 	ne := mol.NumElectrons()
-	if err := opts.setDefaults(ne); err != nil {
-		return nil, err
+	mult := opts.Multiplicity
+	if mult == 0 {
+		mult = 1 + ne%2
 	}
-	nUnpaired := opts.Multiplicity - 1
-	nAlpha := (ne + nUnpaired) / 2
+	if (ne-mult+1)%2 != 0 || mult < 1 {
+		return nil, fmt.Errorf("chem: multiplicity %d impossible with %d electrons", mult, ne)
+	}
+	nAlpha := (ne + mult - 1) / 2
 	nBeta := ne - nAlpha
 	if nBeta < 0 || nAlpha > bs.NBF {
 		return nil, fmt.Errorf("chem: cannot place %dα/%dβ electrons in %d functions", nAlpha, nBeta, bs.NBF)
 	}
-
-	s := Overlap(bs)
-	h := CoreHamiltonian(bs, mol)
-	x := linalg.InvSqrtSym(s, 1e-10)
-	w := BuildFockWorkload(bs, opts.Screening, opts.BlockSize)
-	enuc := mol.NuclearRepulsion()
-	n := bs.NBF
-
-	// Core guess for both spins; a slight α/β symmetry-breaking
-	// perturbation lets open-shell solutions separate.
-	dA, _, _ := uhfDensity(h, x, nAlpha)
-	hB := h.Clone()
-	if nAlpha != nBeta {
-		hB.Add(0, 0, 1e-3)
+	st, err := scfLoop(mol, bs, unrestricted(nAlpha, nBeta, opts.Builder), opts.loopOptions(), nil)
+	res := &UHFResult{
+		Energy: st.energy, Electronic: st.electronic, Nuclear: st.nuclear,
+		Iterations: st.iter, Converged: st.converged, NAlpha: nAlpha, NBeta: nBeta,
+		OrbitalEA: st.orbE[0], OrbitalEB: st.orbE[1],
+		CA: st.cs[0], CB: st.cs[1], DA: st.ds[0], DB: st.ds[1], Workload: st.w,
 	}
-	dB, _, _ := uhfDensity(hB, x, nBeta)
-
-	res := &UHFResult{Nuclear: enuc, NAlpha: nAlpha, NBeta: nBeta, Workload: w}
-	var diisA, diisB *diisState
-	if opts.UseDIIS {
-		diisA = newDIIS(opts.DIISVectors)
-		diisB = newDIIS(opts.DIISVectors)
-	}
-	var ePrev float64
-	scratch := w.NewScratch()
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		dTot := dA.Clone()
-		dTot.AddScaled(1, dB)
-
-		var j, kA, kB *linalg.Matrix
-		if opts.Builder != nil {
-			j, kA, kB = opts.Builder(w, dTot, dA, dB)
-		} else {
-			j = linalg.NewMatrix(n, n)
-			kA = linalg.NewMatrix(n, n)
-			kB = linalg.NewMatrix(n, n)
-			for i := range w.Tasks {
-				w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, dA, dB, j, kA, kB, scratch)
-			}
-		}
-		fA := h.Clone()
-		fA.AddScaled(1, j)
-		fA.AddScaled(-1, kA)
-		fA.Symmetrize()
-		fB := h.Clone()
-		fB.AddScaled(1, j)
-		fB.AddScaled(-1, kB)
-		fB.Symmetrize()
-
-		// E_elec = ½ Σ [Dtot·H + Dα·Fα + Dβ·Fβ]
-		var eElec float64
-		for i := range h.Data {
-			eElec += dTot.Data[i]*h.Data[i] + dA.Data[i]*fA.Data[i] + dB.Data[i]*fB.Data[i]
-		}
-		eElec *= 0.5
-
-		fDiagA, fDiagB := fA, fB
-		if diisA != nil {
-			// UHF-DIIS extrapolates each spin's Fock matrix with its own
-			// subspace; each uses that spin's orbital-gradient residual.
-			diisA.push(fA, diisError(fA, dA, s, x))
-			diisB.push(fB, diisError(fB, dB, s, x))
-			if fx := diisA.extrapolate(); fx != nil {
-				fDiagA = fx
-			}
-			if fx := diisB.extrapolate(); fx != nil {
-				fDiagB = fx
-			}
-		}
-
-		newDA, cA, orbA := uhfDensity(fDiagA, x, nAlpha)
-		newDB, cB, orbB := uhfDensity(fDiagB, x, nBeta)
-		if opts.Damping > 0 && iter > 1 {
-			newDA.Scale(1-opts.Damping).AddScaled(opts.Damping, dA)
-			newDB.Scale(1-opts.Damping).AddScaled(opts.Damping, dB)
-		}
-		rms := math.Max(rmsDiff(newDA, dA), rmsDiff(newDB, dB))
-		dE := math.Abs(eElec + enuc - ePrev)
-		ePrev = eElec + enuc
-
-		res.Energy = ePrev
-		res.Electronic = eElec
-		res.Iterations = iter
-		res.OrbitalEA, res.OrbitalEB = orbA, orbB
-		res.CA, res.CB = cA, cB
-		res.DA, res.DB = newDA, newDB
-		dA, dB = newDA, newDB
-
-		if iter > 1 && rms < opts.ConvDensity && dE < opts.ConvEnergy {
-			res.Converged = true
-			break
-		}
-	}
-	res.S2 = spinExpectation(res, s)
-	return res, nil
+	res.S2 = spinExpectation(res, st.s)
+	return res, err
 }
 
-// uhfDensity is densityFromFock without the factor of 2 (one electron per
-// occupied spin orbital).
-func uhfDensity(f, x *linalg.Matrix, nocc int) (*linalg.Matrix, *linalg.Matrix, []float64) {
-	d, c, orbE := densityFromFock(f, x, nocc)
-	d.Scale(0.5)
-	return d, c, orbE
+// unrestricted iterates the α and β densities of singly-occupied
+// orbitals, with Fσ = H + J[Dα+Dβ] − K[Dσ] from build (nil: the serial
+// task sweep).
+func unrestricted(nAlpha, nBeta int, build UHFFockBuilder) spinTreatment {
+	if build == nil {
+		build = serialSpinJK
+	}
+	return spinTreatment{
+		nocc:      []int{nAlpha, nBeta},
+		occupancy: 1,
+		fock: func(w *FockWorkload, h *linalg.Matrix, ds []*linalg.Matrix) []*linalg.Matrix {
+			dTot := ds[0].Clone()
+			dTot.AddScaled(1, ds[1])
+			j, kA, kB := build(w, dTot, ds[0], ds[1])
+			return []*linalg.Matrix{assembleFock(h, j, kA, 1), assembleFock(h, j, kB, 1)}
+		},
+	}
+}
+
+// serialSpinJK is the builder RunUHF uses when given none: the serial
+// task sweep, the unrestricted counterpart of BuildFock's.
+func serialSpinJK(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix) {
+	n := w.Basis.NBF
+	j, kA, kB = linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	s := w.NewScratch()
+	for i := range w.Tasks {
+		w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, dA, dB, j, kA, kB, s)
+	}
+	return j, kA, kB
 }
 
 // spinExpectation returns ⟨S²⟩ = S(S+1) + Nβ − Σ_{ij} |⟨ψᵅ_i|ψᵝ_j⟩|²,

@@ -177,7 +177,7 @@ func TestExecuteTaskSpinConsistency(t *testing.T) {
 	s := Overlap(bs)
 	h := CoreHamiltonian(bs, mol)
 	x := linalg2(s)
-	dHalf, _, _ := uhfDensity(h, x, mol.NumElectrons()/2)
+	dHalf, _, _ := densityFromFock(h, x, mol.NumElectrons()/2, 1)
 	dTot := dHalf.Clone()
 	dTot.AddScaled(1, dHalf)
 

@@ -113,16 +113,20 @@ func (j *Job) publish(p Progress) {
 	}
 }
 
-// finish transitions to a terminal state and wakes all waiters.
-func (j *Job) finish(converged bool, errMsg string) time.Duration {
+// finish transitions to a terminal state and wakes all waiters. record
+// runs first, with the submit-to-finish latency: whoever then sees the
+// terminal state — Status, Done, the stream, the result spooled after
+// finish — finds the job already counted in /metrics.
+func (j *Job) finish(converged bool, errMsg string, record func(latency time.Duration)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
-		return 0
+		return
 	}
 	j.converged = converged
 	j.errMsg = errMsg
 	j.finished = now()
+	record(j.finished.Sub(j.submitted))
 	if errMsg == "" {
 		j.state = StateDone
 	} else {
@@ -132,7 +136,6 @@ func (j *Job) finish(converged bool, errMsg string) time.Duration {
 	if j.started.IsZero() {
 		j.started = j.finished
 	}
-	return j.finished.Sub(j.submitted)
 }
 
 // requeue returns a preempted running job to the queued state (used when

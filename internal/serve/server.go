@@ -332,17 +332,18 @@ func (s *Server) runJob(job *Job) {
 	res, err := chem.RunSCF(mol, bs, opts, builder)
 	switch {
 	case err == nil:
-		latency := job.finish(res.Converged, "")
+		job.finish(res.Converged, "", func(latency time.Duration) {
+			reg.Count(CJobsCompleted, 0, 1)
+			reg.Observe(HJobLatency, 0, latency.Seconds())
+			reg.Add(GFlopsServed, 0, job.EstCost)
+			s.metrics.AddServedFlops(job.EstCost)
+		})
 		if err := s.store.SaveResult(job.ID, &JobResult{
 			ID: job.ID, Converged: res.Converged, Energy: res.Energy,
 			Iterations: res.Iterations, ResumedFrom: resumedFrom,
 		}); err != nil {
 			s.cfg.Logf("serve: job %s: result write failed: %v", job.ID, err)
 		}
-		reg.Count(CJobsCompleted, 0, 1)
-		reg.Observe(HJobLatency, 0, latency.Seconds())
-		reg.Add(GFlopsServed, 0, job.EstCost)
-		s.metrics.AddServedFlops(job.EstCost)
 	case errors.Is(err, errDraining):
 		// Preempted after a committed checkpoint: back to "queued" for
 		// the successor process, which re-reads the spool.
@@ -354,12 +355,13 @@ func (s *Server) runJob(job *Job) {
 
 // failJob records a terminal failure in memory, spool and metrics.
 func (s *Server) failJob(job *Job, reg *obs.Registry, err error) {
-	latency := job.finish(false, err.Error())
+	job.finish(false, err.Error(), func(latency time.Duration) {
+		reg.Count(CJobsFailed, 0, 1)
+		reg.Observe(HJobLatency, 0, latency.Seconds())
+	})
 	if werr := s.store.SaveResult(job.ID, &JobResult{ID: job.ID, Error: err.Error()}); werr != nil {
 		s.cfg.Logf("serve: job %s: result write failed: %v", job.ID, werr)
 	}
-	reg.Count(CJobsFailed, 0, 1)
-	reg.Observe(HJobLatency, 0, latency.Seconds())
 }
 
 func (s *Server) addJob(j *Job) {
