@@ -62,8 +62,6 @@ func BenchmarkTable7(b *testing.B)  { runExperiment(b, "T7") }
 func BenchmarkFigure6(b *testing.B) { runExperiment(b, "F6") }
 func BenchmarkFigure7(b *testing.B) { runExperiment(b, "F7") }
 func BenchmarkFigure8(b *testing.B) { runExperiment(b, "F8") }
-func BenchmarkFigure9(b *testing.B) { runExperiment(b, "F9") }
-func BenchmarkTable8(b *testing.B)  { runExperiment(b, "T8") }
 func BenchmarkTable9(b *testing.B)  { runExperiment(b, "T9") }
 
 // Ablation benches (DESIGN.md "key design decisions").
@@ -310,7 +308,7 @@ func init() {
 	for _, id := range bench.Experiments() {
 		want[id] = true
 	}
-	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W1", "W3"} {
+	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T9", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W1", "W3"} {
 		if !want[id] {
 			panic(fmt.Sprintf("bench_test: experiment %s missing from registry", id))
 		}

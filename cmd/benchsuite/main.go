@@ -23,7 +23,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchsuite: ")
 	var (
-		exp       = flag.String("exp", "all", "experiment ID (F1..F9, T1..T9, A1..A8, W1), comma list, or 'all'")
+		exp       = flag.String("exp", "all", "experiment ID ("+strings.Join(bench.Experiments(), " ")+"), comma list, or 'all'")
 		scale     = flag.String("scale", "small", "workload scale: small | paper")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		list      = flag.Bool("list", false, "list available experiments and exit")

@@ -1,11 +1,11 @@
 // Blame: a walkthrough of the observability layer (internal/obs). Every
 // executor feeds a typed metric registry and a span trace as it runs;
 // AnalyzeBlame then decomposes the run's total rank-seconds — makespan ×
-// P — *exactly* into compute, communication, counter traffic, stealing,
-// stalls, recovery, checkpointing, dead time and idle, and reports the
-// critical path. Because the registry is fed from virtual clocks only,
-// running this twice prints byte-identical output: the entire analysis
-// is a pure function of (workload, machine, seed, plan).
+// P — *exactly* into compute, communication, counter traffic, stealing
+// and idle, and reports the critical path. Because the registry is fed
+// from virtual clocks only, running this twice prints byte-identical
+// output: the entire analysis is a pure function of (workload, machine,
+// seed).
 //
 //	go run ./examples/blame [-ranks p]
 package main
@@ -16,8 +16,6 @@ import (
 
 	"execmodels/internal/cluster"
 	"execmodels/internal/core"
-	"execmodels/internal/fault"
-	"execmodels/internal/obs"
 )
 
 func main() {
@@ -31,17 +29,7 @@ func main() {
 	})
 	cfg := cluster.Config{Ranks: *ranks, Heterogeneity: 0.2, Seed: 5}
 
-	run := func(model core.Model, plan *fault.Plan) (*core.Result, *obs.Blame) {
-		m := cluster.New(cfg)
-		m.Trace = &cluster.Trace{}
-		if plan != nil {
-			m.Faults = fault.NewInjector(plan, *ranks)
-		}
-		res := model.Run(w, m)
-		return res, res.Blame(m.Trace)
-	}
-
-	fmt.Println("where do the rank-seconds go? fault-free models first:")
+	fmt.Println("where do the rank-seconds go?")
 	fmt.Println()
 	for _, model := range []core.Model{
 		core.StaticBlock{},
@@ -49,29 +37,16 @@ func main() {
 		core.WorkStealing{Seed: 42},
 		core.Persistence{},
 	} {
-		_, b := run(model, nil)
-		fmt.Println(b.Table())
+		m := cluster.New(cfg)
+		m.Trace = &cluster.Trace{}
+		b := model.Run(w, m).Blame(m.Trace)
+		fmt.Print(b.Table())
+		// The blame identity: components (idle included) sum to
+		// makespan × P exactly.
+		fmt.Printf("  identity check: sum of components = %.9gs, makespan×P = %.9gs\n\n",
+			b.Total(), b.Makespan*float64(b.Ranks))
 	}
 
-	// The blame identity — components (idle included) sum to makespan × P
-	// exactly — holds under faults too: crash a third of the ranks and the
-	// lost time shows up as recovery, stall and dead components instead of
-	// silently inflating idle.
-	plan := fault.Spec{
-		Ranks: *ranks, Horizon: 0.06, // inside the ~0.09s fault-free run
-		CrashProb: 0.3,
-		StallProb: 0.3, StallMean: 0.005,
-		Seed: 7,
-	}.Build()
-	fmt.Printf("now resilient stealing under a fault plan (%d crashes, %d stalls):\n\n",
-		len(plan.Crashes), len(plan.Stalls))
-	res, b := run(core.ResilientStealing{Seed: 42}, plan)
-	fmt.Println(b.Table())
-	fmt.Printf("identity check: sum of components = %.9gs, makespan×P = %.9gs\n",
-		b.Total(), b.Makespan*float64(b.Ranks))
-	fmt.Printf("every task still completed exactly once (%d accounted); %d re-executed\n",
-		len(res.CompletedBy), res.ReExecuted)
-
-	fmt.Println("\nreading the tables: static-block's idle is imbalance the paper's dynamic models")
+	fmt.Println("reading the tables: static-block's idle is imbalance the paper's dynamic models")
 	fmt.Println("reclaim — they convert it into (much smaller) counter and steal components.")
 }

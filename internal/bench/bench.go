@@ -209,8 +209,6 @@ var registry = map[string]func(*Suite) *Table{
 	"A7": (*Suite).AblationSelfSched,
 	"A8": (*Suite).AblationFMRefiner,
 	"F8": (*Suite).Figure8,
-	"F9": (*Suite).Figure9,
-	"T8": (*Suite).Table8,
 	"T9": (*Suite).Table9,
 	"W1": (*Suite).WallBenchTable,
 	"W3": (*Suite).WallFeedbackTable,

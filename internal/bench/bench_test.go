@@ -313,58 +313,3 @@ func TestExperimentsSorted(t *testing.T) {
 		}
 	}
 }
-
-// F9: at every non-zero crash probability, work stealing's recovery
-// overhead (time added over its own fault-free base) must stay strictly
-// below static block's, and the p=0 rows must show zero overhead — the
-// resilient executors are pure bookkeeping on a reliable machine.
-func TestFigure9Shape(t *testing.T) {
-	tbl := sharedSuite.Figure9()
-	// Rows come in groups of four models per probability, in
-	// ResilientModels order: static, counter, stealing, ckpt.
-	const perProb = 4
-	if len(tbl.Rows)%perProb != 0 {
-		t.Fatalf("F9 row count %d not a multiple of %d", len(tbl.Rows), perProb)
-	}
-	for g := 0; g*perProb < len(tbl.Rows); g++ {
-		base := g * perProb
-		prob := cellFloat(t, tbl, base, 0)
-		staticOver := cellFloat(t, tbl, base, 3)
-		stealOver := cellFloat(t, tbl, base+2, 3)
-		if prob == 0 {
-			for i := 0; i < perProb; i++ {
-				if over := cellFloat(t, tbl, base+i, 3); over != 0 {
-					t.Errorf("p=0 row %d has nonzero overhead %v", base+i, over)
-				}
-			}
-			continue
-		}
-		if stealOver >= staticOver {
-			t.Errorf("p=%.2f: stealing overhead %v not strictly below static %v", prob, stealOver, staticOver)
-		}
-	}
-}
-
-// T8: the dynamic models must detect failures faster than the barrier-
-// synchronized static schedule, and only the checkpointed model pays
-// checkpoint traffic.
-func TestTable8Shape(t *testing.T) {
-	tbl := sharedSuite.Table8()
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("T8 rows = %d, want 4", len(tbl.Rows))
-	}
-	staticDetect := cellFloat(t, tbl, 0, 2)
-	counterDetect := cellFloat(t, tbl, 1, 2)
-	stealDetect := cellFloat(t, tbl, 2, 2)
-	if counterDetect >= staticDetect || stealDetect >= staticDetect {
-		t.Errorf("dynamic detection (%v, %v) not below static %v", counterDetect, stealDetect, staticDetect)
-	}
-	for i := 0; i < 3; i++ {
-		if ck := cellFloat(t, tbl, i, 4); ck != 0 {
-			t.Errorf("row %d: non-checkpointing model reports checkpoint time %v", i, ck)
-		}
-	}
-	if ck := cellFloat(t, tbl, 3, 4); ck <= 0 {
-		t.Errorf("persistence-ckpt reports no checkpoint time")
-	}
-}

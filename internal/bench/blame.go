@@ -12,10 +12,10 @@ import (
 
 // Blame-analysis experiment and metric export: T9 decomposes each
 // execution model's rank-seconds (makespan × P) into where the time
-// actually went — compute, communication, counter traffic, stealing,
-// stalls, recovery, checkpointing, dead time and idle — using the
-// internal/obs registry every executor feeds. WriteMetrics dumps the raw
-// registries in OpenMetrics and JSON form for external tooling.
+// actually went — compute, communication, counter traffic, stealing and
+// idle — using the internal/obs registry every executor feeds.
+// WriteMetrics dumps the raw registries in OpenMetrics and JSON form for
+// external tooling.
 
 // blameRun executes one model with tracing and returns its result and
 // blame decomposition.
@@ -24,13 +24,6 @@ func (s *Suite) blameRun(mod core.Model, ranks int) (*core.Result, *obs.Blame) {
 	machine.Trace = &cluster.Trace{}
 	res := mod.Run(s.work, machine)
 	return res, res.Blame(machine.Trace)
-}
-
-// blameModels returns every execution model T9 and WriteMetrics cover:
-// the seven fault-free models plus the four resilient variants (run here
-// without faults, so their overheads isolate protocol cost).
-func (s *Suite) blameModels() []core.Model {
-	return append(core.AllModels(s.Seed), core.ResilientModels(s.Seed)...)
 }
 
 // Table9 is the blame-decomposition table: for every model, the share of
@@ -45,10 +38,10 @@ func (s *Suite) Table9() *Table {
 	t := &Table{
 		ID:     "T9",
 		Title:  f("blame decomposition, P=%d: %% of makespan×P per activity", ranks),
-		Header: []string{"model", "makespan(s)", "compute%", "comm%", "counter%", "steal%", "stall%", "recover%", "ckpt%", "dead%", "idle%", "critical(s)"},
+		Header: []string{"model", "makespan(s)", "compute%", "comm%", "counter%", "steal%", "idle%", "critical(s)"},
 	}
 
-	for _, mod := range s.blameModels() {
+	for _, mod := range core.AllModels(s.Seed) {
 		_, b := s.blameRun(mod, ranks)
 		total := b.Makespan * float64(b.Ranks)
 		pct := func(name string) string {
@@ -66,15 +59,14 @@ func (s *Suite) Table9() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"expected shape: static models trade idle (imbalance) for zero coordination; dynamic "+
-			"models convert that idle into counter/steal overhead; the resilient variants add "+
-			"nothing here because no faults are injected — their columns isolate protocol cost",
+			"models convert that idle into counter/steal overhead",
 		"compute% is identical work divided by makespan×P, so it doubles as a parallel-efficiency "+
 			"column: higher compute% = less wasted machine",
 	)
 	return t
 }
 
-// WriteMetrics runs every blame model at the given rank count and writes,
+// WriteMetrics runs every execution model at the given rank count and writes,
 // per model, `<name>.om.txt` (the OpenMetrics dump of its registry) and
 // `<name>.summary.json` (the machine-readable run summary), plus a single
 // `blame.txt` with the human-readable blame tables. Output is a pure
@@ -91,7 +83,7 @@ func (s *Suite) WriteMetrics(dir string, ranks int) error {
 	}
 	defer bf.Close()
 
-	for _, mod := range s.blameModels() {
+	for _, mod := range core.AllModels(s.Seed) {
 		res, b := s.blameRun(mod, ranks)
 
 		om, err := os.Create(filepath.Join(dir, mod.Name()+".om.txt"))

@@ -23,12 +23,6 @@ type SCFOptions struct {
 	UseDIIS     bool
 	DIISVectors int // subspace size (default 6)
 
-	// Guess selects the starting density: "core" (diagonalize the core
-	// Hamiltonian, the default) or "sad" (superposition of atomic
-	// densities — each atom's electrons spread evenly over its own
-	// functions, usually fewer iterations on clusters).
-	Guess string
-
 	// OnIteration, if non-nil, is invoked after every completed SCF
 	// iteration with that iteration's state. Returning a non-nil error
 	// interrupts the run: RunSCF stops immediately and returns the
@@ -126,7 +120,6 @@ func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*S
 		return nil, fmt.Errorf("chem: %d occupied orbitals exceed %d basis functions", nocc, bs.NBF)
 	}
 
-	var guess []*linalg.Matrix
 	if r := opts.Resume; r != nil {
 		if r.D == nil || r.D.Rows != bs.NBF || r.D.Cols != bs.NBF {
 			return nil, fmt.Errorf("chem: resume density shape does not match %d basis functions", bs.NBF)
@@ -134,17 +127,9 @@ func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*S
 		if r.Iteration < 1 {
 			return nil, fmt.Errorf("chem: resume iteration %d < 1", r.Iteration)
 		}
-	} else {
-		switch opts.Guess {
-		case "", "core":
-		case "sad":
-			guess = []*linalg.Matrix{sadGuess(bs, mol)}
-		default:
-			return nil, fmt.Errorf("chem: unknown guess %q (core|sad)", opts.Guess)
-		}
 	}
 
-	st, err := scfLoop(mol, bs, restricted(nocc, build), opts, guess)
+	st, err := scfLoop(mol, bs, restricted(nocc, build), opts)
 	return &SCFResult{
 		Energy: st.energy, Electronic: st.electronic, Nuclear: st.nuclear,
 		Iterations: st.iter, Converged: st.converged, NOcc: nocc,
@@ -191,10 +176,10 @@ type scfState struct {
 }
 
 // scfLoop is the one SCF iteration every calculation in the repository
-// runs through; opts arrives with the entry point's defaults applied and
-// its Guess resolved into guess (nil: the core guess, one per density,
-// where a later density of different occupation gets H[0,0] += 1e-3 so
-// that open shells can separate). Each iteration builds one Fock matrix
+// runs through; opts arrives with the entry point's defaults applied.
+// Without Resume it starts from the core guess, one per density, where a
+// later density of different occupation gets H[0,0] += 1e-3 so that open
+// shells can separate. Each iteration builds one Fock matrix
 // per iterated density Dσ, takes E = ½ Σσ Dσ·(H + Fσ), optionally
 // DIIS-extrapolates each Fσ — one subspace per density, each on its own
 // residual Fσ·Dσ·S − S·Dσ·Fσ — diagonalizes, damps the new densities from
@@ -206,7 +191,7 @@ type scfState struct {
 // unrestricted one, and Dσ = D/2 for a closed shell, so the same
 // ConvDensity is half as strict through RunUHF: (H2O)2/6-31G at damping
 // 0.3 takes 32 iterations restricted and 30 unrestricted.
-func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions, guess []*linalg.Matrix) (*scfState, error) {
+func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions) (*scfState, error) {
 	s := Overlap(bs)
 	h := CoreHamiltonian(bs, mol)
 	x := linalg.InvSqrtSym(s, 1e-10)
@@ -219,13 +204,12 @@ func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions, g
 		ds: make([]*linalg.Matrix, n), fs: make([]*linalg.Matrix, n), cs: make([]*linalg.Matrix, n),
 		orbE: make([][]float64, n),
 	}
-	ds := guess
+	var ds []*linalg.Matrix
 	var ePrev float64
-	switch r := opts.Resume; {
-	case r != nil:
+	if r := opts.Resume; r != nil {
 		ds = []*linalg.Matrix{r.D.Clone()}
 		st.iter, ePrev = r.Iteration, r.Energy
-	case ds == nil:
+	} else {
 		ds = make([]*linalg.Matrix, n)
 		for i, nocc := range spin.nocc {
 			hGuess := h
@@ -314,28 +298,6 @@ func electronicEnergy(d, h, f *linalg.Matrix) float64 {
 		e += d.Data[i] * (h.Data[i] + f.Data[i])
 	}
 	return 0.5 * e
-}
-
-// sadGuess builds a superposition-of-atomic-densities starting density:
-// a diagonal matrix with each atom's electron count spread evenly over
-// that atom's basis functions. Since every function has unit self-overlap
-// this satisfies Tr(D·S) ≈ N up to off-diagonal overlap, and it starts
-// the iteration from neutral atoms instead of the bare-nucleus core
-// guess.
-func sadGuess(bs *BasisSet, mol *Molecule) *linalg.Matrix {
-	d := linalg.NewMatrix(bs.NBF, bs.NBF)
-	funcsOfAtom := make([]int, len(mol.Atoms))
-	for _, sh := range bs.Shells {
-		funcsOfAtom[sh.Atom] += sh.NumFuncs()
-	}
-	for _, sh := range bs.Shells {
-		per := float64(mol.Atoms[sh.Atom].Z) / float64(funcsOfAtom[sh.Atom])
-		for f := 0; f < sh.NumFuncs(); f++ {
-			i := sh.Start + f
-			d.Set(i, i, per)
-		}
-	}
-	return d
 }
 
 func rmsDiff(a, b *linalg.Matrix) float64 {

@@ -27,7 +27,7 @@ func traceLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions)
 		tr.e = append(tr.e, p.Energy)
 		return nil
 	}
-	st, _ := scfLoop(mol, bs, spin, opts, nil)
+	st, _ := scfLoop(mol, bs, spin, opts)
 	return st, tr
 }
 

@@ -158,47 +158,6 @@ func TestSCFCustomBuilder(t *testing.T) {
 	}
 }
 
-// The SAD guess must reach the same fixed point as the core guess, and
-// not be slower on a cluster.
-func TestSADGuess(t *testing.T) {
-	mol := WaterCluster(2, 5)
-	bs := mustBasis(t, "sto-3g", mol)
-	core, err := RunSCF(mol, bs, SCFOptions{UseDIIS: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sad, err := RunSCF(mol, bs, SCFOptions{UseDIIS: true, Guess: "sad"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.Converged || !sad.Converged {
-		t.Fatal("convergence failure")
-	}
-	if math.Abs(core.Energy-sad.Energy) > 1e-7 {
-		t.Errorf("guesses reached different energies: %v vs %v", core.Energy, sad.Energy)
-	}
-	if sad.Iterations > core.Iterations+2 {
-		t.Errorf("SAD took %d iterations vs core %d", sad.Iterations, core.Iterations)
-	}
-}
-
-func TestUnknownGuessRejected(t *testing.T) {
-	mol := H2(1.4)
-	bs := mustBasis(t, "sto-3g", mol)
-	if _, err := RunSCF(mol, bs, SCFOptions{Guess: "magic"}, nil); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestSADGuessElectronCount(t *testing.T) {
-	mol := Water()
-	bs := mustBasis(t, "sto-3g", mol)
-	d := sadGuess(bs, mol)
-	if got := d.Trace(); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("Tr(D_SAD) = %v, want 10", got)
-	}
-}
-
 func TestWorkloadTaskPartition(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", WaterCluster(2, 1))
 	w := BuildFockWorkload(bs, 1e-10, 4)

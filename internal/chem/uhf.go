@@ -88,7 +88,7 @@ func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 	if nBeta < 0 || nAlpha > bs.NBF {
 		return nil, fmt.Errorf("chem: cannot place %dα/%dβ electrons in %d functions", nAlpha, nBeta, bs.NBF)
 	}
-	st, err := scfLoop(mol, bs, unrestricted(nAlpha, nBeta, opts.Builder), opts.loopOptions(), nil)
+	st, err := scfLoop(mol, bs, unrestricted(nAlpha, nBeta, opts.Builder), opts.loopOptions())
 	res := &UHFResult{
 		Energy: st.energy, Electronic: st.electronic, Nuclear: st.nuclear,
 		Iterations: st.iter, Converged: st.converged, NAlpha: nAlpha, NBeta: nBeta,

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"execmodels/internal/fault"
 )
 
 // Config describes a simulated machine.
@@ -106,11 +104,6 @@ type Machine struct {
 	// and runtime operation the executors perform. Set a fresh Trace
 	// before a run to capture it; leave nil to skip the overhead.
 	Trace *Trace
-
-	// Faults, when non-nil, injects the compiled fault plan — rank
-	// crashes, stalls and message faults — into the run. Nil means a
-	// reliable machine; see faults.go for the query surface executors use.
-	Faults *fault.Injector
 }
 
 // New builds a machine from cfg.

@@ -5,67 +5,24 @@ import (
 	"testing"
 
 	"execmodels/internal/cluster"
-	"execmodels/internal/fault"
 	"execmodels/internal/obs"
 )
 
 // Invariant tests for the blame analysis: the decomposition of makespan ×
-// ranks into compute/comm/counter/steal/stall/recover/checkpoint/dead/
-// idle must be *exact* (to float-rounding tolerance) for every execution
-// model at P=64, with and without injected faults. A component that
-// double-charges a window, or a charge past a rank's finish time, breaks
-// the identity and fails here.
-
-// blameCases enumerates every model × fault-plan combination under test.
-// The fault-free executors run only fault-free; the resilient ones also
-// run under a crashProb-0.2 plan with stalls.
-func blameCases(ranks int) []struct {
-	name  string
-	model Model
-	plan  *fault.Plan
-} {
-	horizon := 0.05 // inside every model's run on the synthetic workload
-	faulty := fault.Spec{
-		Ranks: ranks, Horizon: horizon,
-		CrashProb: 0.2,
-		StallProb: 0.2, StallMean: horizon / 10,
-		Seed: 11,
-	}.Build()
-
-	var cases []struct {
-		name  string
-		model Model
-		plan  *fault.Plan
-	}
-	add := func(name string, m Model, p *fault.Plan) {
-		cases = append(cases, struct {
-			name  string
-			model Model
-			plan  *fault.Plan
-		}{name, m, p})
-	}
-	for _, m := range AllModels(1) {
-		add(m.Name(), m, nil)
-	}
-	for _, m := range ResilientModels(1) {
-		add(m.Name()+"/no-fault", m, nil)
-		add(m.Name()+"/crashProb-0.2", m, faulty)
-	}
-	return cases
-}
+// ranks into compute/comm/counter/steal/idle must be *exact* (to
+// float-rounding tolerance) for every execution model at P=64. A component
+// that double-charges a window, or a charge past a rank's finish time,
+// breaks the identity and fails here.
 
 func TestBlameDecompositionExact(t *testing.T) {
 	const ranks = 64
 	w := Synthetic(SyntheticOptions{NumTasks: 2048, Dist: "lognormal", Sigma: 1.2, Seed: 3})
 
-	for _, c := range blameCases(ranks) {
-		t.Run(c.name, func(t *testing.T) {
+	for _, model := range AllModels(1) {
+		t.Run(model.Name(), func(t *testing.T) {
 			m := cluster.New(cluster.Config{Ranks: ranks, Seed: 1})
 			m.Trace = &cluster.Trace{}
-			if c.plan != nil || isResilient(c.model) {
-				m.Faults = fault.NewInjector(c.plan, ranks)
-			}
-			res := c.model.Run(w, m)
+			res := model.Run(w, m)
 			b := res.Blame(m.Trace)
 
 			// The central identity: components (idle included) sum to
@@ -101,17 +58,6 @@ func TestBlameDecompositionExact(t *testing.T) {
 			}
 		})
 	}
-}
-
-// isResilient reports whether the model consults a fault injector (and so
-// should get one installed even for the no-fault case, exercising the
-// "empty plan" path).
-func isResilient(m Model) bool {
-	switch m.(type) {
-	case ResilientStatic, ResilientCounter, ResilientStealing, CheckpointedPersistence:
-		return true
-	}
-	return false
 }
 
 // TestBlameMatchesResultView pins the derived-view contract: the legacy

@@ -5,19 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"execmodels/internal/cluster"
-	"execmodels/internal/obs"
-	"execmodels/internal/semimatching"
 )
 
 // SCFCheckpoint is the on-disk record of a long SCF run's last completed
-// iteration — the real-process counterpart of CheckpointedPersistence's
-// per-iteration checkpoint/rollback protocol below. The serving layer
-// (internal/serve) writes one after every committed iteration and, after
-// a crash, rolls the job back to this state exactly as the simulated
-// model rolls an aborted iteration back to its last barrier checkpoint:
-// finished post-checkpoint iterations count as re-executed work.
+// iteration. The serving layer (internal/serve) writes one after every
+// committed iteration and, after a crash, resumes the job from this state:
+// iterations finished after the last checkpoint are run again.
 //
 // Like workloadJSON in serialize.go, the format is versioned JSON with
 // all state inlined (the row-major density matrix plus the scalars
@@ -88,209 +81,4 @@ func validateSCFCheckpoint(c *SCFCheckpoint) error {
 		}
 	}
 	return nil
-}
-
-// CheckpointedPersistence is the persistence-based iterative model with a
-// per-iteration checkpoint/restart recovery path — the classic HPC answer
-// to fail-stop faults, included so F9/T8 can compare it against the
-// lease-based re-absorption the dynamic models use. After every
-// successful iteration the replicated state (density/Fock blocks) is
-// checkpointed; a crash mid-iteration aborts the whole iteration, rolls
-// its completions back, and re-runs it from the last checkpoint on the
-// surviving ranks, rebalanced by LPT over the measured cost profile.
-// Rollback is the opposite durability choice from resilient.go's
-// accumulate-on-completion: here an aborted iteration's finished tasks
-// count as re-executed work, which is exactly the overhead T8 surfaces.
-type CheckpointedPersistence struct {
-	// Iterations is the number of application iterations (default 3).
-	Iterations int
-	// CheckpointBytes is the state written per checkpoint and re-read per
-	// restart (default: the workload's summed block bytes).
-	CheckpointBytes int
-	// DetectTimeout is the barrier timeout before declaring silent ranks
-	// dead (default 100× network latency).
-	DetectTimeout float64
-}
-
-// Name implements Model.
-func (CheckpointedPersistence) Name() string { return "persistence-ckpt" }
-
-// Run implements Model.
-func (p CheckpointedPersistence) Run(w *Workload, m *cluster.Machine) *Result {
-	res, _ := p.RunWithHistory(w, m)
-	return res
-}
-
-// RunWithHistory runs the iterative protocol and returns the final
-// result together with per-iteration times (successful attempts only;
-// an iteration's time includes any aborted attempts it absorbed).
-func (p CheckpointedPersistence) RunWithHistory(w *Workload, m *cluster.Machine) (*Result, []float64) {
-	iters := p.Iterations
-	if iters < 1 {
-		iters = 3
-	}
-	n := len(w.Tasks)
-	ckptBytes := p.CheckpointBytes
-	if ckptBytes <= 0 {
-		for _, b := range w.BlockBytes {
-			ckptBytes += b
-		}
-	}
-	detect := p.DetectTimeout
-	if detect <= 0 {
-		detect = defaultDetect(m)
-	}
-
-	res := newResult(p.Name(), m.P)
-	// Iterative protocol: every iteration re-runs the full task set, so
-	// exactly-once is a per-iteration invariant — each iteration gets a
-	// fresh lease table, audited when the iteration commits.
-	var lt *leaseTable
-	var alive []int
-	for r := 0; r < m.P; r++ {
-		alive = append(alive, r)
-	}
-	measured := make([]float64, n)
-	haveMeasured := false
-	offset := 0.0 // global virtual time; crashes in the plan are global too
-	var history []float64
-
-	for it := 0; it < iters; it++ {
-		iterStart := offset
-		lt = newLeaseTable(n)
-		for { // attempt loop: repeats the iteration until no rank dies in it
-			// Assignment over the current survivors: block split on the
-			// first measured-free attempt, LPT over measured costs after.
-			assign := make([]int, n)
-			if !haveMeasured {
-				per := (n + len(alive) - 1) / len(alive)
-				for i := 0; i < n; i++ {
-					assign[i] = alive[min(i/per, len(alive)-1)]
-				}
-			} else {
-				b := semimatching.Complete(n, len(alive))
-				of := semimatching.LPT(b, measured).Of
-				for i := 0; i < n; i++ {
-					assign[i] = alive[of[i]]
-				}
-			}
-			lists := make([][]int, m.P)
-			for i := 0; i < n; i++ {
-				lists[assign[i]] = append(lists[assign[i]], i)
-				lt.claim(i, assign[i])
-			}
-
-			clock := make([]float64, m.P)
-			seen := make([]map[int]bool, m.P)
-			for _, r := range alive {
-				clock[r] = offset
-				seen[r] = map[int]bool{}
-			}
-			var completed []int
-			var newlyDead []int
-			taskTime := make([]float64, n)
-			for _, r := range alive {
-				for _, id := range lists[r] {
-					task := &w.Tasks[id]
-					lt.start(id, r)
-					end, ok := m.TaskTimeFaulty(r, task.Cost, clock[r])
-					m.Trace.Record(cluster.Interval{Rank: r, Start: clock[r], End: end, TaskID: id, Activity: "task"})
-					res.addBusy(r, end-clock[r])
-					taskTime[id] = end - clock[r]
-					clock[r] = end
-					if !ok {
-						newlyDead = append(newlyDead, r)
-						res.count(obs.CCrashes, r, 1)
-						res.FinishTime[r] = end
-						break
-					}
-					res.ranTask(r)
-					clock[r] = chargeComm(res, w, m, seen, r, task, clock[r])
-					lt.complete(id, r)
-					completed = append(completed, id)
-				}
-			}
-
-			if len(newlyDead) == 0 {
-				// Success: record the measured profile, checkpoint, move on.
-				bar := 0.0
-				for _, r := range alive {
-					if clock[r] > bar {
-						bar = clock[r]
-					}
-				}
-				for i := 0; i < n; i++ {
-					measured[i] = taskTime[i]
-				}
-				haveMeasured = true
-				// Every survivor writes its checkpoint shard after the
-				// barrier: checkpoint cost is charged per rank, in step
-				// with the blame decomposition's rank-seconds.
-				ck := m.XferTime(ckptBytes)
-				for _, r := range alive {
-					m.Trace.Record(cluster.Interval{Rank: r, Start: bar, End: bar + ck, TaskID: -1, Activity: "checkpoint"})
-					res.addTime(obs.MCheckpoint, r, ck)
-				}
-				offset = bar + ck
-				res.count(obs.CReExecuted, 0, int64(lt.reexec))
-				lt.audit()
-				break
-			}
-
-			// Abort: survivors stall at the barrier, detect the dead,
-			// roll the whole iteration back to the checkpoint, restart.
-			deadSet := map[int]bool{}
-			for _, r := range newlyDead {
-				deadSet[r] = true
-			}
-			var next []int
-			bar := 0.0
-			for _, r := range alive {
-				if deadSet[r] {
-					continue
-				}
-				next = append(next, r)
-				if clock[r] > bar {
-					bar = clock[r]
-				}
-			}
-			if len(next) == 0 {
-				panic("core: persistence-ckpt has no surviving ranks to restart on")
-			}
-			detectAt := bar + detect
-			for _, r := range newlyDead {
-				res.addTime(obs.MDetect, r, detectAt-m.CrashTime(r))
-				res.count(obs.CLostTasks, r, int64(len(lt.lost(r))))
-			}
-			lt.rollback(completed)
-			// Survivors stall until detection completes (recovery), then
-			// re-read the checkpoint (restore). Splitting the two windows
-			// keeps the blame components disjoint — the old accounting
-			// charged the restore to both buckets.
-			restore := m.XferTime(ckptBytes)
-			for _, r := range next {
-				m.Trace.Record(cluster.Interval{Rank: r, Start: clock[r], End: detectAt, TaskID: -1, Activity: "recover"})
-				res.addTime(obs.MRecover, r, detectAt-clock[r])
-				m.Trace.Record(cluster.Interval{Rank: r, Start: detectAt, End: detectAt + restore, TaskID: -1, Activity: "checkpoint"})
-				res.addTime(obs.MCheckpoint, r, restore)
-			}
-			alive = next
-			offset = detectAt + restore
-		}
-		history = append(history, offset-iterStart)
-	}
-
-	aliveSet := map[int]bool{}
-	for _, r := range alive {
-		aliveSet[r] = true
-		res.FinishTime[r] = offset
-	}
-	for r := 0; r < m.P; r++ {
-		if !aliveSet[r] && res.FinishTime[r] == 0 {
-			res.FinishTime[r] = math.Min(m.CrashTime(r), offset)
-		}
-	}
-	res.CompletedBy = lt.completedBy // last committed iteration's attribution
-	res.finalize()
-	return res, history
 }

@@ -6,14 +6,12 @@ import (
 
 	"execmodels/internal/chem"
 	"execmodels/internal/cluster"
-	"execmodels/internal/fault"
 )
 
 // Differential cross-model sweep: whatever an execution model does with
-// *scheduling*, it must not change *what* is computed. Every fault-free
-// executor — and every resilient executor under an empty fault plan —
-// must execute the exact same task multiset with identical per-task flop
-// totals on the (H₂O)₁₆ chemistry workload. A model that loses a task,
+// *scheduling*, it must not change *what* is computed. Every executor must
+// execute the exact same task multiset with identical per-task flop totals
+// on the (H₂O)₁₆ chemistry workload. A model that loses a task,
 // runs one twice, or charges a different cost for it fails here in one
 // sweep, without any reference to makespans.
 
@@ -63,19 +61,9 @@ func TestDifferentialCrossModel(t *testing.T) {
 	w := water16(t)
 	const ranks = 64
 
-	type modelCase struct {
-		model     Model
-		resilient bool // gets an (empty) fault injector installed
-	}
-	var cases []modelCase
-	for _, m := range AllModels(1) {
-		cases = append(cases, modelCase{model: m})
-	}
-	for _, m := range ResilientModels(1) {
-		cases = append(cases, modelCase{model: m, resilient: true})
-	}
-	if len(cases) != 11 {
-		t.Fatalf("expected 7 fault-free + 4 resilient models, have %d", len(cases))
+	models := AllModels(1)
+	if len(models) != 7 {
+		t.Fatalf("expected 7 models, have %d", len(models))
 	}
 
 	// Reference per-execution flops: what one clean pass over the
@@ -85,14 +73,11 @@ func TestDifferentialCrossModel(t *testing.T) {
 		refFlops[i] = task.Cost
 	}
 
-	for _, c := range cases {
-		t.Run(c.model.Name(), func(t *testing.T) {
+	for _, model := range models {
+		t.Run(model.Name(), func(t *testing.T) {
 			m := cluster.New(cluster.Config{Ranks: ranks, Seed: 1})
 			m.Trace = &cluster.Trace{}
-			if c.resilient {
-				m.Faults = fault.NewInjector(&fault.Plan{}, ranks)
-			}
-			res := c.model.Run(w, m)
+			res := model.Run(w, m)
 
 			execs, flops := taskFlops(t, w, m.Trace)
 

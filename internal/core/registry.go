@@ -43,29 +43,8 @@ func ModelByName(name string, seed int64) (Model, error) {
 			S:          NewPersistenceSched(PersistenceOptions{Alpha: feedbackAlphaDefault, WarmStart: true, Seed: seed}),
 			Iterations: 3,
 		}, nil
-	case "resilient-static":
-		return ResilientStatic{}, nil
-	case "resilient-counter":
-		return ResilientCounter{Chunk: 1}, nil
-	case "resilient-stealing":
-		return ResilientStealing{Seed: seed}, nil
-	case "persistence-ckpt":
-		return CheckpointedPersistence{Iterations: 3}, nil
 	}
 	return nil, fmt.Errorf("core: unknown model %q", name)
-}
-
-// ResilientModels returns the fault-tolerant executors compared in F9/T8,
-// in presentation order. They are intentionally not part of AllModels:
-// on a reliable machine they match their base models, and keeping them
-// out leaves the reliable experiments' outputs untouched.
-func ResilientModels(seed int64) []Model {
-	return []Model{
-		ResilientStatic{},
-		ResilientCounter{Chunk: 1},
-		ResilientStealing{Seed: seed},
-		CheckpointedPersistence{Iterations: 3},
-	}
 }
 
 // ModelNames returns the canonical model names.

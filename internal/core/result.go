@@ -43,26 +43,10 @@ type Result struct {
 	RemoteSteals int64   // successful steals that crossed a node boundary
 	FailedSteals int64
 	StealTime    float64 // total time spent in steal protocol
-
-	// Fault-recovery accounting, populated by the resilient executors
-	// (zero on a reliable machine). See internal/fault and resilient.go.
-	// The *_Time quantities are rank-seconds: summed over all ranks that
-	// paid them, matching the blame decomposition's components.
-	Crashes        int     // ranks that fail-stopped during the run
-	LostTasks      int     // unfinished tasks reclaimed from crashed ranks
-	ReExecuted     int     // execution attempts discarded and run again
-	Retransmits    int64   // timed-out / retried runtime RPCs
-	DetectLatency  float64 // summed crash→detection latency over detected crashes
-	RecoveryTime   float64 // simulated rank-seconds detecting and reclaiming
-	CheckpointTime float64 // simulated rank-seconds writing/restoring checkpoints
-	// CompletedBy maps task → rank whose completion was accepted; only the
-	// resilient executors populate it (nil otherwise). The recovery tests
-	// use it to prove every task completed exactly once.
-	CompletedBy []int
 }
 
-// newResult allocates the registry and the per-rank slices the executors
-// write directly (FinishTime is read mid-run by the checkpointed model).
+// newResult allocates the registry and the per-rank slice the executors
+// write directly (FinishTime).
 func newResult(model string, ranks int) *Result {
 	return &Result{
 		Model:      model,
@@ -100,7 +84,7 @@ func (r *Result) count(name string, rank int, delta int64) {
 
 // finalize computes the makespan from the per-rank finish times and
 // derives the legacy view fields from the registry, publishing the
-// derived finish/dead gauges back into it so exports are self-contained.
+// derived finish gauge back into it so exports are self-contained.
 func (r *Result) finalize() {
 	for _, f := range r.FinishTime {
 		if f > r.Makespan {
@@ -109,13 +93,6 @@ func (r *Result) finalize() {
 	}
 	for rank, f := range r.FinishTime {
 		r.Obs.Set(obs.MFinish, rank, f)
-	}
-	// A crashed rank is dead from its finish (= crash) time to the end of
-	// the run; that window is a blame component, not idle.
-	for rank, c := range r.Obs.CounterVec(obs.CCrashes) {
-		if c > 0 {
-			r.Obs.Set(obs.MDead, rank, r.Makespan-r.FinishTime[rank])
-		}
 	}
 
 	r.BusyTime = r.Obs.GaugeVec(obs.MBusy)
@@ -130,13 +107,6 @@ func (r *Result) finalize() {
 	r.RemoteSteals = r.Obs.CounterTotal(obs.CRemoteSteals)
 	r.FailedSteals = r.Obs.CounterTotal(obs.CFailedSteals)
 	r.StealTime = r.Obs.GaugeTotal(obs.MSteal)
-	r.Crashes = int(r.Obs.CounterTotal(obs.CCrashes))
-	r.LostTasks = int(r.Obs.CounterTotal(obs.CLostTasks))
-	r.ReExecuted = int(r.Obs.CounterTotal(obs.CReExecuted))
-	r.Retransmits = r.Obs.CounterTotal(obs.CRetransmits)
-	r.DetectLatency = r.Obs.GaugeTotal(obs.MDetect)
-	r.RecoveryTime = r.Obs.GaugeTotal(obs.MRecover)
-	r.CheckpointTime = r.Obs.GaugeTotal(obs.MCheckpoint)
 }
 
 // Blame decomposes this run's makespan × ranks into its components using
@@ -197,10 +167,6 @@ func (r *Result) String() string {
 	}
 	if r.ScheduleCost > 0 {
 		fmt.Fprintf(&b, " schedCost=%.3gs", r.ScheduleCost)
-	}
-	if r.Crashes > 0 {
-		fmt.Fprintf(&b, " crashes=%d lost=%d reexec=%d detect=%.3gs recover=%.3gs",
-			r.Crashes, r.LostTasks, r.ReExecuted, r.DetectLatency, r.RecoveryTime)
 	}
 	return b.String()
 }

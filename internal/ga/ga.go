@@ -29,8 +29,8 @@ type Array struct {
 
 type segment struct {
 	mu   sync.Mutex
-	r0   int // first row (inclusive)
-	r1   int // last row (exclusive)
+	r0   int       // first row (inclusive)
+	r1   int       // last row (exclusive)
 	data []float64 // guarded by mu
 }
 

@@ -34,7 +34,6 @@ func NewDeterminism() *Determinism {
 	return &Determinism{
 		Packages: []string{
 			"internal/core",
-			"internal/fault",
 			"internal/ga",
 			"internal/mp",
 			"internal/deque",

@@ -65,7 +65,6 @@ func isRegistryCharge(fn *types.Func) bool {
 func simPackages() []string {
 	return []string{
 		"internal/core",
-		"internal/fault",
 		"internal/ga",
 		"internal/mp",
 		"internal/deque",

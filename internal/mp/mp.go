@@ -5,16 +5,16 @@
 // Broadcast, AllReduceSum and Gather.
 //
 // It exists so the repository can run the *distributed-memory* flavour of
-// each execution model for real (see internal/mp/fock.go), not just in
-// simulation: ranks own data, everything moves through messages, and the
-// semantics match what an MPI+Global-Arrays code does.
+// each execution model for real (the distributed Fock executors in
+// internal/core/distributed.go), not just in simulation: ranks own data,
+// everything moves through messages, and the semantics match what an
+// MPI+Global-Arrays code does.
 package mp
 
 import (
 	"fmt"
 	"sync"
 
-	"execmodels/internal/fault"
 	"execmodels/internal/obs"
 )
 
@@ -33,14 +33,8 @@ type World struct {
 
 	barrier *barrier
 
-	// Fault-injection state; see faults.go. All access goes through World
-	// methods so the lock discipline is auditable in one file.
-	fmu         sync.Mutex
-	links       *fault.LinkFilter // guarded by fmu
-	dead        []bool            // guarded by fmu
-	seq         [][]int           // guarded by fmu; per (src,dst) message sequence
-	retransmits int64             // guarded by fmu
-	metrics     *obs.Registry     // guarded by fmu; see metrics.go
+	mu      sync.Mutex
+	metrics *obs.Registry // guarded by mu; see metrics.go
 }
 
 // NewWorld creates a world with p ranks.
@@ -78,12 +72,6 @@ type Comm struct {
 	// pending holds messages received out of order (wrong tag/source),
 	// parked until a matching Recv arrives.
 	pending []message
-
-	// Reliable-delivery state (see faults.go): per-destination message IDs
-	// and per-source dedup sets. A Comm belongs to one goroutine, so these
-	// need no lock.
-	nextID []int64
-	seen   []map[int64]bool
 }
 
 // Rank returns this rank's index.
@@ -93,20 +81,15 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.world.P }
 
 // Send delivers data to rank dst under the given tag. The data slice is
-// copied, so the caller may reuse it immediately. When a fault filter is
-// installed (see SetFaults), application messages — tag >= 0 — may be
-// dropped or duplicated; runtime-internal tags are never faulted.
+// copied, so the caller may reuse it immediately.
 func (c *Comm) Send(dst, tag int, data []float64) {
 	if dst < 0 || dst >= c.world.P {
 		panic(fmt.Sprintf("mp: send to rank %d of %d", dst, c.world.P))
 	}
 	c.world.countSend(c.rank, len(data))
-	copies := c.world.deliveries(c.rank, dst, tag)
-	for i := 0; i < copies; i++ {
-		cp := make([]float64, len(data))
-		copy(cp, data)
-		c.world.inbox[dst] <- message{from: c.rank, tag: tag, data: cp}
-	}
+	cp := make([]float64, len(data))
+	copy(cp, data)
+	c.world.inbox[dst] <- message{from: c.rank, tag: tag, data: cp}
 }
 
 // Recv blocks until a message from rank src with the given tag arrives

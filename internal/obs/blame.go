@@ -19,10 +19,6 @@ var blameComponents = []struct{ Key, Metric string }{
 	{"comm", MComm},
 	{"counter", MCounter},
 	{"steal", MSteal},
-	{"stall", MStall},
-	{"recover", MRecover},
-	{"checkpoint", MCheckpoint},
-	{"dead", MDead},
 }
 
 // Segment is one activity class on the critical rank's timeline.

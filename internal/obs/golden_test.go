@@ -18,21 +18,20 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // goldenTrace builds a small fixed trace exercising every span flavour:
-// tasks, a counter wait, a message with src/dst/bytes, a steal, a stall,
-// a recovery and a checkpoint.
+// tasks, counter waits, messages with src/dst/bytes and steals.
 func goldenTrace() *Trace {
 	tr := &Trace{}
 	tr.Record(Span{Rank: 0, Start: 0, End: 0.4, TaskID: 0, Activity: "task"})
 	tr.Record(Span{Rank: 0, Start: 0.4, End: 0.5, TaskID: -1, Activity: "comm", Src: 1, Dst: 0, Bytes: 4096})
 	tr.Record(Span{Rank: 0, Start: 0.5, End: 0.9, TaskID: 2, Activity: "task"})
-	tr.Record(Span{Rank: 0, Start: 0.9, End: 1.0, TaskID: -1, Activity: "checkpoint"})
+	tr.Record(Span{Rank: 0, Start: 0.9, End: 1.0, TaskID: -1, Activity: "counter"})
 	tr.Record(Span{Rank: 1, Start: 0, End: 0.1, TaskID: -1, Activity: "counter"})
 	tr.Record(Span{Rank: 1, Start: 0.1, End: 0.6, TaskID: 1, Activity: "task"})
 	tr.Record(Span{Rank: 1, Start: 0.6, End: 0.65, TaskID: -1, Activity: "steal"})
 	tr.Record(Span{Rank: 1, Start: 0.65, End: 0.8, TaskID: 3, Activity: "task"})
 	tr.Record(Span{Rank: 2, Start: 0, End: 0.3, TaskID: 4, Activity: "task"})
-	tr.Record(Span{Rank: 2, Start: 0.3, End: 0.5, TaskID: -1, Activity: "stall"})
-	tr.Record(Span{Rank: 2, Start: 0.5, End: 0.7, TaskID: -1, Activity: "recover"})
+	tr.Record(Span{Rank: 2, Start: 0.3, End: 0.5, TaskID: -1, Activity: "comm", Src: 0, Dst: 2, Bytes: 2048})
+	tr.Record(Span{Rank: 2, Start: 0.5, End: 0.7, TaskID: -1, Activity: "steal"})
 	tr.Record(Span{Rank: 2, Start: 0.7, End: 1.0, TaskID: 5, Activity: "task"})
 	return tr
 }

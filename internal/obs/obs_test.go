@@ -93,7 +93,7 @@ func TestTraceHelpers(t *testing.T) {
 		t.Errorf("BusyTime = %v", busy)
 	}
 	totals := tr.ActivityTotals()
-	if math.Abs(totals["stall"]-0.2) > 1e-12 || math.Abs(totals["checkpoint"]-0.1) > 1e-12 {
+	if math.Abs(totals["comm"]-0.3) > 1e-12 || math.Abs(totals["counter"]-0.2) > 1e-12 {
 		t.Errorf("ActivityTotals = %v", totals)
 	}
 	if start, end := tr.Span(); start != 0 || end != 1.0 {

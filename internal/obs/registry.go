@@ -7,9 +7,9 @@
 //
 // Everything in this package is fed from the executors' virtual clocks,
 // so every exported artifact is a pure function of (workload, machine,
-// seed, fault plan) — two runs of the same configuration produce
-// byte-identical dumps. Real wall-clock quantities (Result.ScheduleCost)
-// deliberately never enter the registry.
+// seed) — two runs of the same configuration produce byte-identical
+// dumps. Real wall-clock quantities (Result.ScheduleCost) deliberately
+// never enter the registry.
 package obs
 
 import (
@@ -27,13 +27,8 @@ const (
 	MComm        = "comm_seconds"         // moving data blocks
 	MCounter     = "counter_seconds"      // shared-counter round-trips incl. queueing
 	MSteal       = "steal_seconds"        // steal protocol (probes, transfers, backoff)
-	MStall       = "stall_seconds"        // frozen in an injected stall window
-	MRecover     = "recover_seconds"      // detecting crashes and reclaiming lost work
-	MCheckpoint  = "checkpoint_seconds"   // writing and restoring checkpoints
-	MDead        = "dead_seconds"         // crashed: from rank death to end of run
 	MFinish      = "finish_seconds"       // per-rank completion time (not a blame term)
 	MCounterWait = "counter_wait_seconds" // queueing delay at the counter home
-	MDetect      = "detect_latency_seconds"
 
 	CTasks        = "tasks_total"
 	CSteals       = "steals_total"
@@ -41,22 +36,14 @@ const (
 	CFailedSteals = "failed_steals_total"
 	CCounterOps   = "counter_ops_total"
 	CCommBytes    = "comm_bytes_total"
-	CCrashes      = "crashes_total"
-	CLostTasks    = "lost_tasks_total"
-	CReExecuted   = "reexecuted_total"
-	CRetransmits  = "retransmits_total"
 
 	HTask = "task_runtime_seconds" // histogram of individual task durations
 )
 
 // Message-passing layer metrics (internal/mp).
 const (
-	CMpMessages    = "mp_messages_total"
-	CMpBytes       = "mp_bytes_total"
-	CMpAcks        = "mp_acks_total"
-	CMpDuplicates  = "mp_duplicates_total"
-	CMpRetransmits = "mp_retransmits_total"
-	HMpAttempts    = "mp_send_attempts" // histogram of reliable-send attempt counts
+	CMpMessages = "mp_messages_total"
+	CMpBytes    = "mp_bytes_total"
 )
 
 // defaultBuckets are the log-scale histogram upper bounds (seconds-ish

@@ -16,7 +16,7 @@ type Span struct {
 	Start    float64
 	End      float64
 	TaskID   int    // -1 for non-task activity
-	Activity string // "task", "steal", "counter", "comm", "stall", "recover", "checkpoint", "idle"
+	Activity string // "task", "steal", "counter", "comm", "idle"
 	Src      int    // message source rank (comm spans; 0 otherwise)
 	Dst      int    // message destination rank (comm spans; 0 otherwise)
 	Bytes    int    // payload size (comm spans; 0 otherwise)
@@ -116,7 +116,7 @@ func (t *Trace) Gantt(ranks, width int) string {
 		rows[r] = bytes.Repeat([]byte{'.'}, width)
 	}
 	scale := float64(width) / (end - start)
-	glyph := map[string]byte{"task": '#', "steal": 's', "counter": 'c', "comm": '~', "stall": 'z', "recover": 'r', "checkpoint": 'k'}
+	glyph := map[string]byte{"task": '#', "steal": 's', "counter": 'c', "comm": '~'}
 	// Paint non-task activities first, then tasks on top.
 	for pass := 0; pass < 2; pass++ {
 		for _, iv := range t.Intervals {
@@ -142,6 +142,6 @@ func (t *Trace) Gantt(ranks, width int) string {
 	for r, row := range rows {
 		fmt.Fprintf(&b, "rank %3d |%s|\n", r, row)
 	}
-	b.WriteString("          # task   s steal   c counter   ~ comm   z stall   r recover   k ckpt   . idle\n")
+	b.WriteString("          # task   s steal   c counter   ~ comm   . idle\n")
 	return b.String()
 }

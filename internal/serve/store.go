@@ -61,8 +61,8 @@ func (s *Store) SaveSpec(id string, spec *JobSpec) error {
 
 // SaveCheckpoint atomically replaces the job's checkpoint. The write
 // goes to a temp file in the same directory and is renamed into place,
-// so a crash mid-write leaves the previous checkpoint intact — the
-// rollback guarantee CheckpointedPersistence models.
+// so a crash mid-write leaves the previous checkpoint intact and a
+// restarted server resumes from it.
 func (s *Store) SaveCheckpoint(id string, c *core.SCFCheckpoint) error {
 	return writeFileAtomic(filepath.Join(s.jobDir(id), "ckpt.json"), func(f *os.File) error {
 		return core.WriteSCFCheckpoint(f, c)
