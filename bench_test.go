@@ -216,7 +216,7 @@ func BenchmarkSemiMatchUnweighted(b *testing.B) {
 
 func BenchmarkWeightedSemiMatch(b *testing.B) {
 	w := core.Synthetic(core.SyntheticOptions{NumTasks: 2000, Dist: "lognormal", Seed: 1})
-	g := core.SemiMatchingLB{Seed: 1}.BuildGraphForBench(w, 32)
+	g := core.TaskGraph(w, 32, 1)
 	est := make([]float64, len(w.Tasks))
 	for i, t := range w.Tasks {
 		est[i] = t.EstCost
@@ -241,7 +241,7 @@ func BenchmarkSimWorkStealing(b *testing.B) {
 	m := cluster.New(cluster.Config{Ranks: 64, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.WorkStealing{Seed: int64(i)}.Run(w, m)
+		core.RunScheduler(core.StealingSched{Seed: int64(i)}, w, m)
 	}
 }
 
@@ -250,7 +250,7 @@ func BenchmarkSimDynamicCounter(b *testing.B) {
 	m := cluster.New(cluster.Config{Ranks: 64, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.DynamicCounter{Chunk: 1}.Run(w, m)
+		core.RunScheduler(core.CounterSched{Chunk: 1}, w, m)
 	}
 }
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +28,7 @@ func main() {
 		scale     = flag.String("scale", "small", "workload scale: small | paper")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		list      = flag.Bool("list", false, "list available experiments and exit")
-		gantt     = flag.String("gantt", "", "render an execution timeline for the given model (e.g. work-stealing) instead of running experiments")
+		gantt     = flag.String("gantt", "", "render an execution timeline for the given scheduler ("+strings.Join(core.SchedulerNames(), " ")+") instead of running experiments")
 		ranks     = flag.Int("ranks", 8, "rank count for -gantt and -metrics")
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 		chromeOut = flag.String("chrome", "", "with -gantt: write a Chrome trace-event JSON to this file instead of text")
@@ -105,12 +106,13 @@ func main() {
 	}
 	if *gantt != "" {
 		if *chromeOut != "" {
-			f, err := os.Create(*chromeOut)
-			if err != nil {
+			// Render first: a refused name or rank count must not leave
+			// an empty file behind.
+			var buf bytes.Buffer
+			if err := s.ChromeTrace(&buf, *gantt, *ranks); err != nil {
 				log.Fatal(err)
 			}
-			defer f.Close()
-			if err := s.ChromeTrace(f, *gantt, *ranks); err != nil {
+			if err := os.WriteFile(*chromeOut, buf.Bytes(), 0o644); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("wrote Chrome trace for %s to %s (open in chrome://tracing)\n", *gantt, *chromeOut)

@@ -74,7 +74,7 @@ func main() {
 			elapsed.Round(time.Microsecond))
 	}
 
-	g := core.SemiMatchingLB{Seed: *seed}.BuildGraphForBench(w, *parts)
+	g := core.TaskGraph(w, *parts, *seed)
 
 	start := time.Now()
 	lpt := semimatching.LPT(g, est)

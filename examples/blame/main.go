@@ -32,10 +32,10 @@ func main() {
 	fmt.Println("where do the rank-seconds go?")
 	fmt.Println()
 	for _, model := range []core.Model{
-		core.StaticBlock{},
-		core.DynamicCounter{},
-		core.WorkStealing{Seed: 42},
-		core.Persistence{},
+		{Sched: "static"},
+		{Sched: "dynamic"},
+		{Sched: "stealing", Opt: core.SchedOptions{Seed: 42}},
+		{Sched: "persistence"},
 	} {
 		m := cluster.New(cfg)
 		m.Trace = &cluster.Trace{}

@@ -43,9 +43,9 @@ func main() {
 	for _, blockSize := range []int{1, 2, 4, 8, 16, 32, 64} {
 		fw := chem.BuildFockWorkloadFromPairs(bs, pairs, 1e-9, blockSize)
 		w := core.FromFock(fw)
-		dyn := core.DynamicCounter{Chunk: 1}.Run(w, machine())
-		st := core.WorkStealing{Seed: 1}.Run(w, machine())
-		cyc := core.StaticCyclic{}.Run(w, machine())
+		dyn := core.RunScheduler(core.CounterSched{Chunk: 1}, w, machine())
+		st := core.RunScheduler(core.StealingSched{Seed: 1}, w, machine())
+		cyc := core.RunScheduler(core.StaticCyclicSched{}, w, machine())
 		fmt.Printf("%-10d %-7d %-16.5g %-16.5g %-16.5g\n",
 			blockSize, len(w.Tasks), dyn.Makespan, st.Makespan, cyc.Makespan)
 	}

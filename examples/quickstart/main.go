@@ -28,8 +28,8 @@ func main() {
 	fmt.Printf("ideal (perfect balance, zero overhead): %.4g s\n\n", ideal)
 
 	// The traditional static schedule vs work stealing.
-	static := core.StaticBlock{}.Run(w, m)
-	steal := core.WorkStealing{Seed: 1}.Run(w, m)
+	static := core.Model{Sched: "static"}.Run(w, m)
+	steal := core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: 1}}.Run(w, m)
 
 	for _, r := range []*core.Result{static, steal} {
 		fmt.Printf("%-14s makespan %.4g s   imbalance %.3f   efficiency %.0f%%\n",

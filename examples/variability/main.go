@@ -21,10 +21,10 @@ func main() {
 	w := core.Synthetic(core.SyntheticOptions{
 		NumTasks: 4096, Dist: "triangular", Seed: 3,
 	})
-	models := []core.Model{
-		core.StaticCyclic{},
-		core.DynamicCounter{Chunk: 1},
-		core.WorkStealing{Seed: 3},
+	models := []core.Scheduler{
+		core.StaticCyclicSched{},
+		core.CounterSched{Chunk: 1},
+		core.StealingSched{Seed: 3},
 	}
 	hets := []float64{0, 0.1, 0.2, 0.3, 0.4}
 
@@ -39,7 +39,7 @@ func main() {
 		var base float64
 		for i, h := range hets {
 			m := cluster.New(cluster.Config{Ranks: *ranks, Heterogeneity: h, Seed: 5})
-			res := model.Run(w, m)
+			res := core.RunScheduler(model, w, m)
 			if i == 0 {
 				base = res.Makespan
 			}

@@ -66,11 +66,11 @@ func (s *Suite) AblationUniformCosts() *Table {
 		Title:  f("uniform-cost ablation at P=%d: real kernel costs vs flat costs", p),
 		Header: []string{"model", "fock-makespan(s)", "uniform-makespan(s)"},
 	}
-	for _, model := range []core.Model{
-		core.StaticBlock{}, core.StaticCyclic{}, core.WorkStealing{Seed: s.Seed},
+	for _, model := range []core.Scheduler{
+		core.StaticBlockSched{}, core.StaticCyclicSched{}, core.StealingSched{Seed: s.Seed},
 	} {
-		rf := model.Run(s.work, s.machine(p))
-		ru := model.Run(uniform, s.machine(p))
+		rf := core.RunScheduler(model, s.work, s.machine(p))
+		ru := core.RunScheduler(model, uniform, s.machine(p))
 		t.Rows = append(t.Rows, []string{
 			model.Name(), f("%.4g", rf.Makespan), f("%.4g", ru.Makespan),
 		})
@@ -90,13 +90,13 @@ func (s *Suite) AblationStealPolicy() *Table {
 		Title:  f("steal policy ablation at P=%d", p),
 		Header: []string{"policy", "makespan(s)", "steals", "failed", "steal-time(s)"},
 	}
-	for _, ws := range []core.WorkStealing{
+	for _, ws := range []core.StealingSched{
 		{Seed: s.Seed},                                // half + random
 		{Steal: core.StealOne, Seed: s.Seed},          // one + random
 		{Victim: core.MostLoadedVictim, Seed: s.Seed}, // half + oracle
 		{Steal: core.StealOne, Victim: core.MostLoadedVictim, Seed: s.Seed},
 	} {
-		res := ws.Run(s.work, s.machine(p))
+		res := core.RunScheduler(ws, s.work, s.machine(p))
 		t.Rows = append(t.Rows, []string{
 			ws.Name(), f("%.4g", res.Makespan),
 			f("%d", res.Steals), f("%d", res.FailedSteals), f("%.3g", res.StealTime),
@@ -112,7 +112,7 @@ func (s *Suite) AblationStealPolicy() *Table {
 func (s *Suite) AblationLPT() *Table {
 	s.prepare()
 	p := s.maxRanks()
-	b := core.SemiMatchingLB{Seed: s.Seed}.BuildGraphForBench(s.work, p)
+	b := core.TaskGraph(s.work, p, s.Seed)
 	est := make([]float64, len(s.work.Tasks))
 	for i, task := range s.work.Tasks {
 		est[i] = task.EstCost
@@ -174,7 +174,7 @@ func (s *Suite) AblationChunkSize() *Table {
 		Header: []string{"chunk", "makespan(s)", "counter-ops", "counter-wait(s)", "imbalance"},
 	}
 	for _, chunk := range []int{1, 2, 4, 8, 16, 32} {
-		res := core.DynamicCounter{Chunk: chunk}.Run(s.work, s.machine(p))
+		res := core.RunScheduler(core.CounterSched{Chunk: chunk}, s.work, s.machine(p))
 		t.Rows = append(t.Rows, []string{
 			f("%d", chunk), f("%.4g", res.Makespan),
 			f("%d", res.CounterOps), f("%.3g", res.CounterWait),

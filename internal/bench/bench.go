@@ -221,9 +221,9 @@ func Known(id string) bool {
 	return ok
 }
 
-// Gantt runs the named execution model on the suite's chemistry workload
-// with tracing enabled and returns a text timeline (width characters per
-// rank).
+// Gantt runs the named scheduler (a core.SchedulerByName name) on the
+// suite's chemistry workload with tracing enabled and returns a text
+// timeline (width characters per rank).
 func (s *Suite) Gantt(model string, ranks, width int) (string, error) {
 	res, trace, err := s.tracedRun(model, ranks)
 	if err != nil {
@@ -232,7 +232,7 @@ func (s *Suite) Gantt(model string, ranks, width int) (string, error) {
 	return fmt.Sprintf("%s\n%s", res, trace.Gantt(ranks, width)), nil
 }
 
-// ChromeTrace runs the named model with tracing and writes the Chrome
+// ChromeTrace runs the named scheduler with tracing and writes the Chrome
 // trace-event JSON to w (open it in chrome://tracing or Perfetto).
 func (s *Suite) ChromeTrace(w io.Writer, model string, ranks int) error {
 	_, trace, err := s.tracedRun(model, ranks)
@@ -242,16 +242,29 @@ func (s *Suite) ChromeTrace(w io.Writer, model string, ranks int) error {
 	return trace.WriteChromeTrace(w)
 }
 
-func (s *Suite) tracedRun(model string, ranks int) (*core.Result, *cluster.Trace, error) {
-	s.prepare()
-	m, err := core.ModelByName(model, s.Seed)
-	if err != nil {
+// tracedRun validates the scheduler name and rank count, then runs the
+// model with tracing on the suite's workload.
+func (s *Suite) tracedRun(sched string, ranks int) (*core.Result, *cluster.Trace, error) {
+	if err := checkRanks(ranks); err != nil {
 		return nil, nil, err
 	}
+	opt := core.SchedOptions{Seed: s.Seed}
+	if _, err := core.SchedulerByName(sched, opt); err != nil {
+		return nil, nil, fmt.Errorf("%w (valid: %s)", err, strings.Join(core.SchedulerNames(), " "))
+	}
+	s.prepare()
 	machine := s.machine(ranks)
 	machine.Trace = &cluster.Trace{}
-	res := m.Run(s.work, machine)
+	res := core.Model{Sched: sched, Opt: opt}.Run(s.work, machine)
 	return res, machine.Trace, nil
+}
+
+// checkRanks refuses rank counts the simulator would silently clamp.
+func checkRanks(ranks int) error {
+	if ranks < 1 {
+		return fmt.Errorf("bench: ranks must be at least 1, got %d", ranks)
+	}
+	return nil
 }
 
 // Run executes the experiment with the given ID.

@@ -242,6 +242,28 @@ func TestGanttAPI(t *testing.T) {
 	}
 }
 
+// The machine clamps a rank count below 1 to one rank, so a traced run
+// or metrics dump at ranks < 1 would paint or label the wrong machine:
+// all three entry points must refuse it.
+func TestTracedRunsRefuseRanksBelowOne(t *testing.T) {
+	for _, ranks := range []int{0, -3} {
+		if _, err := sharedSuite.Gantt("work-stealing", ranks, 50); err == nil {
+			t.Errorf("Gantt accepted ranks=%d", ranks)
+		}
+		var buf bytes.Buffer
+		if err := sharedSuite.ChromeTrace(&buf, "work-stealing", ranks); err == nil || buf.Len() != 0 {
+			t.Errorf("ChromeTrace ranks=%d: err=%v, wrote %d bytes", ranks, err, buf.Len())
+		}
+		dir := t.TempDir()
+		if err := sharedSuite.WriteMetrics(dir, ranks); err == nil {
+			t.Errorf("WriteMetrics accepted ranks=%d", ranks)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("WriteMetrics ranks=%d left %d files behind", ranks, len(entries))
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tbl := &Table{
 		ID:     "X",

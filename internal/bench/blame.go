@@ -72,6 +72,9 @@ func (s *Suite) Table9() *Table {
 // `blame.txt` with the human-readable blame tables. Output is a pure
 // function of (scale, seed, ranks) — byte-identical across runs.
 func (s *Suite) WriteMetrics(dir string, ranks int) error {
+	if err := checkRanks(ranks); err != nil {
+		return err
+	}
 	s.prepare()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

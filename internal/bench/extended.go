@@ -26,26 +26,14 @@ func (s *Suite) Table6() *Table {
 		Header: []string{"model", "total(s)", "first-iter(s)", "last-iter(s)"},
 	}
 	models := append(core.AllModels(s.Seed),
-		core.SelfScheduling{Policy: core.GuidedChunk{}},
-		core.PersistenceSM{Iterations: iters, Seed: s.Seed},
+		core.Model{Sched: "self-sched-guided"},
+		core.Model{Sched: "persistence-sm", Opt: core.SchedOptions{Seed: s.Seed}},
 	)
 	for _, model := range models {
-		var hist []float64
-		switch mm := model.(type) {
-		case core.Persistence:
-			mm.Iterations = iters
-			_, hist = mm.RunWithHistory(s.work, s.machine(p))
-		case core.PersistenceSM:
-			_, hist = mm.RunWithHistory(s.work, s.machine(p))
-		default:
-			// Non-iterative models repeat the same schedule each
-			// iteration; one run per iteration keeps the noise model
-			// honest.
-			m := s.machine(p)
-			for i := 0; i < iters; i++ {
-				hist = append(hist, model.Run(s.work, m).Makespan)
-			}
-		}
+		// Non-feedback models repeat the same schedule each iteration on
+		// one machine, so the noise model stays honest.
+		model.Iterations = iters
+		_, hist := model.RunWithHistory(s.work, s.machine(p))
 		var total float64
 		for _, mk := range hist {
 			total += mk
@@ -76,10 +64,10 @@ func (s *Suite) Figure6() *Table {
 	s.prepare()
 	p := s.maxRanks()
 	probs := []float64{0, 0.1, 0.2, 0.3, 0.5}
-	models := []core.Model{
-		core.StaticCyclic{},
-		core.SelfScheduling{Policy: core.GuidedChunk{}},
-		core.WorkStealing{Seed: s.Seed},
+	models := []core.Scheduler{
+		core.StaticCyclicSched{},
+		core.CounterSched{Policy: core.GuidedChunk{}},
+		core.StealingSched{Seed: s.Seed},
 	}
 	t := &Table{
 		ID:     "F6",
@@ -94,7 +82,7 @@ func (s *Suite) Figure6() *Table {
 		row := []string{model.Name()}
 		for i, pr := range probs {
 			m := cluster.New(cluster.Config{Ranks: p, ThrottleProb: pr, Seed: s.Seed})
-			res := model.Run(s.work, m)
+			res := core.RunScheduler(model, s.work, m)
 			if i == 0 {
 				base = res.Makespan
 			}
@@ -131,8 +119,8 @@ func (s *Suite) Figure7() *Table {
 				Ranks: nodes * cores, CoresPerNode: cores, Latency: lat, Seed: s.Seed,
 			})
 		}
-		flat := core.WorkStealing{Seed: s.Seed}.Run(s.work, mk())
-		hier := core.WorkStealing{Hierarchical: true, Seed: s.Seed}.Run(s.work, mk())
+		flat := core.RunScheduler(core.StealingSched{Seed: s.Seed}, s.work, mk())
+		hier := core.RunScheduler(core.StealingSched{Hierarchical: true, Seed: s.Seed}, s.work, mk())
 		pct := func(r *core.Result) string {
 			if r.Steals == 0 {
 				return "n/a"
@@ -174,7 +162,7 @@ func (s *Suite) Table7() *Table {
 		for _, p := range s.rankSweep() {
 			res, err := dscf.Run(dscf.Config{
 				NBF: nbf, Iterations: 5, ReplicatedDiag: true,
-			}, core.WorkStealing{Seed: s.Seed}, s.work, s.machine(p))
+			}, core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: s.Seed}}, s.work, s.machine(p))
 			if err != nil {
 				panic(err)
 			}
@@ -255,12 +243,12 @@ func (s *Suite) Figure8() *Table {
 		{"water-cluster", s.work},
 		{"alkane-chain", aw},
 	} {
-		for _, model := range []core.Model{
-			core.StaticCyclic{},
-			core.SemiMatchingLB{Seed: s.Seed},
-			core.HypergraphLB{Seed: s.Seed},
+		for _, model := range []core.Scheduler{
+			core.StaticCyclicSched{},
+			core.SemiMatchingSched{Seed: s.Seed},
+			core.HypergraphSched{Seed: s.Seed},
 		} {
-			res := model.Run(wl.w, s.machine(p))
+			res := core.RunScheduler(model, wl.w, s.machine(p))
 			var comm float64
 			for _, c := range res.CommTime {
 				comm += c
@@ -287,16 +275,16 @@ func (s *Suite) AblationSelfSched() *Table {
 		Title:  f("self-scheduling chunk policies at P=%d", p),
 		Header: []string{"policy", "makespan(s)", "counter-ops", "counter-wait(s)", "imbalance"},
 	}
-	for _, model := range []core.Model{
-		core.DynamicCounter{Chunk: 1},
-		core.DynamicCounter{Chunk: 16},
-		core.SelfScheduling{Policy: core.GuidedChunk{}},
-		core.SelfScheduling{Policy: core.FactoringChunk{}},
+	for _, sched := range []core.CounterSched{
+		{Chunk: 1},
+		{Chunk: 16},
+		{Policy: core.GuidedChunk{}},
+		{Policy: core.FactoringChunk{}},
 	} {
-		res := model.Run(s.work, s.machine(p))
-		name := model.Name()
-		if dc, ok := model.(core.DynamicCounter); ok {
-			name = f("fixed-%d", dc.Chunk)
+		res := core.RunScheduler(sched, s.work, s.machine(p))
+		name := sched.Name()
+		if sched.Policy == nil {
+			name = f("fixed-%d", sched.Chunk)
 		}
 		t.Rows = append(t.Rows, []string{
 			name, f("%.4g", res.Makespan),

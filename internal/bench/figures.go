@@ -91,9 +91,9 @@ func (s *Suite) Figure3() *Table {
 	for _, bsz := range blockSizes {
 		fw := chem.BuildFockWorkloadFromPairs(s.bs, s.pairs, 1e-9, bsz)
 		w := core.FromFock(fw)
-		dyn := core.DynamicCounter{Chunk: 1}.Run(w, mk(p))
-		steal := core.WorkStealing{Seed: s.Seed}.Run(w, mk(p))
-		cyc := core.StaticCyclic{}.Run(w, mk(p))
+		dyn := core.RunScheduler(core.CounterSched{Chunk: 1}, w, mk(p))
+		steal := core.RunScheduler(core.StealingSched{Seed: s.Seed}, w, mk(p))
+		cyc := core.RunScheduler(core.StaticCyclicSched{}, w, mk(p))
 		t.Rows = append(t.Rows, []string{
 			f("%d", bsz), f("%d", len(w.Tasks)),
 			f("%.4g", dyn.Makespan), f("%.4g", steal.Makespan), f("%.4g", cyc.Makespan),
@@ -124,11 +124,11 @@ func (s *Suite) Figure4() *Table {
 		NumTasks: 256 * p, Dist: "triangular", Seed: s.Seed,
 	})
 	hets := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	models := []core.Model{
-		core.StaticBlock{},
-		core.StaticCyclic{},
-		core.DynamicCounter{Chunk: 1},
-		core.WorkStealing{Seed: s.Seed},
+	models := []core.Scheduler{
+		core.StaticBlockSched{},
+		core.StaticCyclicSched{},
+		core.CounterSched{Chunk: 1},
+		core.StealingSched{Seed: s.Seed},
 	}
 	t := &Table{
 		ID:     "F4",
@@ -148,7 +148,7 @@ func (s *Suite) Figure4() *Table {
 			var mean float64
 			for d := 0; d < draws; d++ {
 				m := cluster.New(cluster.Config{Ranks: p, Heterogeneity: h, Seed: s.Seed + int64(100*d)})
-				mean += model.Run(work, m).Makespan
+				mean += core.RunScheduler(model, work, m).Makespan
 			}
 			mean /= draws
 			if i == 0 {
@@ -180,8 +180,8 @@ func (s *Suite) Figure5() *Table {
 	}
 	for _, p := range ranks {
 		m := s.machine(p)
-		dyn := core.DynamicCounter{Chunk: 1}.Run(s.work, m)
-		st := core.WorkStealing{Seed: s.Seed}.Run(s.work, m)
+		dyn := core.RunScheduler(core.CounterSched{Chunk: 1}, s.work, m)
+		st := core.RunScheduler(core.StealingSched{Seed: s.Seed}, s.work, m)
 		t.Rows = append(t.Rows, []string{
 			f("%d", p),
 			f("%d", dyn.CounterOps), f("%.3g", dyn.CounterWait), f("%.4g", dyn.Makespan),

@@ -15,8 +15,8 @@ func (s *Suite) Table1() *Table {
 	s.prepare()
 	p := s.maxRanks()
 	m := s.machine(p)
-	static := core.StaticBlock{}.Run(s.work, m)
-	steal := core.WorkStealing{Seed: s.Seed}.Run(s.work, m)
+	static := core.RunScheduler(core.StaticBlockSched{}, s.work, m)
+	steal := core.RunScheduler(core.StealingSched{Seed: s.Seed}, s.work, m)
 	improvement := (static.Makespan - steal.Makespan) / static.Makespan * 100
 	speedup := static.Makespan / steal.Makespan
 	t := &Table{
@@ -69,12 +69,12 @@ func (s *Suite) Table3() *Table {
 		Title:  f("semi-matching vs hypergraph partitioning at P=%d", p),
 		Header: []string{"model", "makespan(s)", "imbalance", "comm(s,total)", "schedule-cost(s,real)"},
 	}
-	for _, model := range []core.Model{
-		core.StaticBlock{},
-		core.SemiMatchingLB{Seed: s.Seed},
-		core.HypergraphLB{Seed: s.Seed},
+	for _, model := range []core.Scheduler{
+		core.StaticBlockSched{},
+		core.SemiMatchingSched{Seed: s.Seed},
+		core.HypergraphSched{Seed: s.Seed},
 	} {
-		res := model.Run(s.work, s.machine(p))
+		res := core.RunScheduler(model, s.work, s.machine(p))
 		var comm float64
 		for _, c := range res.CommTime {
 			comm += c
@@ -117,7 +117,7 @@ func (s *Suite) Table4() *Table {
 		}
 
 		smStart := time.Now()
-		b := core.SemiMatchingLB{Seed: s.Seed}.BuildGraphForBench(w, p)
+		b := core.TaskGraph(w, p, s.Seed)
 		smAssign := semimatching.WeightedSemiMatch(b, est)
 		smCost := time.Since(smStart).Seconds()
 

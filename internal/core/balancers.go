@@ -1,7 +1,6 @@
 package core
 
 import (
-	"execmodels/internal/cluster"
 	"execmodels/internal/hypergraph"
 	"execmodels/internal/semimatching"
 )
@@ -10,7 +9,7 @@ import (
 // semi-matching policies: each task connects to the owners of its data
 // blocks plus extra deterministic pseudo-random candidate ranks (default
 // 2) for connectivity. The hash sequence is shared by every caller
-// (SemiMatchingLB, SemiMatchingSched, PersistenceSched) so the same seed
+// (TaskGraph, SemiMatchingSched, PersistenceSched) so the same seed
 // yields the same graph through any call path.
 func buildTaskGraph(n, ranks, extra int, seed int64, blocksOf func(int) []int) *semimatching.Bipartite {
 	if extra == 0 {
@@ -32,82 +31,11 @@ func buildTaskGraph(n, ranks, extra int, seed int64, blocksOf func(int) []int) *
 	return b
 }
 
-// SemiMatchingLB is the paper's novel load balancer: tasks and ranks form
-// a bipartite graph whose edges connect each task to the owners of the
-// data blocks it touches (plus a few random ranks for connectivity), and
-// a weighted semi-matching assigns tasks to ranks, simultaneously
-// balancing load and preserving locality — at a tiny fraction of the cost
-// of hypergraph partitioning.
-type SemiMatchingLB struct {
-	// ExtraEdges is the number of additional random candidate ranks per
-	// task (default 2). Zero keeps strictly data-owner edges, which can
-	// leave the bipartite graph too constrained to balance.
-	ExtraEdges int
-	Seed       int64
-}
-
-// Name implements Model.
-func (SemiMatchingLB) Name() string { return "semi-matching" }
-
-// Run implements Model (via the scheduler seam).
-func (s SemiMatchingLB) Run(w *Workload, m *cluster.Machine) *Result {
-	return RunScheduler(SemiMatchingSched{ExtraEdges: s.ExtraEdges, Seed: s.Seed}, w, m)
-}
-
-// BuildGraphForBench exposes the bipartite-graph construction so the T4
-// experiment can time the semi-matching pipeline end to end outside Run.
-func (s SemiMatchingLB) BuildGraphForBench(w *Workload, ranks int) *semimatching.Bipartite {
-	return s.buildGraph(w, ranks)
-}
-
-// buildGraph constructs the task–rank bipartite graph from block
-// ownership.
-func (s SemiMatchingLB) buildGraph(w *Workload, ranks int) *semimatching.Bipartite {
-	return buildTaskGraph(len(w.Tasks), ranks, s.ExtraEdges, s.Seed, func(i int) []int { return w.Tasks[i].Blocks })
-}
-
-// weightedSemiMatchAssign runs the weighted semi-matching on an existing
-// graph with the given weights and returns the task→rank assignment.
-func weightedSemiMatchAssign(b *semimatching.Bipartite, weights []float64) []int {
-	return semimatching.WeightedSemiMatch(b, weights).Of
-}
-
-// HypergraphLB is the traditional high-quality baseline: tasks are
-// hypergraph vertices weighted by estimated cost, data blocks are nets,
-// and a multilevel partitioner splits the tasks into P parts minimizing
-// communication volume under a balance constraint. Produces excellent
-// schedules — and costs orders of magnitude more to compute than the
-// semi-matching, which is the trade-off experiment T4 quantifies.
-type HypergraphLB struct {
-	Eps  float64 // balance slack (default 0.05)
-	Seed int64
-	Flat bool // ablation: disable the multilevel hierarchy
-}
-
-// Name implements Model.
-func (h HypergraphLB) Name() string {
-	if h.Flat {
-		return "hypergraph-flat"
-	}
-	return "hypergraph"
-}
-
-// Run implements Model (via the scheduler seam).
-func (hl HypergraphLB) Run(w *Workload, m *cluster.Machine) *Result {
-	return RunScheduler(HypergraphSched{Eps: hl.Eps, Seed: hl.Seed, Flat: hl.Flat}, w, m)
-}
-
-// planAssign partitions a scheduler-seam task set (used by
-// HypergraphSched.Plan).
-func (hl HypergraphLB) planAssign(ts *TaskSet, ranks int) []int {
-	h := buildHypergraph(ts.Len(), ts.NumBlocks, ts.BlockBytes,
-		func(i int) float64 { return ts.Costs[i] },
-		func(i int) []int { return ts.Blocks[i] })
-	return hypergraph.Partition(h, ranks, hypergraph.Options{
-		Eps:  hl.Eps,
-		Seed: hl.Seed,
-		Flat: hl.Flat,
-	}).Part
+// TaskGraph exposes the semi-matching policies' task–rank bipartite graph
+// (default extra edges) so experiments and tools can time or reuse the
+// semi-matching pipeline outside a scheduler run.
+func TaskGraph(w *Workload, ranks int, seed int64) *semimatching.Bipartite {
+	return buildTaskGraph(len(w.Tasks), ranks, 0, seed, func(i int) []int { return w.Tasks[i].Blocks })
 }
 
 // BuildHypergraph converts a workload into the partitioning hypergraph:

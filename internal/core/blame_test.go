@@ -66,7 +66,7 @@ func TestBlameDecompositionExact(t *testing.T) {
 func TestBlameMatchesResultView(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 512, Dist: "lognormal", Sigma: 1.0, Seed: 5})
 	m := cluster.New(cluster.Config{Ranks: 16, Seed: 2})
-	res := WorkStealing{Seed: 7}.Run(w, m)
+	res := RunScheduler(StealingSched{Seed: 7}, w, m)
 
 	if got, want := res.Obs.GaugeTotal(obs.MBusy), sum(res.BusyTime); got != want {
 		t.Errorf("registry busy %g != Result.BusyTime %g", got, want)

@@ -9,7 +9,7 @@ import (
 
 // ChunkPolicy computes how many task indices a rank claims per counter
 // operation, given the number of unclaimed tasks and the rank count.
-// It generalizes DynamicCounter's fixed chunk to the classical
+// It generalizes the dynamic counter's fixed chunk to the classical
 // self-scheduling family.
 type ChunkPolicy interface {
 	Name() string
@@ -65,38 +65,11 @@ func (FactoringChunk) NextChunk(remaining, ranks int) int {
 	return c
 }
 
-// SelfScheduling is the generalized centralized dynamic model: ranks
-// claim chunks from the shared counter under a pluggable chunk policy.
-// DynamicCounter is the FixedChunk special case; GuidedChunk and
-// FactoringChunk are the textbook refinements the paper's "wide variety
-// of execution models" spans.
-type SelfScheduling struct {
-	Policy ChunkPolicy
-}
-
-// Name implements Model.
-func (s SelfScheduling) Name() string {
-	if s.Policy == nil {
-		return "self-sched-guided"
-	}
-	return "self-sched-" + s.Policy.Name()
-}
-
-// Run implements Model (via the scheduler seam's counter engine).
-func (s SelfScheduling) Run(w *Workload, m *cluster.Machine) *Result {
-	policy := s.Policy
-	if policy == nil {
-		policy = GuidedChunk{}
-	}
-	return runCounterSim(s.Name(), w, m, policy)
-}
-
 // runCounterSim is the simulated execution engine of every
 // counter-based (centralized dynamic) plan: ranks claim chunks of
 // consecutive task indices from the shared counter agent under the
 // given chunk policy and pay communication for remote blocks.
-// DynamicCounter, SelfScheduling and the CounterSched plans all run
-// through it.
+// Every CounterSched plan runs through it.
 func runCounterSim(model string, w *Workload, m *cluster.Machine, policy ChunkPolicy) *Result {
 	res := newResult(model, m.P)
 	counter := cluster.NewCounterAgent(m)
@@ -154,35 +127,4 @@ func runCounterSim(model string, w *Workload, m *cluster.Machine, policy ChunkPo
 	res.addTime(obs.MCounterWait, 0, counter.TotalWait())
 	res.finalize()
 	return res
-}
-
-// PersistenceSM is the persistence model with semi-matching (rather than
-// LPT) rebalancing: measured task costs weight the locality-restricted
-// bipartite graph, so iterations 2+ balance load *and* respect data
-// ownership.
-type PersistenceSM struct {
-	Iterations int
-	Seed       int64
-
-	// Costs optionally shares measured-cost history across runs, keyed
-	// by task identity (see Persistence.Costs).
-	Costs *CostModel
-}
-
-// Name implements Model.
-func (PersistenceSM) Name() string { return "persistence-sm" }
-
-// Run implements Model.
-func (p PersistenceSM) Run(w *Workload, m *cluster.Machine) *Result {
-	res, _ := p.RunWithHistory(w, m)
-	return res
-}
-
-// RunWithHistory runs the iterative protocol and returns the final
-// iteration's result plus per-iteration makespans.
-func (p PersistenceSM) RunWithHistory(w *Workload, m *cluster.Machine) (*Result, []float64) {
-	sched := NewPersistenceSched(PersistenceOptions{
-		Rebalance: "semimatching", Seed: p.Seed, Costs: p.Costs, ForceName: p.Name(),
-	})
-	return RunSchedulerIterations(sched, w, m, p.Iterations)
 }

@@ -26,21 +26,20 @@ func TestChunkPolicies(t *testing.T) {
 func TestSelfSchedulingConservation(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 300, Dist: "lognormal", Seed: 2})
 	m := testMachine(8)
-	for _, model := range []Model{
-		SelfScheduling{Policy: GuidedChunk{}},
-		SelfScheduling{Policy: FactoringChunk{}},
-		SelfScheduling{}, // nil policy defaults to guided
+	for _, sched := range []Scheduler{
+		CounterSched{Policy: GuidedChunk{}},
+		CounterSched{Policy: FactoringChunk{}},
 	} {
-		res := model.Run(w, m)
+		res := RunScheduler(sched, w, m)
 		var tasks int
 		for _, c := range res.TasksRun {
 			tasks += c
 		}
 		if tasks != len(w.Tasks) {
-			t.Errorf("%s: ran %d tasks", model.Name(), tasks)
+			t.Errorf("%s: ran %d tasks", sched.Name(), tasks)
 		}
 		if res.Makespan < m.IdealTime(w.TotalCost()) {
-			t.Errorf("%s: beat the ideal", model.Name())
+			t.Errorf("%s: beat the ideal", sched.Name())
 		}
 	}
 }
@@ -50,8 +49,8 @@ func TestSelfSchedulingConservation(t *testing.T) {
 func TestGuidedReducesCounterTraffic(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 4096, Dist: "triangular", Seed: 3})
 	m := testMachine(16)
-	one := DynamicCounter{Chunk: 1}.Run(w, m)
-	guided := SelfScheduling{Policy: GuidedChunk{}}.Run(w, m)
+	one := RunScheduler(CounterSched{Chunk: 1}, w, m)
+	guided := RunScheduler(CounterSched{Policy: GuidedChunk{}}, w, m)
 	if guided.CounterOps >= one.CounterOps/10 {
 		t.Errorf("guided ops %d not ≪ fixed-1 ops %d", guided.CounterOps, one.CounterOps)
 	}
@@ -65,8 +64,8 @@ func TestGuidedReducesCounterTraffic(t *testing.T) {
 func TestFactoringVsGuidedOps(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 4096, Dist: "uniform", Seed: 4})
 	m := testMachine(16)
-	guided := SelfScheduling{Policy: GuidedChunk{}}.Run(w, m)
-	factoring := SelfScheduling{Policy: FactoringChunk{}}.Run(w, m)
+	guided := RunScheduler(CounterSched{Policy: GuidedChunk{}}, w, m)
+	factoring := RunScheduler(CounterSched{Policy: FactoringChunk{}}, w, m)
 	if factoring.CounterOps <= guided.CounterOps {
 		t.Errorf("factoring ops %d <= guided %d", factoring.CounterOps, guided.CounterOps)
 	}
@@ -78,9 +77,9 @@ func TestFactoringVsGuidedOps(t *testing.T) {
 func TestChunkedTailBehaviour(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 2048, Dist: "lognormal", Sigma: 1.0, Seed: 5})
 	m := testMachine(16)
-	guided := SelfScheduling{Policy: GuidedChunk{}}.Run(w, m)
-	factoring := SelfScheduling{Policy: FactoringChunk{}}.Run(w, m)
-	bigFixed := DynamicCounter{Chunk: 128}.Run(w, m)
+	guided := RunScheduler(CounterSched{Policy: GuidedChunk{}}, w, m)
+	factoring := RunScheduler(CounterSched{Policy: FactoringChunk{}}, w, m)
+	bigFixed := RunScheduler(CounterSched{Chunk: 128}, w, m)
 	if factoring.Makespan > 1.2*guided.Makespan {
 		t.Errorf("factoring %v ≫ guided %v", factoring.Makespan, guided.Makespan)
 	}
@@ -92,7 +91,7 @@ func TestChunkedTailBehaviour(t *testing.T) {
 func TestPersistenceSMImproves(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 1024, Dist: "triangular", Seed: 6})
 	m := testMachine(16)
-	_, hist := PersistenceSM{Iterations: 3, Seed: 1}.RunWithHistory(w, m)
+	_, hist := Model{Sched: "persistence-sm", Opt: SchedOptions{Seed: 1}, Iterations: 3}.RunWithHistory(w, m)
 	if len(hist) != 3 {
 		t.Fatalf("history %v", hist)
 	}
@@ -110,7 +109,7 @@ func TestPersistenceSMImproves(t *testing.T) {
 func TestPersistenceSMRunsAllTasks(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 256, Dist: "bimodal", Seed: 7})
 	m := testMachine(8)
-	res := PersistenceSM{Iterations: 2, Seed: 2}.Run(w, m)
+	res := Model{Sched: "persistence-sm", Opt: SchedOptions{Seed: 2}, Iterations: 2}.Run(w, m)
 	var tasks int
 	for _, c := range res.TasksRun {
 		tasks += c
@@ -122,12 +121,8 @@ func TestPersistenceSMRunsAllTasks(t *testing.T) {
 
 func TestNewVariantsResolvable(t *testing.T) {
 	for _, name := range []string{"self-sched-guided", "self-sched-factoring", "persistence-sm"} {
-		m, err := ModelByName(name, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Name() != name {
-			t.Fatalf("%s resolves to %s", name, m.Name())
+		if got := (Model{Sched: name}).Name(); got != name {
+			t.Fatalf("%s resolves to %s", name, got)
 		}
 	}
 }
@@ -135,8 +130,8 @@ func TestNewVariantsResolvable(t *testing.T) {
 func TestSelfSchedulingSingleRank(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 64, Dist: "lognormal", Seed: 8})
 	m := testMachine(1)
-	res := SelfScheduling{Policy: GuidedChunk{}}.Run(w, m)
-	serial := StaticBlock{}.Run(w, m)
+	res := RunScheduler(CounterSched{Policy: GuidedChunk{}}, w, m)
+	serial := RunScheduler(StaticBlockSched{}, w, m)
 	if math.Abs(res.BusyTime[0]-serial.BusyTime[0]) > 1e-9*serial.BusyTime[0] {
 		t.Fatalf("busy %v vs serial %v", res.BusyTime[0], serial.BusyTime[0])
 	}

@@ -24,7 +24,7 @@ func TestWorkStealingDeterministic(t *testing.T) {
 	})
 	cfg := cluster.Config{Ranks: 8, Seed: 11, Heterogeneity: 0.3}
 
-	models := []WorkStealing{
+	models := []StealingSched{
 		{Seed: 42},
 		{Seed: 42, Steal: StealOne},
 		{Seed: 42, Victim: MostLoadedVictim},
@@ -32,8 +32,8 @@ func TestWorkStealingDeterministic(t *testing.T) {
 	for _, ws := range models {
 		// Fresh machines with the same config: the machine's own noise
 		// stream is part of the seed contract.
-		r1 := ws.Run(w, cluster.New(cfg))
-		r2 := ws.Run(w, cluster.New(cfg))
+		r1 := RunScheduler(ws, w, cluster.New(cfg))
+		r2 := RunScheduler(ws, w, cluster.New(cfg))
 
 		if r1.Makespan != r2.Makespan {
 			t.Errorf("%s: makespan differs across identically seeded runs: %v vs %v",
@@ -50,7 +50,7 @@ func TestWorkStealingDeterministic(t *testing.T) {
 		// A different seed must actually change the schedule — otherwise
 		// the seed is not plumbed through and the test above passes
 		// vacuously.
-		r3 := WorkStealing{Seed: 43, Steal: ws.Steal, Victim: ws.Victim}.Run(w, cluster.New(cfg))
+		r3 := RunScheduler(StealingSched{Seed: 43, Steal: ws.Steal, Victim: ws.Victim}, w, cluster.New(cfg))
 		if ws.Victim != MostLoadedVictim && reflect.DeepEqual(r1.TasksRun, r3.TasksRun) && r1.Steals == r3.Steals {
 			t.Errorf("%s: seed 42 and 43 produced identical schedules; seed is not reaching the RNG", ws.Name())
 		}

@@ -18,8 +18,8 @@ func ExampleModel() {
 	})
 	m := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
 
-	static := core.StaticBlock{}.Run(w, m)
-	steal := core.WorkStealing{Seed: 1}.Run(w, m)
+	static := core.Model{Sched: "static"}.Run(w, m)
+	steal := core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: 1}}.Run(w, m)
 	fmt.Printf("static-block imbalance %.2f\n", static.LoadImbalance())
 	fmt.Printf("work-stealing imbalance %.2f\n", steal.LoadImbalance())
 	fmt.Println("stealing faster:", steal.Makespan < static.Makespan)

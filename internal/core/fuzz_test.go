@@ -57,7 +57,7 @@ func FuzzSemiVsHypergraphAssignment(f *testing.F) {
 			est[i] = task.EstCost
 		}
 
-		semi := semimatching.WeightedSemiMatch(SemiMatchingLB{Seed: 1}.buildGraph(w, ranks), est).Of
+		semi := semimatching.WeightedSemiMatch(TaskGraph(w, ranks, 1), est).Of
 		hyper := hypergraph.Partition(BuildHypergraph(w), ranks, hypergraph.Options{Seed: 1}).Part
 
 		check := func(name string, assign []int) []float64 {

@@ -18,7 +18,7 @@ func nodeMachine(nodes, cores int, interLatency float64) *cluster.Machine {
 func TestHierarchicalStealingRunsAllTasks(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 512, Dist: "triangular", Seed: 1})
 	m := nodeMachine(4, 4, 1e-5)
-	res := WorkStealing{Hierarchical: true, Seed: 2}.Run(w, m)
+	res := RunScheduler(StealingSched{Hierarchical: true, Seed: 2}, w, m)
 	var tasks int
 	for _, c := range res.TasksRun {
 		tasks += c
@@ -38,9 +38,9 @@ func TestHierarchicalReducesRemoteSteals(t *testing.T) {
 		NumTasks: 2048, Dist: "triangular", MeanCost: 2e4, Seed: 3,
 	})
 	m1 := nodeMachine(8, 4, 50e-6) // very slow network
-	flat := WorkStealing{Seed: 4}.Run(w, m1)
+	flat := RunScheduler(StealingSched{Seed: 4}, w, m1)
 	m2 := nodeMachine(8, 4, 50e-6)
-	hier := WorkStealing{Hierarchical: true, Seed: 4}.Run(w, m2)
+	hier := RunScheduler(StealingSched{Hierarchical: true, Seed: 4}, w, m2)
 	if flat.RemoteSteals == 0 {
 		t.Fatal("flat stealing did no remote steals; test setup broken")
 	}
@@ -62,7 +62,7 @@ func TestHierarchicalReducesRemoteSteals(t *testing.T) {
 func TestHierarchicalOnFlatMachine(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 256, Dist: "lognormal", Seed: 5})
 	m := testMachine(8)
-	res := WorkStealing{Hierarchical: true, Seed: 6}.Run(w, m)
+	res := RunScheduler(StealingSched{Hierarchical: true, Seed: 6}, w, m)
 	var tasks int
 	for _, c := range res.TasksRun {
 		tasks += c
@@ -78,8 +78,8 @@ func TestTopologyAwareCommCost(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 512, Dist: "uniform", Seed: 7})
 	flat := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
 	hier := cluster.New(cluster.Config{Ranks: 16, CoresPerNode: 8, Seed: 1})
-	rf := StaticCyclic{}.Run(w, flat)
-	rh := StaticCyclic{}.Run(w, hier)
+	rf := RunScheduler(StaticCyclicSched{}, w, flat)
+	rh := RunScheduler(StaticCyclicSched{}, w, hier)
 	var commFlat, commHier float64
 	for r := 0; r < 16; r++ {
 		commFlat += rf.CommTime[r]

@@ -93,8 +93,8 @@ func TestSingleRankEquivalence(t *testing.T) {
 func TestStealingBeatsStaticBlock(t *testing.T) {
 	w := triangularWorkload(2048)
 	m := testMachine(32)
-	static := StaticBlock{}.Run(w, m)
-	steal := WorkStealing{Seed: 1}.Run(w, m)
+	static := RunScheduler(StaticBlockSched{}, w, m)
+	steal := RunScheduler(StealingSched{Seed: 1}, w, m)
 	if steal.Makespan > 0.75*static.Makespan {
 		t.Errorf("stealing %v not clearly better than static %v", steal.Makespan, static.Makespan)
 	}
@@ -109,8 +109,8 @@ func TestStaticBlockTriangularPenalty(t *testing.T) {
 	w := triangularWorkload(4096)
 	m := testMachine(16)
 	ideal := m.IdealTime(w.TotalCost())
-	block := StaticBlock{}.Run(w, m)
-	cyclic := StaticCyclic{}.Run(w, m)
+	block := RunScheduler(StaticBlockSched{}, w, m)
+	cyclic := RunScheduler(StaticCyclicSched{}, w, m)
 	if ratio := block.Makespan / ideal; ratio < 1.7 {
 		t.Errorf("static block ratio %v, expected ~2 on triangular costs", ratio)
 	}
@@ -139,8 +139,8 @@ func TestUniformCostsEraseDifferences(t *testing.T) {
 // The centralized counter must show contention growth with rank count.
 func TestDynamicCounterContentionGrows(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 4096, Dist: "lognormal", MeanCost: 2e4, Seed: 5})
-	small := DynamicCounter{}.Run(w, testMachine(4))
-	big := DynamicCounter{}.Run(w, testMachine(128))
+	small := RunScheduler(CounterSched{}, w, testMachine(4))
+	big := RunScheduler(CounterSched{}, w, testMachine(128))
 	if big.CounterWait <= small.CounterWait {
 		t.Errorf("counter wait did not grow: P=4 %v vs P=128 %v", small.CounterWait, big.CounterWait)
 	}
@@ -154,8 +154,8 @@ func TestDynamicCounterContentionGrows(t *testing.T) {
 func TestDynamicCounterChunking(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 1000, Dist: "uniform", Seed: 6})
 	m := testMachine(8)
-	one := DynamicCounter{Chunk: 1}.Run(w, m)
-	ten := DynamicCounter{Chunk: 10}.Run(w, m)
+	one := RunScheduler(CounterSched{Chunk: 1}, w, m)
+	ten := RunScheduler(CounterSched{Chunk: 10}, w, m)
 	if ten.CounterOps >= one.CounterOps/5 {
 		t.Errorf("chunk=10 used %d ops vs chunk=1 %d", ten.CounterOps, one.CounterOps)
 	}
@@ -167,7 +167,7 @@ func TestDynamicCounterChunking(t *testing.T) {
 func TestPersistenceImproves(t *testing.T) {
 	w := triangularWorkload(1024)
 	m := testMachine(16)
-	_, hist := Persistence{Iterations: 3}.RunWithHistory(w, m)
+	_, hist := Model{Sched: "persistence", Iterations: 3}.RunWithHistory(w, m)
 	if len(hist) != 3 {
 		t.Fatalf("history %v", hist)
 	}
@@ -186,8 +186,8 @@ func TestSemiMatchingVsHypergraph(t *testing.T) {
 	fw := fockWorkload(t, 3)
 	w := FromFock(fw)
 	m := testMachine(16)
-	sm := SemiMatchingLB{Seed: 2}.Run(w, m)
-	hg := HypergraphLB{Seed: 2}.Run(w, m)
+	sm := RunScheduler(SemiMatchingSched{Seed: 2}, w, m)
+	hg := RunScheduler(HypergraphSched{Seed: 2}, w, m)
 	if sm.Makespan > 1.25*hg.Makespan {
 		t.Errorf("semi-matching %v much worse than hypergraph %v", sm.Makespan, hg.Makespan)
 	}
@@ -218,10 +218,10 @@ func TestVariabilityRobustness(t *testing.T) {
 	quiet := cluster.New(cluster.Config{Ranks: 16, Seed: 2})
 	vary := cluster.New(cluster.Config{Ranks: 16, Heterogeneity: 0.4, Seed: 2})
 
-	staticQuiet := StaticCyclic{}.Run(w, quiet)
-	staticVary := StaticCyclic{}.Run(w, vary)
-	stealQuiet := WorkStealing{Seed: 4}.Run(w, quiet)
-	stealVary := WorkStealing{Seed: 4}.Run(w, vary)
+	staticQuiet := RunScheduler(StaticCyclicSched{}, w, quiet)
+	staticVary := RunScheduler(StaticCyclicSched{}, w, vary)
+	stealQuiet := RunScheduler(StealingSched{Seed: 4}, w, quiet)
+	stealVary := RunScheduler(StealingSched{Seed: 4}, w, vary)
 
 	staticSlow := staticVary.Makespan / staticQuiet.Makespan
 	stealSlow := stealVary.Makespan / stealQuiet.Makespan
@@ -231,24 +231,30 @@ func TestVariabilityRobustness(t *testing.T) {
 }
 
 func TestModelRegistry(t *testing.T) {
-	names := ModelNames()
-	if len(names) != 7 {
-		t.Fatalf("expected 7 canonical models, got %v", names)
+	want := []string{"static-block", "static-cyclic", "dynamic-counter", "work-stealing",
+		"persistence", "semi-matching", "hypergraph"}
+	models := AllModels(1)
+	if len(models) != len(want) {
+		t.Fatalf("expected %d canonical models, got %v", len(want), models)
 	}
-	for _, n := range names {
-		m, err := ModelByName(n, 1)
-		if err != nil || m.Name() != n {
-			t.Errorf("ModelByName(%q) = %v, %v", n, m, err)
+	for i, m := range models {
+		if m.Name() != want[i] {
+			t.Errorf("AllModels[%d] reports as %q, want %q", i, m.Name(), want[i])
 		}
 	}
-	for _, n := range []string{"work-stealing-one", "work-stealing-maxvictim", "hypergraph-flat"} {
-		if _, err := ModelByName(n, 1); err != nil {
-			t.Errorf("variant %q not resolvable: %v", n, err)
+	// Every reporting name is itself a SchedulerByName alias, so a name
+	// read off a table resolves back to the same policy.
+	for _, n := range append(want, "work-stealing-one", "work-stealing-maxvictim", "hypergraph-flat") {
+		if got := (Model{Sched: n}).Name(); got != n {
+			t.Errorf("Model{Sched: %q} reports as %q", n, got)
 		}
 	}
-	if _, err := ModelByName("bogus", 1); err == nil {
-		t.Error("expected error for unknown model")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected a panic for an unknown scheduler name")
+		}
+	}()
+	Model{Sched: "bogus"}.Name()
 }
 
 // fockWorkload builds a small real chemistry workload for integration
@@ -338,9 +344,9 @@ func TestSyntheticEstNoise(t *testing.T) {
 func TestStealPolicyVariants(t *testing.T) {
 	w := triangularWorkload(512)
 	m := testMachine(16)
-	half := WorkStealing{Seed: 1}.Run(w, m)
-	one := WorkStealing{Steal: StealOne, Seed: 1}.Run(w, m)
-	oracle := WorkStealing{Victim: MostLoadedVictim, Seed: 1}.Run(w, m)
+	half := RunScheduler(StealingSched{Seed: 1}, w, m)
+	one := RunScheduler(StealingSched{Steal: StealOne, Seed: 1}, w, m)
+	oracle := RunScheduler(StealingSched{Victim: MostLoadedVictim, Seed: 1}, w, m)
 	// Steal-one moves one task per round trip → many more steals.
 	if one.Steals <= half.Steals {
 		t.Errorf("steal-one %d steals vs steal-half %d", one.Steals, half.Steals)
@@ -354,7 +360,7 @@ func TestStealPolicyVariants(t *testing.T) {
 func TestResultString(t *testing.T) {
 	w := triangularWorkload(64)
 	m := testMachine(4)
-	res := DynamicCounter{}.Run(w, m)
+	res := RunScheduler(CounterSched{}, w, m)
 	if s := res.String(); len(s) == 0 {
 		t.Fatal("empty String")
 	}

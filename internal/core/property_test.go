@@ -46,10 +46,10 @@ func TestPropertyAllModelsAllMachines(t *testing.T) {
 		w := randomWorkload(rng)
 		m := cluster.New(randomConfig(rng))
 		models := append(AllModels(rng.Int63()),
-			SelfScheduling{Policy: GuidedChunk{}},
-			SelfScheduling{Policy: FactoringChunk{}},
-			WorkStealing{Hierarchical: true, Seed: rng.Int63()},
-			PersistenceSM{Iterations: 2, Seed: rng.Int63()},
+			Model{Sched: "self-sched-guided"},
+			Model{Sched: "self-sched-factoring"},
+			Model{Sched: "work-stealing-hier", Opt: SchedOptions{Seed: rng.Int63()}},
+			Model{Sched: "persistence-sm", Opt: SchedOptions{Seed: rng.Int63()}, Iterations: 2},
 		)
 		for _, model := range models {
 			res := model.Run(w, m)
@@ -90,16 +90,16 @@ func TestPropertyDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := randomWorkload(rng)
 		cfg := randomConfig(rng)
-		for _, name := range append(ModelNames(), "self-sched-guided", "work-stealing-hier") {
-			m1, _ := ModelByName(name, 42)
-			m2, _ := ModelByName(name, 42)
-			if m1 == nil {
-				return false
-			}
-			r1 := m1.Run(w, cluster.New(cfg))
-			r2 := m2.Run(w, cluster.New(cfg))
+		models := append(AllModels(42),
+			Model{Sched: "self-sched-guided", Opt: SchedOptions{Seed: 42}},
+			Model{Sched: "work-stealing-hier", Opt: SchedOptions{Seed: 42}},
+		)
+		for _, model := range models {
+			// One value run twice: each run must build its own scheduler.
+			r1 := model.Run(w, cluster.New(cfg))
+			r2 := model.Run(w, cluster.New(cfg))
 			if r1.Makespan != r2.Makespan {
-				t.Logf("%s: %v != %v (seed %d)", name, r1.Makespan, r2.Makespan, seed)
+				t.Logf("%s: %v != %v (seed %d)", model.Name(), r1.Makespan, r2.Makespan, seed)
 				return false
 			}
 		}
@@ -122,7 +122,7 @@ func TestPropertyScalingMonotone(t *testing.T) {
 			Seed:     rng.Int63(),
 		})
 		for _, name := range []string{"static-cyclic", "dynamic-counter", "work-stealing"} {
-			model, _ := ModelByName(name, 7)
+			model := Model{Sched: name, Opt: SchedOptions{Seed: 7}}
 			prev := model.Run(w, cluster.New(cluster.Config{Ranks: 2, Seed: 1})).Makespan
 			for _, p := range []int{4, 8, 16} {
 				cur := model.Run(w, cluster.New(cluster.Config{Ranks: p, Seed: 1})).Makespan

@@ -1,58 +1,66 @@
 package core
 
-import "fmt"
+import "execmodels/internal/cluster"
+
+// Model is one execution model on the simulator: a balancing policy named
+// once, in SchedulerByName's vocabulary, plus its options. It is a plain
+// value — Run and RunWithHistory build a fresh scheduler on every call, so
+// a persistence cost model never leaks from one run into the next unless
+// Opt.Costs shares it on purpose.
+type Model struct {
+	// Sched is a SchedulerByName name.
+	Sched string
+	Opt   SchedOptions
+	// Iterations is the number of application iterations simulated; 0
+	// means 3 for a FeedbackScheduler and 1 otherwise. Above 1 a feedback
+	// scheduler runs RunSchedulerIterations, and any other scheduler
+	// repeats RunScheduler on the same machine.
+	Iterations int
+}
+
+// scheduler builds the model's policy; an unknown name is a programming
+// error (user input is validated through SchedulerByName first).
+func (mod Model) scheduler() Scheduler {
+	s, err := SchedulerByName(mod.Sched, mod.Opt)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// Name returns the scheduler's reporting name (static-block,
+// semi-matching, work-stealing, ...).
+func (mod Model) Name() string { return mod.scheduler().Name() }
+
+// Run executes the model and returns the final iteration's result.
+func (mod Model) Run(w *Workload, m *cluster.Machine) *Result {
+	res, _ := mod.RunWithHistory(w, m)
+	return res
+}
+
+// RunWithHistory executes the model and returns the final iteration's
+// result together with the per-iteration makespans.
+func (mod Model) RunWithHistory(w *Workload, m *cluster.Machine) (*Result, []float64) {
+	sched := mod.scheduler()
+	if _, ok := sched.(FeedbackScheduler); ok {
+		return RunSchedulerIterations(sched, w, m, mod.Iterations)
+	}
+	var res *Result
+	var history []float64
+	for it := 0; it < max(mod.Iterations, 1); it++ {
+		res = RunScheduler(sched, w, m)
+		history = append(history, res.Makespan)
+	}
+	return res, history
+}
 
 // AllModels returns one instance of every execution model under study, in
 // the canonical presentation order, seeded deterministically.
 func AllModels(seed int64) []Model {
-	return []Model{
-		StaticBlock{},
-		StaticCyclic{},
-		DynamicCounter{Chunk: 1},
-		WorkStealing{Seed: seed},
-		Persistence{Iterations: 3},
-		SemiMatchingLB{Seed: seed},
-		HypergraphLB{Seed: seed},
+	names := []string{"static", "cyclic", "dynamic", "stealing", "persistence", "semimatching", "hypergraph"}
+	models := make([]Model, len(names))
+	for i, name := range names {
+		models[i] = Model{Sched: name, Opt: SchedOptions{Seed: seed}}
 	}
-}
-
-// ModelByName instantiates a model from its canonical name.
-func ModelByName(name string, seed int64) (Model, error) {
-	for _, m := range AllModels(seed) {
-		if m.Name() == name {
-			return m, nil
-		}
-	}
-	switch name {
-	case "work-stealing-one":
-		return WorkStealing{Steal: StealOne, Seed: seed}, nil
-	case "work-stealing-maxvictim":
-		return WorkStealing{Victim: MostLoadedVictim, Seed: seed}, nil
-	case "hypergraph-flat":
-		return HypergraphLB{Flat: true, Seed: seed}, nil
-	case "work-stealing-hier":
-		return WorkStealing{Hierarchical: true, Seed: seed}, nil
-	case "self-sched-guided":
-		return SelfScheduling{Policy: GuidedChunk{}}, nil
-	case "self-sched-factoring":
-		return SelfScheduling{Policy: FactoringChunk{}}, nil
-	case "persistence-sm":
-		return PersistenceSM{Iterations: 3, Seed: seed}, nil
-	case "persistence-feedback":
-		return Scheduled{
-			S:          NewPersistenceSched(PersistenceOptions{Alpha: feedbackAlphaDefault, WarmStart: true, Seed: seed}),
-			Iterations: 3,
-		}, nil
-	}
-	return nil, fmt.Errorf("core: unknown model %q", name)
-}
-
-// ModelNames returns the canonical model names.
-func ModelNames() []string {
-	ms := AllModels(0)
-	names := make([]string, len(ms))
-	for i, m := range ms {
-		names[i] = m.Name()
-	}
-	return names
+	return models
 }

@@ -170,10 +170,3 @@ func (r *Result) String() string {
 	}
 	return b.String()
 }
-
-// Model is one execution model: a strategy for getting a workload's tasks
-// executed on a machine.
-type Model interface {
-	Name() string
-	Run(w *Workload, m *cluster.Machine) *Result
-}

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"execmodels/internal/cluster"
+	"execmodels/internal/hypergraph"
 	"execmodels/internal/obs"
 	"execmodels/internal/semimatching"
 )
@@ -15,10 +16,12 @@ import (
 // wall-clock backend: a backend-neutral task-set description goes in, a
 // per-rank assignment or a pull policy comes out, and schedulers that
 // implement FeedbackScheduler fold measured per-task costs back into
-// their cost model for the next iteration. The simulator models
-// (static.go, balancers.go, persistence.go, chunked.go) and the
-// wall-clock builders (wallsched.go) both plan through this interface,
-// so a balancing policy is written once and runs on either backend.
+// their cost model for the next iteration. Each policy is written once,
+// here, and named once, in SchedulerByName. The simulator runs its plans
+// through RunScheduler / RunSchedulerIterations (the engines in
+// static.go, chunked.go and stealing.go; registry.go's Model is the
+// by-name entry point), and the wall-clock builders (wallsched.go) run
+// the same plans on goroutines.
 
 // TaskSet is the backend-neutral description of one schedulable task
 // set: stable per-task identity keys, scheduler-visible cost estimates,
@@ -242,8 +245,8 @@ func (c *CostModel) Profile(source, unit string) *obs.CostProfile {
 // Assignment-based schedulers
 
 // staticBlockAssign deals tasks into P contiguous blocks by index — the
-// one static decomposition shared by StaticBlock, the stealing models'
-// initial queues and the persistence cold start.
+// one static decomposition shared by StaticBlockSched, the stealing
+// engine's initial queues and the persistence cold start.
 func staticBlockAssign(n, ranks int) []int {
 	assign := make([]int, n)
 	per := (n + ranks - 1) / ranks
@@ -257,7 +260,10 @@ func staticBlockAssign(n, ranks int) []int {
 	return assign
 }
 
-// StaticBlockSched plans the traditional static block schedule.
+// StaticBlockSched plans the traditional static schedule: tasks split
+// into P contiguous blocks by index. With the triangular cost profile of
+// the Fock build's pair loop this is the schedule the paper's headline
+// 50% improvement is measured against.
 type StaticBlockSched struct{}
 
 // Name implements Scheduler.
@@ -268,7 +274,9 @@ func (StaticBlockSched) Plan(ts *TaskSet, ranks int) *Plan {
 	return &Plan{Assign: staticBlockAssign(ts.Len(), ranks)}
 }
 
-// StaticCyclicSched plans the round-robin schedule (task i → rank i mod P).
+// StaticCyclicSched plans the round-robin schedule (task i → rank i mod
+// P): it statistically spreads a monotone cost profile but stays
+// oblivious to actual costs and to runtime variability.
 type StaticCyclicSched struct{}
 
 // Name implements Scheduler.
@@ -297,11 +305,15 @@ func (LPTSched) Plan(ts *TaskSet, ranks int) *Plan {
 	return &Plan{Assign: semimatching.LPT(b, ts.Costs).Of}
 }
 
-// SemiMatchingSched plans the paper's semi-matching assignment over the
-// task-set estimates and block-ownership graph.
+// SemiMatchingSched plans the paper's novel balancer: tasks and ranks
+// form a bipartite graph whose edges connect each task to the owners of
+// the data blocks it touches (plus a few random ranks for connectivity),
+// and a weighted semi-matching over the estimates balances load and
+// preserves locality at once — at a tiny fraction of the cost of
+// hypergraph partitioning.
 type SemiMatchingSched struct {
 	// ExtraEdges is the number of additional random candidate ranks per
-	// task (default 2), as in SemiMatchingLB.
+	// task (default 2).
 	ExtraEdges int
 	Seed       int64
 }
@@ -317,12 +329,16 @@ func (s SemiMatchingSched) Plan(ts *TaskSet, ranks int) *Plan {
 	return &Plan{Assign: assign, PlanCost: sw.seconds()}
 }
 
-// HypergraphSched plans the multilevel hypergraph-partitioned
-// assignment over the task-set estimates and block nets.
+// HypergraphSched plans the traditional high-quality baseline: tasks are
+// hypergraph vertices weighted by estimated cost, data blocks are nets,
+// and a multilevel partitioner splits the tasks into P parts minimizing
+// communication volume under a balance constraint. Excellent schedules,
+// at orders of magnitude more planning cost than the semi-matching — the
+// trade-off experiment T4 quantifies.
 type HypergraphSched struct {
-	Eps  float64
+	Eps  float64 // balance slack (default 0.05)
 	Seed int64
-	Flat bool
+	Flat bool // ablation: disable the multilevel hierarchy
 }
 
 // Name implements Scheduler.
@@ -336,17 +352,23 @@ func (h HypergraphSched) Name() string {
 // Plan implements Scheduler.
 func (h HypergraphSched) Plan(ts *TaskSet, ranks int) *Plan {
 	sw := startStopwatch()
-	assign := HypergraphLB{Eps: h.Eps, Seed: h.Seed, Flat: h.Flat}.planAssign(ts, ranks)
+	hg := buildHypergraph(ts.Len(), ts.NumBlocks, ts.BlockBytes,
+		func(i int) float64 { return ts.Costs[i] },
+		func(i int) []int { return ts.Blocks[i] })
+	assign := hypergraph.Partition(hg, ranks, hypergraph.Options{Eps: h.Eps, Seed: h.Seed, Flat: h.Flat}).Part
 	return &Plan{Assign: assign, PlanCost: sw.seconds()}
 }
 
 // ---------------------------------------------------------------------
 // Pull-based schedulers
 
-// CounterSched plans the centralized dynamic discipline: pull chunks
-// from a shared counter. Policy, when set, selects a self-scheduling
-// chunk family (simulator only); otherwise Chunk is the fixed NXTVAL
-// fetch block.
+// CounterSched plans the centralized dynamic discipline: ranks pull
+// chunks of task indices from a shared fetch-and-add counter (the Global
+// Arrays NXTVAL idiom). Perfect balance in principle; in practice the
+// counter round-trips and their serialization at the home rank put a
+// floor under task granularity and a ceiling on scaling. Policy, when
+// set, selects a self-scheduling chunk family (simulator only);
+// otherwise Chunk is the fixed fetch block.
 type CounterSched struct {
 	Chunk  int
 	Policy ChunkPolicy
@@ -368,15 +390,30 @@ func (c CounterSched) Plan(ts *TaskSet, ranks int) *Plan {
 // StealingSched plans the distributed-dynamic discipline: static block
 // queues plus runtime work stealing.
 type StealingSched struct {
-	Steal        StealPolicy
-	Victim       VictimPolicy
-	Seed         int64
+	Steal  StealPolicy
+	Victim VictimPolicy
+	Seed   int64
+	// Hierarchical prefers victims on the thief's own node: a local
+	// victim with work is stolen from at intra-node cost; only a
+	// work-less node falls back to remote steals. Requires a machine with
+	// CoresPerNode > 1 to differ from flat stealing.
 	Hierarchical bool
 }
 
 // Name implements Scheduler.
 func (s StealingSched) Name() string {
-	return WorkStealing{Steal: s.Steal, Victim: s.Victim, Seed: s.Seed, Hierarchical: s.Hierarchical}.Name()
+	switch {
+	case s.Hierarchical:
+		return "work-stealing-hier"
+	case s.Steal == StealOne && s.Victim == MostLoadedVictim:
+		return "work-stealing-one-maxvictim"
+	case s.Steal == StealOne:
+		return "work-stealing-one"
+	case s.Victim == MostLoadedVictim:
+		return "work-stealing-maxvictim"
+	default:
+		return "work-stealing"
+	}
 }
 
 // Plan implements Scheduler.
@@ -393,7 +430,7 @@ func (s StealingSched) Plan(ts *TaskSet, ranks int) *Plan {
 // PersistenceOptions configures NewPersistenceSched.
 type PersistenceOptions struct {
 	// Rebalance selects the measured-cost assignment: "lpt" (default)
-	// or "semimatching" (locality-restricted, as PersistenceSM).
+	// or "semimatching" (locality-restricted, as persistence-sm).
 	Rebalance string
 	// Alpha is the EWMA weight of new measurements; outside (0, 1] it
 	// selects 1, the classic replace-latest persistence behavior.
@@ -408,15 +445,17 @@ type PersistenceOptions struct {
 	// Costs, when non-nil, is the shared measured-cost history. Leaving
 	// it nil gives the scheduler a private model.
 	Costs *CostModel
-	// ForceName overrides the derived scheduler name (optional).
-	ForceName string
 }
 
-// PersistenceSched is the feedback scheduler: it plans from its cost
-// model (cold start until the first Observe, measured-cost rebalancing
-// afterwards) and implements FeedbackScheduler so each backend's
-// measured per-task costs drive the next iteration's assignment — the
-// principle of persistence, closed over either virtual or wall time.
+// PersistenceSched is the feedback scheduler for iterative applications
+// like SCF, which rebuilds the Fock matrix every iteration over the same
+// task set: it plans from its cost model (cold start until the first
+// Observe, measured-cost rebalancing afterwards) and implements
+// FeedbackScheduler so each backend's measured per-task costs drive the
+// next iteration's assignment. The principle of persistence — task
+// costs change slowly across iterations — makes the measured profile a
+// better cost model than any a-priori estimate, over either virtual or
+// wall time.
 type PersistenceSched struct {
 	name       string
 	rebalance  string
@@ -426,8 +465,7 @@ type PersistenceSched struct {
 	cm         *CostModel
 
 	// Semi-matching graph cache: rebuilt only when the task set or rank
-	// count changes (same policy as PersistenceSM, which built its graph
-	// once per run).
+	// count changes, so an iterative run builds its graph once.
 	graphTS    *TaskSet
 	graphRanks int
 	graph      *semimatching.Bipartite
@@ -442,16 +480,14 @@ func NewPersistenceSched(opt PersistenceOptions) *PersistenceSched {
 	if cm == nil {
 		cm = NewCostModel(opt.Alpha)
 	}
-	name := opt.ForceName
-	if name == "" {
-		switch {
-		case opt.WarmStart || (opt.Alpha > 0 && opt.Alpha < 1):
-			name = "persistence-feedback"
-		case opt.Rebalance == "semimatching":
-			name = "persistence-sm"
-		default:
-			name = "persistence"
-		}
+	var name string
+	switch {
+	case opt.WarmStart || (opt.Alpha > 0 && opt.Alpha < 1):
+		name = "persistence-feedback"
+	case opt.Rebalance == "semimatching":
+		name = "persistence-sm"
+	default:
+		name = "persistence"
 	}
 	return &PersistenceSched{
 		name:       name,
@@ -479,7 +515,7 @@ func (p *PersistenceSched) Plan(ts *TaskSet, ranks int) *Plan {
 		return &Plan{Assign: staticBlockAssign(ts.Len(), ranks)}
 	}
 	if p.rebalance == "semimatching" {
-		return &Plan{Assign: weightedSemiMatchAssign(p.graphFor(ts, ranks), costs)}
+		return &Plan{Assign: semimatching.WeightedSemiMatch(p.graphFor(ts, ranks), costs).Of}
 	}
 	b := semimatching.Complete(ts.Len(), ranks)
 	return &Plan{Assign: semimatching.LPT(b, costs).Of}
@@ -587,9 +623,9 @@ func SchedulerNames() []string {
 // ---------------------------------------------------------------------
 // Simulator drivers
 
-// RunScheduler executes one scheduler's plan on the simulator — the new
-// call path the differential matrix compares against each model's
-// legacy Run.
+// RunScheduler plans one task set with sched and executes the plan on
+// the simulator. A stateless scheduler needs nothing more; Model adds
+// by-name construction and the iteration protocol.
 func RunScheduler(sched Scheduler, w *Workload, m *cluster.Machine) *Result {
 	return runPlan(sched.Name(), sched.Plan(TaskSetOf(w), m.P), w, m, nil)
 }
@@ -612,11 +648,7 @@ func runPlan(name string, plan *Plan, w *Workload, m *cluster.Machine, measured 
 		}
 		return runCounterSim(name, w, m, policy)
 	case plan.Pull != nil && plan.Pull.Kind == PullStealing:
-		ws := WorkStealing{
-			Steal: plan.Pull.Steal, Victim: plan.Pull.Victim,
-			Seed: plan.Pull.Seed, Hierarchical: plan.Pull.Hierarchical,
-		}
-		return runStealingSim(name, ws, w, m)
+		return runStealingSim(name, plan.Pull, w, m)
 	}
 	panic(fmt.Sprintf("core: scheduler %q produced an empty plan", name))
 }
@@ -649,26 +681,6 @@ func RunSchedulerIterations(sched Scheduler, w *Workload, m *cluster.Machine, it
 		}
 	}
 	return res, history
-}
-
-// Scheduled adapts a Scheduler to the simulator Model interface.
-// Iterations > 1 runs the iterative feedback protocol and reports the
-// final iteration, like the persistence models.
-type Scheduled struct {
-	S          Scheduler
-	Iterations int
-}
-
-// Name implements Model.
-func (s Scheduled) Name() string { return s.S.Name() }
-
-// Run implements Model.
-func (s Scheduled) Run(w *Workload, m *cluster.Machine) *Result {
-	if s.Iterations > 1 {
-		res, _ := RunSchedulerIterations(s.S, w, m, s.Iterations)
-		return res
-	}
-	return RunScheduler(s.S, w, m)
 }
 
 // sortedCostKeys returns the model's keys in ascending order (export

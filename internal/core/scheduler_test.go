@@ -1,9 +1,12 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -122,62 +125,82 @@ func TestSchedulerByNameRoundTrip(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Differential matrix: legacy Model.Run vs the scheduler seam
+// Golden results: every registry policy, pinned
 
 // resultsEqual compares everything deterministic about two simulator
-// results (ScheduleCost is real wall time and Model may be an alias).
+// results (ScheduleCost is real wall time).
 func resultsEqual(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	if a.Makespan != b.Makespan {
-		t.Errorf("%s: makespan %g vs %g", label, a.Makespan, b.Makespan)
-	}
-	if !reflect.DeepEqual(a.BusyTime, b.BusyTime) {
-		t.Errorf("%s: busy time differs", label)
-	}
-	if !reflect.DeepEqual(a.TasksRun, b.TasksRun) {
-		t.Errorf("%s: task counts differ: %v vs %v", label, a.TasksRun, b.TasksRun)
-	}
-	if a.CounterOps != b.CounterOps || a.Steals != b.Steals || a.FailedSteals != b.FailedSteals {
-		t.Errorf("%s: telemetry differs: (%d,%d,%d) vs (%d,%d,%d)", label,
-			a.CounterOps, a.Steals, a.FailedSteals, b.CounterOps, b.Steals, b.FailedSteals)
+	if got, want := goldenLine(label, a), goldenLine(label, b); got != want {
+		t.Errorf("results differ:\n%s%s", got, want)
 	}
 }
 
-// Every legacy model must produce the exact same simulated execution as
-// its seam scheduler run through RunScheduler/Scheduled — the guarantee
-// that unifying the call paths changed nothing observable.
-func TestSchedulerSeamMatchesLegacyModels(t *testing.T) {
-	const seed = 5
-	w := Synthetic(SyntheticOptions{NumTasks: 160, Dist: "lognormal", Seed: 3, EstNoise: 0.3})
-	cases := []struct {
-		legacy Model
-		sched  string
-		opt    SchedOptions
-		iters  int
-	}{
-		{StaticBlock{}, "static", SchedOptions{}, 1},
-		{StaticCyclic{}, "cyclic", SchedOptions{}, 1},
-		{DynamicCounter{Chunk: 2}, "dynamic", SchedOptions{Block: 2}, 1},
-		{SelfScheduling{Policy: GuidedChunk{}}, "self-sched-guided", SchedOptions{}, 1},
-		{SelfScheduling{Policy: FactoringChunk{}}, "self-sched-factoring", SchedOptions{}, 1},
-		{WorkStealing{Seed: seed}, "stealing", SchedOptions{Seed: seed}, 1},
-		{WorkStealing{Hierarchical: true, Seed: seed}, "work-stealing-hier", SchedOptions{Seed: seed}, 1},
-		{SemiMatchingLB{Seed: seed}, "semimatching", SchedOptions{Seed: seed}, 1},
-		{HypergraphLB{Seed: seed}, "hypergraph", SchedOptions{Seed: seed}, 1},
-		{HypergraphLB{Flat: true, Seed: seed}, "hypergraph-flat", SchedOptions{Seed: seed}, 1},
-		{Persistence{Iterations: 3}, "persistence", SchedOptions{}, 3},
-		{PersistenceSM{Iterations: 3, Seed: seed}, "persistence-sm", SchedOptions{Seed: seed}, 3},
+// goldenLine renders the deterministic part of a Result exactly: floats
+// in shortest round-trip form, no ScheduleCost (wall time).
+func goldenLine(label string, r *Result) string {
+	busy := make([]string, len(r.BusyTime))
+	for i, b := range r.BusyTime {
+		busy[i] = strconv.FormatFloat(b, 'g', -1, 64)
 	}
+	tasks := make([]string, len(r.TasksRun))
+	for i, n := range r.TasksRun {
+		tasks[i] = strconv.Itoa(n)
+	}
+	return fmt.Sprintf("%s model=%s makespan=%s busy=%s tasks=%s counter-ops=%d steals=%d failed-steals=%d\n",
+		label, r.Model, strconv.FormatFloat(r.Makespan, 'g', -1, 64), strings.Join(busy, ","),
+		strings.Join(tasks, ","), r.CounterOps, r.Steals, r.FailedSteals)
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/scheduler_golden.txt")
+
+// TestSchedulerGoldenResults pins every SchedulerNames() policy, at one
+// rank and at seven, on a lognormal workload with noisy estimates: the
+// reporting name, makespan, per-rank busy time and task counts, and the
+// counter and steal telemetry, bit for bit. Regenerate with -update only
+// for an intended change of simulated behaviour.
+func TestSchedulerGoldenResults(t *testing.T) {
+	const path = "testdata/scheduler_golden.txt"
+	w := Synthetic(SyntheticOptions{NumTasks: 160, Dist: "lognormal", Seed: 3, EstNoise: 0.3})
+	var b strings.Builder
+	b.WriteString("# scheduler ranks model makespan busy tasks counter-ops steals failed-steals\n")
 	for _, ranks := range []int{1, 7} {
-		for _, c := range cases {
-			s, err := SchedulerByName(c.sched, c.opt)
-			if err != nil {
-				t.Fatalf("%s: %v", c.sched, err)
-			}
-			legacy := c.legacy.Run(w, testMachine(ranks))
-			seam := Scheduled{S: s, Iterations: c.iters}.Run(w, testMachine(ranks))
-			resultsEqual(t, fmt.Sprintf("%s/P=%d", c.sched, ranks), legacy, seam)
+		for _, name := range SchedulerNames() {
+			res := Model{Sched: name, Opt: SchedOptions{Seed: 5}}.Run(w, testMachine(ranks))
+			b.WriteString(goldenLine(fmt.Sprintf("%s P=%d", name, ranks), res))
 		}
+	}
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.SplitAfter(b.String(), "\n")
+	wantLines := strings.SplitAfter(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d golden lines, want %d", len(gotLines), len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\n got  %s want %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// A Model is a value: running one persistence Model twice on fresh
+// machines must replay the same history, because each run builds its
+// own scheduler and cost model.
+func TestModelRunsDoNotShareHistory(t *testing.T) {
+	w := Synthetic(SyntheticOptions{NumTasks: 120, Dist: "lognormal", Seed: 4, EstNoise: 0.3})
+	mod := Model{Sched: "persistence"}
+	_, first := mod.RunWithHistory(w, testMachine(6))
+	_, second := mod.RunWithHistory(w, testMachine(6))
+	if len(first) != 3 || !reflect.DeepEqual(first, second) {
+		t.Errorf("histories differ across runs of one Model: %v vs %v", first, second)
 	}
 }
 
@@ -218,7 +241,7 @@ func TestRunSchedulerIterationsFeedbackImproves(t *testing.T) {
 func TestPersistenceSeamColdStartIsStaticBlock(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 120, Dist: "lognormal", Seed: 4})
 	ranks := 6
-	static := StaticBlock{}.Run(w, testMachine(ranks))
+	static := RunScheduler(StaticBlockSched{}, w, testMachine(ranks))
 	p, _ := SchedulerByName("persistence", SchedOptions{})
 	_, history := RunSchedulerIterations(p, w, testMachine(ranks), 2)
 	if history[0] != static.Makespan {
@@ -268,12 +291,12 @@ func TestPersistenceHistoryKeyedByIdentityAcrossReblock(t *testing.T) {
 		t.Error("unseen task set did not cold-start: index-keyed history leaked across decompositions")
 	}
 
-	// End-to-end: Persistence.RunWithHistory on the re-generated workload
+	// End-to-end: a persistence Model on the re-generated workload
 	// behaves exactly like a fresh persistence run.
-	shared := Persistence{Iterations: 2, Costs: NewCostModel(1)}
+	shared := Model{Sched: "persistence", Opt: SchedOptions{Costs: NewCostModel(1)}, Iterations: 2}
 	shared.RunWithHistory(wA, testMachine(ranks))
 	withHistory, _ := shared.RunWithHistory(wB, testMachine(ranks))
-	fresh, _ := Persistence{Iterations: 2}.RunWithHistory(wB, testMachine(ranks))
+	fresh, _ := Model{Sched: "persistence", Iterations: 2}.RunWithHistory(wB, testMachine(ranks))
 	resultsEqual(t, "reblocked persistence", fresh, withHistory)
 }
 

@@ -33,8 +33,8 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	}
 	// A round-tripped workload must behave identically under a scheduler.
 	m := testMachine(8)
-	r1 := StaticCyclic{}.Run(w, m)
-	r2 := StaticCyclic{}.Run(back, m)
+	r1 := RunScheduler(StaticCyclicSched{}, w, m)
+	r2 := RunScheduler(StaticCyclicSched{}, back, m)
 	if r1.Makespan != r2.Makespan {
 		t.Fatalf("behaviour changed after round trip: %v vs %v", r1.Makespan, r2.Makespan)
 	}

@@ -55,30 +55,3 @@ func runAssignment(model string, w *Workload, m *cluster.Machine, assign []int, 
 	res.finalize()
 	return res
 }
-
-// StaticBlock is the traditional static schedule: tasks are split into P
-// contiguous blocks by ID. With the triangular cost profile of the Fock
-// build's pair loop this is the model the paper's headline 50% improvement
-// is measured against.
-type StaticBlock struct{}
-
-// Name implements Model.
-func (StaticBlock) Name() string { return "static-block" }
-
-// Run implements Model (via the scheduler seam).
-func (StaticBlock) Run(w *Workload, m *cluster.Machine) *Result {
-	return RunScheduler(StaticBlockSched{}, w, m)
-}
-
-// StaticCyclic assigns task i to rank i mod P. Round-robin statistically
-// spreads a monotone cost profile but remains oblivious to actual costs
-// and to runtime variability.
-type StaticCyclic struct{}
-
-// Name implements Model.
-func (StaticCyclic) Name() string { return "static-cyclic" }
-
-// Run implements Model (via the scheduler seam).
-func (StaticCyclic) Run(w *Workload, m *cluster.Machine) *Result {
-	return RunScheduler(StaticCyclicSched{}, w, m)
-}

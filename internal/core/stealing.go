@@ -31,59 +31,19 @@ const (
 	MostLoadedVictim
 )
 
-// WorkStealing is the distributed-dynamic execution model: tasks start in
-// per-rank queues under a static block distribution; ranks execute
-// locally and steal from others when they run dry. Steal round-trips are
-// charged at network cost; failed attempts are charged too.
-type WorkStealing struct {
-	Steal  StealPolicy
-	Victim VictimPolicy
-	Seed   int64
-
-	// Hierarchical prefers victims on the thief's own node: a local
-	// victim with work is stolen from at intra-node cost; only a
-	// work-less node falls back to remote steals. Requires a machine with
-	// CoresPerNode > 1 to differ from flat stealing.
-	Hierarchical bool
-}
-
-// Name implements Model.
-func (ws WorkStealing) Name() string {
-	switch {
-	case ws.Hierarchical:
-		return "work-stealing-hier"
-	case ws.Steal == StealOne && ws.Victim == MostLoadedVictim:
-		return "work-stealing-one-maxvictim"
-	case ws.Steal == StealOne:
-		return "work-stealing-one"
-	case ws.Victim == MostLoadedVictim:
-		return "work-stealing-maxvictim"
-	default:
-		return "work-stealing"
-	}
-}
-
-// Run implements Model (via the scheduler seam's stealing engine).
-func (ws WorkStealing) Run(w *Workload, m *cluster.Machine) *Result {
-	return runStealingSim(ws.Name(), ws, w, m)
-}
-
-// runStealingSim is the simulated execution engine of every work-stealing
-// plan; name is the reporting model name (the StealingSched plans reuse
-// this engine under their own names).
-func runStealingSim(name string, ws WorkStealing, w *Workload, m *cluster.Machine) *Result {
+// runStealingSim is the simulated execution engine of every PullStealing
+// plan: tasks start in per-rank queues under a static block distribution;
+// ranks execute locally and steal from others when they run dry. Steal
+// round-trips are charged at network cost; failed attempts are charged
+// too. name is the reporting model name.
+func runStealingSim(name string, pull *PullPolicy, w *Workload, m *cluster.Machine) *Result {
 	res := newResult(name, m.P)
-	rng := rand.New(rand.NewSource(ws.Seed))
+	rng := rand.New(rand.NewSource(pull.Seed))
 	n := len(w.Tasks)
 
 	// Initial static block distribution of task IDs.
 	queues := make([][]int, m.P)
-	per := (n + m.P - 1) / m.P
-	for i := 0; i < n; i++ {
-		r := i / per
-		if r >= m.P {
-			r = m.P - 1
-		}
+	for i, r := range staticBlockAssign(n, m.P) {
 		queues[r] = append(queues[r], i)
 	}
 
@@ -135,14 +95,14 @@ func runStealingSim(name string, ws WorkStealing, w *Workload, m *cluster.Machin
 		}
 
 		// Steal attempt.
-		victim := ws.pickVictim(r, queues, rng, m)
+		victim := pull.pickVictim(r, queues, rng, m)
 		cost := m.RoundTrip()
 		if victim >= 0 {
 			cost = m.RoundTripBetween(r, victim)
 		}
 		if victim >= 0 && len(queues[victim]) > 0 {
 			var loot []int
-			if ws.Steal == StealOne {
+			if pull.Steal == StealOne {
 				loot = []int{queues[victim][0]}
 				queues[victim] = queues[victim][1:]
 			} else {
@@ -183,12 +143,14 @@ func runStealingSim(name string, ws WorkStealing, w *Workload, m *cluster.Machin
 	return res
 }
 
-func (ws WorkStealing) pickVictim(self int, queues [][]int, rng *rand.Rand, m *cluster.Machine) int {
+// pickVictim chooses the rank thief self steals from under the plan's
+// victim policy, or -1 when there is no other rank.
+func (pull *PullPolicy) pickVictim(self int, queues [][]int, rng *rand.Rand, m *cluster.Machine) int {
 	p := len(queues)
 	if p == 1 {
 		return -1
 	}
-	if ws.Hierarchical {
+	if pull.Hierarchical {
 		// Prefer a same-node victim that has work; fall back to remote.
 		var local []int
 		for r := 0; r < p; r++ {
@@ -200,7 +162,7 @@ func (ws WorkStealing) pickVictim(self int, queues [][]int, rng *rand.Rand, m *c
 			return local[rng.Intn(len(local))]
 		}
 	}
-	if ws.Victim == MostLoadedVictim {
+	if pull.Victim == MostLoadedVictim {
 		best, bestLen := -1, 0
 		for r := 0; r < p; r++ {
 			if r != self && len(queues[r]) > bestLen {

@@ -11,7 +11,7 @@ func TestTraceCapturesStaticRun(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 40, Dist: "triangular", Seed: 1})
 	m := testMachine(4)
 	m.Trace = &cluster.Trace{}
-	res := StaticBlock{}.Run(w, m)
+	res := RunScheduler(StaticBlockSched{}, w, m)
 
 	// One task interval per task.
 	var tasks int
@@ -43,14 +43,14 @@ func TestTraceCapturesStealsAndCounter(t *testing.T) {
 
 	m := testMachine(8)
 	m.Trace = &cluster.Trace{}
-	WorkStealing{Seed: 3}.Run(w, m)
+	RunScheduler(StealingSched{Seed: 3}, w, m)
 	if tot := m.Trace.ActivityTotals(); tot["steal"] <= 0 {
 		t.Error("no steal activity traced")
 	}
 
 	m2 := testMachine(8)
 	m2.Trace = &cluster.Trace{}
-	DynamicCounter{Chunk: 1}.Run(w, m2)
+	RunScheduler(CounterSched{Chunk: 1}, w, m2)
 	if tot := m2.Trace.ActivityTotals(); tot["counter"] <= 0 {
 		t.Error("no counter activity traced")
 	}
@@ -60,7 +60,7 @@ func TestGanttRendering(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 64, Dist: "triangular", Seed: 4})
 	m := testMachine(4)
 	m.Trace = &cluster.Trace{}
-	WorkStealing{Seed: 1}.Run(w, m)
+	RunScheduler(StealingSched{Seed: 1}, w, m)
 	g := m.Trace.Gantt(4, 60)
 	lines := strings.Split(strings.TrimRight(g, "\n"), "\n")
 	if len(lines) != 5 { // 4 ranks + legend
@@ -95,10 +95,10 @@ func TestTraceSpan(t *testing.T) {
 func TestTraceDoesNotPerturbResults(t *testing.T) {
 	w := Synthetic(SyntheticOptions{NumTasks: 128, Dist: "lognormal", Seed: 5})
 	m1 := testMachine(8)
-	plain := WorkStealing{Seed: 9}.Run(w, m1)
+	plain := RunScheduler(StealingSched{Seed: 9}, w, m1)
 	m2 := testMachine(8)
 	m2.Trace = &cluster.Trace{}
-	traced := WorkStealing{Seed: 9}.Run(w, m2)
+	traced := RunScheduler(StealingSched{Seed: 9}, w, m2)
 	if plain.Makespan != traced.Makespan {
 		t.Fatalf("tracing changed makespan: %v vs %v", plain.Makespan, traced.Makespan)
 	}

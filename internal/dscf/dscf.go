@@ -58,8 +58,8 @@ type Result struct {
 
 // Run simulates a full SCF under the given execution model on machine m.
 // The same workload is rebuilt every iteration (as in an integral-direct
-// code); iterative models (Persistence*) exploit cost persistence across
-// those iterations.
+// code); feedback models (persistence*) exploit cost persistence across
+// those iterations. model.Iterations is replaced by cfg.Iterations.
 func Run(cfg Config, model core.Model, w *core.Workload, m *cluster.Machine) (*Result, error) {
 	if cfg.NBF <= 0 {
 		return nil, fmt.Errorf("dscf: NBF must be positive")
@@ -76,21 +76,8 @@ func Run(cfg Config, model core.Model, w *core.Workload, m *cluster.Machine) (*R
 	res := &Result{Model: model.Name(), Ranks: m.P, Iterations: iters}
 
 	// Fock-build makespans per iteration.
-	focks := make([]float64, iters)
-	switch mm := model.(type) {
-	case core.Persistence:
-		mm.Iterations = iters
-		_, hist := mm.RunWithHistory(w, m)
-		copy(focks, hist)
-	case core.PersistenceSM:
-		mm.Iterations = iters
-		_, hist := mm.RunWithHistory(w, m)
-		copy(focks, hist)
-	default:
-		for i := 0; i < iters; i++ {
-			focks[i] = model.Run(w, m).Makespan
-		}
-	}
+	model.Iterations = iters
+	_, focks := model.RunWithHistory(w, m)
 
 	n := cfg.NBF
 	matrixBytes := n * n * 8

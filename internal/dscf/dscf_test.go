@@ -18,7 +18,7 @@ func TestRunBasic(t *testing.T) {
 	w := testWorkload()
 	m := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
 	res, err := Run(Config{NBF: 100, Iterations: 5, ReplicatedDiag: true},
-		core.WorkStealing{Seed: 1}, w, m)
+		core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: 1}}, w, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestRunBasic(t *testing.T) {
 func TestRunBadConfig(t *testing.T) {
 	w := testWorkload()
 	m := cluster.New(cluster.Config{Ranks: 4})
-	if _, err := Run(Config{}, core.StaticBlock{}, w, m); err == nil {
+	if _, err := Run(Config{}, core.Model{Sched: "static"}, w, m); err == nil {
 		t.Fatal("expected error for NBF = 0")
 	}
 }
@@ -55,7 +55,7 @@ func TestAmdahlFockFractionFalls(t *testing.T) {
 	frac := make([]float64, 0, 3)
 	for _, p := range []int{4, 16, 64} {
 		m := cluster.New(cluster.Config{Ranks: p, Seed: 1})
-		res, err := Run(cfg, core.WorkStealing{Seed: 1}, w, m)
+		res, err := Run(cfg, core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: 1}}, w, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +71,13 @@ func TestParallelDiagWins(t *testing.T) {
 	w := testWorkload()
 	m := cluster.New(cluster.Config{Ranks: 64, Seed: 1})
 	repl, err := Run(Config{NBF: 300, Iterations: 3, ReplicatedDiag: true},
-		core.StaticCyclic{}, w, m)
+		core.Model{Sched: "cyclic"}, w, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := cluster.New(cluster.Config{Ranks: 64, Seed: 1})
 	par, err := Run(Config{NBF: 300, Iterations: 3},
-		core.StaticCyclic{}, w, m2)
+		core.Model{Sched: "cyclic"}, w, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPersistenceInsideApplication(t *testing.T) {
 	w := testWorkload()
 	m := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
 	res, err := Run(Config{NBF: 100, Iterations: 4, ReplicatedDiag: true},
-		core.Persistence{}, w, m)
+		core.Model{Sched: "persistence"}, w, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestModelChoiceMatters(t *testing.T) {
 	w := testWorkload()
 	cfg := Config{NBF: 80, Iterations: 3, ReplicatedDiag: true}
 	m1 := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
-	static, _ := Run(cfg, core.StaticBlock{}, w, m1)
+	static, _ := Run(cfg, core.Model{Sched: "static"}, w, m1)
 	m2 := cluster.New(cluster.Config{Ranks: 16, Seed: 1})
-	steal, _ := Run(cfg, core.WorkStealing{Seed: 1}, w, m2)
+	steal, _ := Run(cfg, core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: 1}}, w, m2)
 	if steal.TotalTime >= static.TotalTime {
 		t.Fatalf("stealing %v not below static %v", steal.TotalTime, static.TotalTime)
 	}
