@@ -4,7 +4,7 @@
 //
 // The library lives in internal/: a Hartree–Fock chemistry kernel whose
 // blocked two-electron tasks form the irregular workload (internal/chem),
-// a simulated HPC platform (internal/cluster, internal/ga), the execution
+// a simulated HPC platform (internal/cluster), the execution
 // models under study (internal/core), and the load-balancing algorithms —
 // optimal/weighted semi-matching (internal/semimatching) and multilevel
 // hypergraph partitioning (internal/hypergraph). internal/bench

@@ -11,7 +11,6 @@ import (
 
 	"execmodels/internal/chem"
 	"execmodels/internal/deque"
-	"execmodels/internal/ga"
 	"execmodels/internal/linalg"
 )
 
@@ -221,19 +220,20 @@ type padCell struct {
 }
 
 // dynSpan is the per-worker [next, hi) range of a block fetched from the
-// shared counter, padded like padCell and goroutine-owned like padCell
-// (shareiso-checked).
+// shared counter plus the worker's count of its own fetches, padded like
+// padCell and goroutine-owned like padCell (shareiso-checked).
 //
 //hotpath:padded
 //hotpath:isolated
 type dynSpan struct {
-	next, hi int64
-	_        [48]byte
+	next, hi, fetches int64
+	_                 [40]byte
 }
 
 // atomicInt64Pad is an atomic counter padded to its own cache line, for
-// the genuinely shared counters (remaining tasks, steal stats) that sit
-// next to each other in wallStealSched.
+// the genuinely shared counters: remaining tasks and steal stats, which
+// sit next to each other in wallStealSched, and the NXTVAL counter of
+// wallDynSched.
 //
 //hotpath:padded
 type atomicInt64Pad struct {
@@ -242,9 +242,9 @@ type atomicInt64Pad struct {
 }
 
 // wallDynSched serves blocks of consecutive tasks from a shared atomic
-// counter into per-worker padded spans.
+// counter (the Global Arrays NXTVAL idiom) into per-worker padded spans.
 type wallDynSched struct {
-	counter  ga.Counter
+	counter  atomicInt64Pad
 	n, block int64
 	spans    []dynSpan
 }
@@ -266,7 +266,8 @@ func (s *wallDynSched) next(wk int) (int, bool) {
 		sp.next++
 		return int(v), true
 	}
-	lo := s.counter.FetchAdd(s.block)
+	sp.fetches++
+	lo := s.counter.Add(s.block) - s.block
 	if lo >= s.n {
 		return 0, false
 	}
@@ -278,7 +279,15 @@ func (s *wallDynSched) next(wk int) (int, bool) {
 	return int(lo), true
 }
 
-func (s *wallDynSched) counters() wallCounters { return wallCounters{counterOps: s.counter.Ops()} }
+// counters sums the workers' fetch counts. wallRunJK calls it after
+// wg.Wait, when no worker writes its span any more.
+func (s *wallDynSched) counters() wallCounters {
+	var ops int64
+	for i := range s.spans {
+		ops += s.spans[i].fetches
+	}
+	return wallCounters{counterOps: ops}
+}
 
 // Backoff schedule for idle thieves: a few yielded retries, then sleeps
 // growing linearly to a cap. Without this, workers that finish early

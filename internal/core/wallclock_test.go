@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"execmodels/internal/chem"
@@ -161,6 +162,50 @@ func TestWallDynamicBlockedCounterOps(t *testing.T) {
 	// A non-positive block must degrade to the classic NXTVAL, not panic.
 	if res := wallBuild(t, "dynamic", fw, h, d, 2, WallOptions{}); res.CounterOps != int64(nt+2) {
 		t.Errorf("block=0: counter ops = %d, want %d", res.CounterOps, nt+2)
+	}
+}
+
+// The dynamic schedule's NXTVAL contract, driven without a Fock build:
+// concurrent workers calling next until it refuses are handed every index
+// in [0, n) exactly once, and the counter is hit ceil(n/B) times plus one
+// final miss per worker. CI runs it under -race.
+func TestWallDynSchedHandsOutEachIndexOnce(t *testing.T) {
+	for _, n := range []int{1, 49, 97} {
+		for _, workers := range []int{1, 3, 8} {
+			for _, block := range []int{0, 1, 3, 7} {
+				s := newWallDynSched(n, workers, block)
+				got := make([][]int, workers)
+				var wg sync.WaitGroup
+				for wk := 0; wk < workers; wk++ {
+					wg.Add(1)
+					go func(wk int) {
+						defer wg.Done()
+						for id, ok := s.next(wk); ok; id, ok = s.next(wk) {
+							got[wk] = append(got[wk], id)
+						}
+					}(wk)
+				}
+				wg.Wait()
+				seen := make([]int, n)
+				for _, ids := range got {
+					for _, id := range ids {
+						if id < 0 || id >= n {
+							t.Fatalf("n=%d workers=%d block=%d: index %d out of range", n, workers, block, id)
+						}
+						seen[id]++
+					}
+				}
+				for id, c := range seen {
+					if c != 1 {
+						t.Errorf("n=%d workers=%d block=%d: index %d handed out %d times", n, workers, block, id, c)
+					}
+				}
+				b := max(block, 1)
+				if ops, want := s.counters().counterOps, int64((n+b-1)/b+workers); ops != want {
+					t.Errorf("n=%d workers=%d block=%d: counter ops = %d, want %d", n, workers, block, ops, want)
+				}
+			}
+		}
 	}
 }
 

@@ -37,10 +37,10 @@ type AtomicDiscipline struct {
 }
 
 // NewAtomicDiscipline returns the check scoped to the packages holding
-// shared counters: the wall-clock executors, the serving layer, the PGAS
-// substrate and the work-stealing deque.
+// shared counters: the wall-clock executors, the serving layer and the
+// work-stealing deque.
 func NewAtomicDiscipline() *AtomicDiscipline {
-	return &AtomicDiscipline{Packages: []string{"internal/core", "internal/serve", "internal/ga", "internal/deque"}}
+	return &AtomicDiscipline{Packages: []string{"internal/core", "internal/serve", "internal/deque"}}
 }
 
 func (a *AtomicDiscipline) Name() string { return "atomicdiscipline" }

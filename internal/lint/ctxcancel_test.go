@@ -12,7 +12,7 @@ func TestCtxCancelFixture(t *testing.T) {
 // cancelable: no handler reachable code blocks on a bare channel op or
 // sleeps.
 func TestCtxCancelRealTree(t *testing.T) {
-	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/ga", "internal/core", "internal/serve")
+	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/core", "internal/serve")
 	findings := NewCtxCancel().RunProgram(pkgs)
 	for _, f := range findings {
 		t.Errorf("unexpected finding on real tree: %s", f)

@@ -34,8 +34,6 @@ func NewDeterminism() *Determinism {
 	return &Determinism{
 		Packages: []string{
 			"internal/core",
-			"internal/ga",
-			"internal/mp",
 			"internal/deque",
 			"internal/hypergraph",
 			"internal/semimatching",

@@ -24,7 +24,7 @@ type Goleak struct {
 // goroutines on behalf of the executors, plus the serving layer whose
 // worker pool must drain cleanly on shutdown.
 func NewGoleak() *Goleak {
-	return &Goleak{Packages: []string{"internal/core", "internal/mp", "internal/serve"}}
+	return &Goleak{Packages: []string{"internal/core", "internal/serve"}}
 }
 
 func (g *Goleak) Name() string { return "goleak" }

@@ -12,10 +12,10 @@ func TestGoleakFixture(t *testing.T) {
 }
 
 // TestGoleakRealTree: the executor packages' goroutines (wall-clock
-// workers, MP ranks) must all carry completion edges today — the check
+// workers) must all carry completion edges today — the check
 // exists to keep it that way.
 func TestGoleakRealTree(t *testing.T) {
-	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/ga", "internal/core")
+	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/core")
 	var g Goleak
 	g.Packages = []string{"internal/core"}
 	for _, f := range g.RunProgram(pkgs) {

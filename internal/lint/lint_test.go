@@ -152,7 +152,7 @@ func TestAppliesTo(t *testing.T) {
 		{NewFloatEq(), "execmodels/internal/linalg", true},
 		{NewFloatEq(), "execmodels/internal/core", false},
 		{NewShareIso(), "anything/at/all", true},
-		{NewAtomicDiscipline(), "execmodels/internal/ga", true},
+		{NewAtomicDiscipline(), "execmodels/internal/core", true},
 		{NewAtomicDiscipline(), "execmodels/internal/deque", true},
 		{NewAtomicDiscipline(), "execmodels/internal/chem", false},
 		{NewCtxCancel(), "execmodels/internal/serve", true},

@@ -8,7 +8,7 @@ func TestPadCheckFixture(t *testing.T) { checkFixture(t, NewPadCheck(), "padchec
 // state (padCell, dynSpan, atomicInt64Pad) must verify — this replaces
 // the hand-written unsafe.Sizeof test that used to pin the layouts.
 func TestPadCheckRealTree(t *testing.T) {
-	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/ga", "internal/core")
+	pkgs := loadReal(t, "internal/linalg", "internal/chem", "internal/deque", "internal/core")
 	annotated := 0
 	for _, pkg := range pkgs {
 		findings := NewPadCheck().Run(pkg)

@@ -65,8 +65,6 @@ func isRegistryCharge(fn *types.Func) bool {
 func simPackages() []string {
 	return []string{
 		"internal/core",
-		"internal/ga",
-		"internal/mp",
 		"internal/deque",
 		"internal/hypergraph",
 		"internal/semimatching",

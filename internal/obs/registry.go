@@ -40,12 +40,6 @@ const (
 	HTask = "task_runtime_seconds" // histogram of individual task durations
 )
 
-// Message-passing layer metrics (internal/mp).
-const (
-	CMpMessages = "mp_messages_total"
-	CMpBytes    = "mp_bytes_total"
-)
-
 // defaultBuckets are the log-scale histogram upper bounds (seconds-ish
 // decades); one extra +Inf bucket is implicit. Fixed at construction so
 // exported histograms are comparable across runs and models.
@@ -60,8 +54,8 @@ type histVec struct {
 // Registry holds all metrics of one run, keyed by (name, rank). It is
 // allocation-light: each metric name owns one slice indexed by rank,
 // created on first touch. All methods are nil-safe no-ops so executors
-// can charge metrics unconditionally, and mutex-protected so concurrent
-// layers (internal/mp) can feed the same registry.
+// can charge metrics unconditionally, and mutex-protected so the job
+// server can charge a registry while /metrics scrapes it.
 type Registry struct {
 	mu       sync.Mutex
 	ranks    int
