@@ -1,16 +1,15 @@
 package execmodels
 
-// One testing.B benchmark per reconstructed table and figure (see
-// DESIGN.md's per-experiment index), plus kernel micro-benchmarks. Run
-// everything with:
+// One sub-benchmark of BenchmarkExperiments per registered table and
+// figure (see DESIGN.md's per-experiment index), plus kernel
+// micro-benchmarks. Run everything with:
 //
 //	go test -bench=. -benchmem
 //
-// Table output goes to stderr once per benchmark via b.Logf-free printing
-// so `-bench` runs double as experiment reports.
+// Each experiment prints its table to stdout once, so `-bench` runs
+// double as experiment reports.
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"testing"
@@ -30,53 +29,24 @@ var suite = bench.NewSuite("small", 1)
 // benchOut is where experiment tables are printed during -bench runs.
 var benchOut io.Writer = os.Stdout
 
-// runExperiment executes experiment id once per iteration and prints the
-// table on the final iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	var tbl *bench.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = suite.Run(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if tbl != nil {
-		tbl.Fprint(benchOut)
+// BenchmarkExperiments runs every registered experiment as a
+// sub-benchmark named by its ID (`-bench 'Experiments/F2'`) and prints
+// its table on the final iteration.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range bench.Experiments() {
+		b.Run(id, func(b *testing.B) {
+			var tbl *bench.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				tbl, err = suite.Run(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			tbl.Fprint(benchOut)
+		})
 	}
 }
-
-func BenchmarkFigure1(b *testing.B) { runExperiment(b, "F1") }
-func BenchmarkFigure2(b *testing.B) { runExperiment(b, "F2") }
-func BenchmarkFigure3(b *testing.B) { runExperiment(b, "F3") }
-func BenchmarkFigure4(b *testing.B) { runExperiment(b, "F4") }
-func BenchmarkFigure5(b *testing.B) { runExperiment(b, "F5") }
-func BenchmarkTable1(b *testing.B)  { runExperiment(b, "T1") }
-func BenchmarkTable2(b *testing.B)  { runExperiment(b, "T2") }
-func BenchmarkTable3(b *testing.B)  { runExperiment(b, "T3") }
-func BenchmarkTable4(b *testing.B)  { runExperiment(b, "T4") }
-func BenchmarkTable5(b *testing.B)  { runExperiment(b, "T5") }
-func BenchmarkTable6(b *testing.B)  { runExperiment(b, "T6") }
-func BenchmarkTable7(b *testing.B)  { runExperiment(b, "T7") }
-func BenchmarkFigure6(b *testing.B) { runExperiment(b, "F6") }
-func BenchmarkFigure7(b *testing.B) { runExperiment(b, "F7") }
-func BenchmarkFigure8(b *testing.B) { runExperiment(b, "F8") }
-func BenchmarkTable9(b *testing.B)  { runExperiment(b, "T9") }
-
-// Ablation benches (DESIGN.md "key design decisions").
-func BenchmarkAblationWallVsSim(b *testing.B)    { runExperiment(b, "A1") }
-func BenchmarkAblationUniformCosts(b *testing.B) { runExperiment(b, "A2") }
-func BenchmarkAblationStealPolicy(b *testing.B)  { runExperiment(b, "A3") }
-func BenchmarkAblationLPT(b *testing.B)          { runExperiment(b, "A4") }
-func BenchmarkAblationFlatFM(b *testing.B)       { runExperiment(b, "A5") }
-func BenchmarkAblationChunkSize(b *testing.B)    { runExperiment(b, "A6") }
-func BenchmarkAblationSelfSched(b *testing.B)    { runExperiment(b, "A7") }
-func BenchmarkAblationFMRefiner(b *testing.B)    { runExperiment(b, "A8") }
-
-// Wall-clock backend (BENCH_wall.json; `make bench-wall`).
-func BenchmarkWallBackend(b *testing.B)  { runExperiment(b, "W1") }
-func BenchmarkWallFeedback(b *testing.B) { runExperiment(b, "W3") }
 
 // --- kernel micro-benchmarks ---
 
@@ -298,23 +268,5 @@ func BenchmarkWallStealingFock(b *testing.B) {
 		if _, err := ws.Build(w, h, d); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func init() {
-	// Ensure the experiment registry and benchmark list stay in sync: a
-	// new experiment without a benchmark is a packaging bug.
-	want := map[string]bool{}
-	for _, id := range bench.Experiments() {
-		want[id] = true
-	}
-	for _, id := range []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "T1", "T2", "T3", "T4", "T5", "T6", "T7", "T9", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "W1", "W3"} {
-		if !want[id] {
-			panic(fmt.Sprintf("bench_test: experiment %s missing from registry", id))
-		}
-		delete(want, id)
-	}
-	if len(want) > 0 {
-		panic(fmt.Sprintf("bench_test: experiments lack benchmarks: %v", want))
 	}
 }

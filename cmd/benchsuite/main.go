@@ -33,7 +33,7 @@ func main() {
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 		chromeOut = flag.String("chrome", "", "with -gantt: write a Chrome trace-event JSON to this file instead of text")
 		dump      = flag.String("dump", "", "write the suite's chemistry workload as JSON to this file and exit")
-		svgDir    = flag.String("svg", "", "render the figure experiments (F2-F7) as SVG charts into this directory and exit")
+		svgDir    = flag.String("svg", "", "render the figure experiments (F2-F6) as SVG charts into this directory and exit")
 		metrics   = flag.String("metrics", "", "run every model at -ranks and write OpenMetrics dumps, JSON summaries and blame tables into this directory, then exit")
 		wallOut   = flag.String("wall", "", "run the wall-clock Fock benchmark and write its JSON report (BENCH_wall.json) to this file, then exit")
 		wallCap   = flag.Int("wall-workers", 0, "with -wall: cap the worker sweep at this count (0 = full sweep; CI smoke uses 2)")
@@ -43,9 +43,9 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		fmt.Println("available experiments:")
+		fmt.Println("available experiments and the claim each backs:")
 		for _, id := range bench.Experiments() {
-			fmt.Printf("  %s\n", id)
+			fmt.Printf("  %s  %s\n", id, bench.Claim(id))
 		}
 		return
 	}

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"runtime"
-	"time"
 
 	"execmodels/internal/chem"
 	"execmodels/internal/core"
-	"execmodels/internal/hypergraph"
 	"execmodels/internal/linalg"
 	"execmodels/internal/semimatching"
 )
@@ -131,35 +129,6 @@ func (s *Suite) AblationLPT() *Table {
 		"semi-matching", f("%.4g", refined.Makespan()), f("%.4f", refined.Makespan()/mean)})
 	t.Notes = append(t.Notes,
 		"expected: refinement equal or better than LPT, largest wins on constrained graphs")
-	return t
-}
-
-// AblationFlatFM (A5) compares the multilevel hypergraph partitioner
-// against flat FM refinement (no hierarchy), in both cut quality and cost.
-func (s *Suite) AblationFlatFM() *Table {
-	s.prepare()
-	p := s.maxRanks()
-	h := core.BuildHypergraph(s.work)
-	t := &Table{
-		ID:     "A5",
-		Title:  f("multilevel vs flat hypergraph partitioning, k=%d", p),
-		Header: []string{"variant", "cut(bytes)", "imbalance", "levels", "cost(s,real)"},
-	}
-	for _, flat := range []bool{false, true} {
-		start := time.Now()
-		res := hypergraph.Partition(h, p, hypergraph.Options{Seed: s.Seed, Flat: flat})
-		cost := time.Since(start).Seconds()
-		name := "multilevel"
-		if flat {
-			name = "flat-fm"
-		}
-		t.Rows = append(t.Rows, []string{
-			name, f("%.4g", res.Cut), f("%.4f", res.Imbalance),
-			f("%d", res.Levels), f("%.3g", cost),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"expected: multilevel cut at or below flat FM's; hierarchy pays off as graphs grow")
 	return t
 }
 

@@ -184,35 +184,55 @@ func Experiments() []string {
 	return ids
 }
 
-// registry maps experiment IDs to their implementations.
-var registry = map[string]func(*Suite) *Table{
-	"F1": (*Suite).Figure1,
-	"F2": (*Suite).Figure2,
-	"F3": (*Suite).Figure3,
-	"F4": (*Suite).Figure4,
-	"F5": (*Suite).Figure5,
-	"T1": (*Suite).Table1,
-	"T2": (*Suite).Table2,
-	"T3": (*Suite).Table3,
-	"T4": (*Suite).Table4,
-	"T5": (*Suite).Table5,
-	"F6": (*Suite).Figure6,
-	"F7": (*Suite).Figure7,
-	"T7": (*Suite).Table7,
-	"T6": (*Suite).Table6,
-	"A1": (*Suite).AblationWallVsSim,
-	"A2": (*Suite).AblationUniformCosts,
-	"A3": (*Suite).AblationStealPolicy,
-	"A4": (*Suite).AblationLPT,
-	"A5": (*Suite).AblationFlatFM,
-	"A6": (*Suite).AblationChunkSize,
-	"A7": (*Suite).AblationSelfSched,
-	"A8": (*Suite).AblationFMRefiner,
-	"F8": (*Suite).Figure8,
-	"T9": (*Suite).Table9,
-	"W1": (*Suite).WallBenchTable,
-	"W3": (*Suite).WallFeedbackTable,
+// The claims an experiment may back: the six that PAPER.md reconstructs
+// from the abstract, numbered as there, and the simulator-for-cluster
+// substitution that DESIGN.md depends on.
+const (
+	claimIrregular    = "1 irregular kernel"
+	claimStealing     = "2 stealing ~50% over static"
+	claimQuality      = "3 semi-matching ~ hypergraph quality"
+	claimPlanCost     = "4 hypergraph is expensive"
+	claimGranularity  = "5 granularity vs overheads"
+	claimVariability  = "6 variability"
+	claimSubstitution = "substitution (simulator vs wall backend)"
+)
+
+// experiment is one registry entry: the claim it backs and the run
+// function that produces its table.
+type experiment struct {
+	claim string
+	run   func(*Suite) *Table
 }
+
+// registry maps experiment IDs to their claims and implementations. An
+// experiment that backs no claim does not belong here.
+var registry = map[string]experiment{
+	"F1": {claimIrregular, (*Suite).Figure1},
+	"A2": {claimIrregular, (*Suite).AblationUniformCosts},
+	"T1": {claimStealing, (*Suite).Table1},
+	"T2": {claimStealing, (*Suite).Table2},
+	"F2": {claimStealing, (*Suite).Figure2},
+	"T6": {claimStealing, (*Suite).Table6},
+	"A3": {claimStealing, (*Suite).AblationStealPolicy},
+	"T3": {claimQuality, (*Suite).Table3},
+	"A4": {claimQuality, (*Suite).AblationLPT},
+	"F8": {claimQuality, (*Suite).Figure8},
+	"T4": {claimPlanCost, (*Suite).Table4},
+	"T5": {claimPlanCost, (*Suite).Table5},
+	"F3": {claimGranularity, (*Suite).Figure3},
+	"F5": {claimGranularity, (*Suite).Figure5},
+	"A6": {claimGranularity, (*Suite).AblationChunkSize},
+	"A7": {claimGranularity, (*Suite).AblationSelfSched},
+	"T9": {claimGranularity, (*Suite).Table9},
+	"F4": {claimVariability, (*Suite).Figure4},
+	"F6": {claimVariability, (*Suite).Figure6},
+	"A1": {claimSubstitution, (*Suite).AblationWallVsSim},
+	"W1": {claimSubstitution, (*Suite).WallBenchTable},
+	"W3": {claimSubstitution, (*Suite).WallFeedbackTable},
+}
+
+// Claim returns the claim experiment id backs, or "" for an unknown id.
+func Claim(id string) string { return registry[id].claim }
 
 // Known reports whether id names a registered experiment — the fail-fast
 // validation cmd/benchsuite applies before running anything.
@@ -269,11 +289,11 @@ func checkRanks(ranks int) error {
 
 // Run executes the experiment with the given ID.
 func (s *Suite) Run(id string) (*Table, error) {
-	f, ok := registry[id]
+	e, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", id, Experiments())
 	}
-	return f(s), nil
+	return e.run(s), nil
 }
 
 // All runs every experiment in canonical order.

@@ -1,13 +1,9 @@
 package bench
 
 import (
-	"time"
-
 	"execmodels/internal/chem"
 	"execmodels/internal/cluster"
 	"execmodels/internal/core"
-	"execmodels/internal/dscf"
-	"execmodels/internal/hypergraph"
 )
 
 // Table6 reproduces the end-to-end application view: total time for a
@@ -93,122 +89,6 @@ func (s *Suite) Figure6() *Table {
 	t.Notes = append(t.Notes,
 		"expected shape: all models slow with lost cycles (~1/(1-p/2)); episodes hurt the static "+
 			"schedule more because its critical rank cannot shed work mid-episode")
-	return t
-}
-
-// Figure7 reproduces the topology experiment: flat versus hierarchical
-// (node-aware) work stealing on a multicore cluster as the inter-node
-// network slows down, reporting both makespan and the fraction of steals
-// that cross a node boundary.
-func (s *Suite) Figure7() *Table {
-	s.prepare()
-	cores := 4
-	nodes := s.maxRanks() / cores
-	if nodes < 2 {
-		nodes = 2
-	}
-	t := &Table{
-		ID: "F7",
-		Title: f("flat vs hierarchical stealing, %d nodes x %d cores, vs inter-node latency",
-			nodes, cores),
-		Header: []string{"latency(us)", "flat-makespan", "flat-remote%", "hier-makespan", "hier-remote%"},
-	}
-	for _, lat := range []float64{1e-6, 5e-6, 20e-6, 80e-6} {
-		mk := func() *cluster.Machine {
-			return cluster.New(cluster.Config{
-				Ranks: nodes * cores, CoresPerNode: cores, Latency: lat, Seed: s.Seed,
-			})
-		}
-		flat := core.RunScheduler(core.StealingSched{Seed: s.Seed}, s.work, mk())
-		hier := core.RunScheduler(core.StealingSched{Hierarchical: true, Seed: s.Seed}, s.work, mk())
-		pct := func(r *core.Result) string {
-			if r.Steals == 0 {
-				return "n/a"
-			}
-			return f("%.0f%%", 100*float64(r.RemoteSteals)/float64(r.Steals))
-		}
-		t.Rows = append(t.Rows, []string{
-			f("%.0f", lat*1e6),
-			f("%.4g", flat.Makespan), pct(flat),
-			f("%.4g", hier.Makespan), pct(hier),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"expected shape: hierarchical keeps the remote fraction low at every latency; "+
-			"its makespan advantage appears once remote round-trips dominate steal cost")
-	return t
-}
-
-// Table7 reproduces the application-context view: per-phase time
-// breakdown of the surrounding SCF (Fock build / Fock reduction /
-// diagonalization / density broadcast) as the machine grows. The Fock
-// build is the only phase the execution models touch, and its share of
-// the iteration shrinks with scale — the Amdahl ceiling on what any
-// execution-model improvement can deliver.
-func (s *Suite) Table7() *Table {
-	s.prepare()
-	// Two basis dimensions: the suite's actual system, where the O(N³)
-	// diagonalization is negligible, and a production-sized one (the
-	// regime the original GA-era SCF codes ran in), where the replicated
-	// diagonalization caps the scaling no matter how good the Fock-build
-	// execution model is.
-	sizes := []int{s.bs.NBF, 2000}
-	t := &Table{
-		ID:     "T7",
-		Title:  "SCF phase breakdown vs scale (replicated diagonalization)",
-		Header: []string{"NBF", "P", "fock(s)", "reduce(s)", "diag(s)", "bcast(s)", "fock-share"},
-	}
-	for _, nbf := range sizes {
-		for _, p := range s.rankSweep() {
-			res, err := dscf.Run(dscf.Config{
-				NBF: nbf, Iterations: 5, ReplicatedDiag: true,
-			}, core.Model{Sched: "stealing", Opt: core.SchedOptions{Seed: s.Seed}}, s.work, s.machine(p))
-			if err != nil {
-				panic(err)
-			}
-			b := res.Breakdown()
-			t.Rows = append(t.Rows, []string{
-				f("%d", nbf), f("%d", p),
-				f("%.4g", b.Fock), f("%.4g", b.Reduce), f("%.4g", b.Diag), f("%.4g", b.Broadcast),
-				f("%.2f", res.FockFraction),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"expected shape: at the small NBF the fock build dominates everywhere; at the production "+
-			"NBF its share collapses with P as the flat replicated diagonalization takes over — "+
-			"the Amdahl ceiling on any execution-model improvement")
-	return t
-}
-
-// AblationFMRefiner (A8) compares the greedy positive-gain refiner with
-// the Fiduccia–Mattheyses tentative-move/rollback refiner inside the
-// multilevel partitioner: cut quality versus partitioning cost.
-func (s *Suite) AblationFMRefiner() *Table {
-	s.prepare()
-	p := s.maxRanks()
-	h := core.BuildHypergraph(s.work)
-	t := &Table{
-		ID:     "A8",
-		Title:  f("greedy vs FM refinement inside the multilevel partitioner, k=%d", p),
-		Header: []string{"refiner", "cut(bytes)", "imbalance", "cost(s,real)"},
-	}
-	for _, fm := range []bool{false, true} {
-		start := time.Now()
-		res := hypergraph.Partition(h, p, hypergraph.Options{Seed: s.Seed, FM: fm})
-		cost := time.Since(start).Seconds()
-		name := "greedy"
-		if fm {
-			name = "fm-rollback"
-		}
-		t.Rows = append(t.Rows, []string{
-			name, f("%.4g", res.Cut), f("%.4f", res.Imbalance), f("%.3g", cost),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"expected: comparable cuts at comparable cost on this instance; FM's rollback wins "+
-			"decisively on plateau-rich inputs (see the hypergraph package's TestFMEscapesPlateau) "+
-			"where greedy's positive-gain-only moves stall")
 	return t
 }
 

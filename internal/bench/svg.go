@@ -10,7 +10,7 @@ import (
 	"execmodels/internal/plot"
 )
 
-// FigureSVGs renders the figure experiments (F2–F7) as SVG line charts
+// FigureSVGs renders the figure experiments (F2–F6) as SVG line charts
 // into dir, returning the files written. F1 (a histogram) and F8 (a
 // two-workload table) stay textual.
 func (s *Suite) FigureSVGs(dir string) ([]string, error) {
@@ -38,9 +38,6 @@ func (s *Suite) FigureSVGs(dir string) ([]string, error) {
 		{"F6", func(t *Table) (*plot.Chart, error) {
 			return matrixChart(t, "throttle probability", "slowdown", false, false)
 		}},
-		{"F7", func(t *Table) (*plot.Chart, error) {
-			return columnsChart(t, 0, []int{1, 3}, "inter-node latency (us)", "simulated time (s)", false)
-		}},
 	}
 	for _, sp := range specs {
 		tbl, err := s.Run(sp.id)
@@ -58,7 +55,9 @@ func (s *Suite) FigureSVGs(dir string) ([]string, error) {
 			return written, err
 		}
 		err = chart.WriteSVG(f)
-		f.Close()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return written, err
 		}

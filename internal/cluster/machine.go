@@ -47,14 +47,6 @@ type Config struct {
 	// centralized task counter a contention point at scale.
 	CounterService float64
 
-	// CoresPerNode groups consecutive ranks into shared-memory nodes.
-	// Transfers between ranks on the same node use IntraLatency and
-	// IntraBandwidth instead of the network parameters. 0 or 1 disables
-	// the hierarchy (every rank is its own node).
-	CoresPerNode   int
-	IntraLatency   float64 // same-node latency (default Latency/10)
-	IntraBandwidth float64 // same-node bandwidth (default 4x Bandwidth)
-
 	// TaskOverhead is the fixed per-task runtime bookkeeping cost in
 	// simulated seconds (default 5e-7).
 	TaskOverhead float64
@@ -163,78 +155,6 @@ func (m *Machine) XferTime(bytes int) float64 {
 // RoundTrip returns the time of an empty request/response exchange over
 // the network.
 func (m *Machine) RoundTrip() float64 { return 2 * m.Cfg.Latency }
-
-// NodeOf returns the shared-memory node index of a rank.
-func (m *Machine) NodeOf(r int) int {
-	if m.Cfg.CoresPerNode <= 1 {
-		return r
-	}
-	return r / m.Cfg.CoresPerNode
-}
-
-// SameNode reports whether two ranks share a node.
-func (m *Machine) SameNode(a, b int) bool { return m.NodeOf(a) == m.NodeOf(b) }
-
-// intraLatency returns the same-node latency.
-func (m *Machine) intraLatency() float64 {
-	if m.Cfg.IntraLatency > 0 {
-		return m.Cfg.IntraLatency
-	}
-	return m.Cfg.Latency / 10
-}
-
-// intraBandwidth returns the same-node bandwidth.
-func (m *Machine) intraBandwidth() float64 {
-	if m.Cfg.IntraBandwidth > 0 {
-		return m.Cfg.IntraBandwidth
-	}
-	return 4 * m.Cfg.Bandwidth
-}
-
-// XferTimeBetween returns the time to move bytes from rank src to rank
-// dst, using the cheap intra-node path when both share a node.
-func (m *Machine) XferTimeBetween(src, dst, bytes int) float64 {
-	if src == dst {
-		return 0
-	}
-	if m.SameNode(src, dst) {
-		return m.intraLatency() + float64(bytes)/m.intraBandwidth()
-	}
-	return m.XferTime(bytes)
-}
-
-// RoundTripBetween returns an empty request/response time between two
-// ranks, topology-aware.
-func (m *Machine) RoundTripBetween(a, b int) float64 {
-	if m.SameNode(a, b) {
-		return 2 * m.intraLatency()
-	}
-	return m.RoundTrip()
-}
-
-// AllReduceTime models a binomial-tree allreduce of the given payload
-// across all ranks: 2·log2(P) network latencies plus bandwidth terms.
-// Used by the distributed SCF phase model for convergence checks and
-// density broadcasts.
-func (m *Machine) AllReduceTime(bytes int) float64 {
-	if m.P <= 1 {
-		return 0
-	}
-	steps := 0
-	for 1<<steps < m.P {
-		steps++
-	}
-	return 2 * float64(steps) * (m.Cfg.Latency + float64(bytes)/m.Cfg.Bandwidth)
-}
-
-// MeanSpeed returns the average static rank speed.
-func (m *Machine) MeanSpeed() float64 {
-	var s float64
-	for _, v := range m.speeds {
-		s += v
-	}
-	return s / float64(len(m.speeds))
-}
 
 // IdealTime returns the perfectly-balanced, zero-overhead lower bound for
 // executing totalCost work units on this machine: totalCost divided by the

@@ -110,9 +110,6 @@ func TestIdealTime(t *testing.T) {
 	if got := m.IdealTime(16); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("IdealTime = %v, want 2", got)
 	}
-	if got := m.MeanSpeed(); got != 2 {
-		t.Fatalf("MeanSpeed = %v", got)
-	}
 }
 
 func TestCounterAgentSerializes(t *testing.T) {

@@ -115,7 +115,7 @@ func runCounterSim(model string, w *Workload, m *cluster.Machine, policy ChunkPo
 					continue
 				}
 				seen[r][b] = true
-				ct := 2 * m.XferTimeBetween(owner, r, w.BlockBytes[b])
+				ct := 2 * m.XferTime(w.BlockBytes[b])
 				m.Trace.Record(cluster.Interval{Rank: r, Start: t, End: t + ct, TaskID: -1, Activity: "comm", Src: owner, Dst: r, Bytes: w.BlockBytes[b]})
 				res.addComm(r, ct, w.BlockBytes[b])
 				t += ct

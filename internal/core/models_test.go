@@ -244,7 +244,7 @@ func TestModelRegistry(t *testing.T) {
 	}
 	// Every reporting name is itself a SchedulerByName alias, so a name
 	// read off a table resolves back to the same policy.
-	for _, n := range append(want, "work-stealing-one", "work-stealing-maxvictim", "hypergraph-flat") {
+	for _, n := range append(want, "work-stealing-one", "work-stealing-maxvictim") {
 		if got := (Model{Sched: n}).Name(); got != n {
 			t.Errorf("Model{Sched: %q} reports as %q", n, got)
 		}

@@ -18,9 +18,6 @@ func randomConfig(rng *rand.Rand) cluster.Config {
 	if rng.Intn(2) == 0 {
 		cfg.NoiseSigma = rng.Float64() * 0.3
 	}
-	if rng.Intn(2) == 0 {
-		cfg.CoresPerNode = 1 + rng.Intn(4)
-	}
 	if rng.Intn(3) == 0 {
 		cfg.ThrottleProb = rng.Float64() * 0.4
 	}
@@ -48,7 +45,6 @@ func TestPropertyAllModelsAllMachines(t *testing.T) {
 		models := append(AllModels(rng.Int63()),
 			Model{Sched: "self-sched-guided"},
 			Model{Sched: "self-sched-factoring"},
-			Model{Sched: "work-stealing-hier", Opt: SchedOptions{Seed: rng.Int63()}},
 			Model{Sched: "persistence-sm", Opt: SchedOptions{Seed: rng.Int63()}, Iterations: 2},
 		)
 		for _, model := range models {
@@ -92,7 +88,6 @@ func TestPropertyDeterminism(t *testing.T) {
 		cfg := randomConfig(rng)
 		models := append(AllModels(42),
 			Model{Sched: "self-sched-guided", Opt: SchedOptions{Seed: 42}},
-			Model{Sched: "work-stealing-hier", Opt: SchedOptions{Seed: 42}},
 		)
 		for _, model := range models {
 			// One value run twice: each run must build its own scheduler.

@@ -40,7 +40,6 @@ type Result struct {
 	CounterOps   int64
 	CounterWait  float64 // total counter queueing delay across ranks
 	Steals       int64   // successful steals
-	RemoteSteals int64   // successful steals that crossed a node boundary
 	FailedSteals int64
 	StealTime    float64 // total time spent in steal protocol
 }
@@ -104,7 +103,6 @@ func (r *Result) finalize() {
 	r.CounterOps = r.Obs.CounterTotal(obs.CCounterOps)
 	r.CounterWait = r.Obs.GaugeTotal(obs.MCounterWait)
 	r.Steals = r.Obs.CounterTotal(obs.CSteals)
-	r.RemoteSteals = r.Obs.CounterTotal(obs.CRemoteSteals)
 	r.FailedSteals = r.Obs.CounterTotal(obs.CFailedSteals)
 	r.StealTime = r.Obs.GaugeTotal(obs.MSteal)
 }

@@ -108,10 +108,9 @@ type PullPolicy struct {
 	Policy ChunkPolicy
 	// Seed drives victim selection (PullStealing).
 	Seed int64
-	// Steal/Victim/Hierarchical refine the stealing discipline.
-	Steal        StealPolicy
-	Victim       VictimPolicy
-	Hierarchical bool
+	// Steal/Victim refine the stealing discipline.
+	Steal  StealPolicy
+	Victim VictimPolicy
 }
 
 // Plan is one scheduler's decision for one task set on one rank count:
@@ -338,16 +337,10 @@ func (s SemiMatchingSched) Plan(ts *TaskSet, ranks int) *Plan {
 type HypergraphSched struct {
 	Eps  float64 // balance slack (default 0.05)
 	Seed int64
-	Flat bool // ablation: disable the multilevel hierarchy
 }
 
 // Name implements Scheduler.
-func (h HypergraphSched) Name() string {
-	if h.Flat {
-		return "hypergraph-flat"
-	}
-	return "hypergraph"
-}
+func (h HypergraphSched) Name() string { return "hypergraph" }
 
 // Plan implements Scheduler.
 func (h HypergraphSched) Plan(ts *TaskSet, ranks int) *Plan {
@@ -355,7 +348,7 @@ func (h HypergraphSched) Plan(ts *TaskSet, ranks int) *Plan {
 	hg := buildHypergraph(ts.Len(), ts.NumBlocks, ts.BlockBytes,
 		func(i int) float64 { return ts.Costs[i] },
 		func(i int) []int { return ts.Blocks[i] })
-	assign := hypergraph.Partition(hg, ranks, hypergraph.Options{Eps: h.Eps, Seed: h.Seed, Flat: h.Flat}).Part
+	assign := hypergraph.Partition(hg, ranks, hypergraph.Options{Eps: h.Eps, Seed: h.Seed}).Part
 	return &Plan{Assign: assign, PlanCost: sw.seconds()}
 }
 
@@ -393,18 +386,11 @@ type StealingSched struct {
 	Steal  StealPolicy
 	Victim VictimPolicy
 	Seed   int64
-	// Hierarchical prefers victims on the thief's own node: a local
-	// victim with work is stolen from at intra-node cost; only a
-	// work-less node falls back to remote steals. Requires a machine with
-	// CoresPerNode > 1 to differ from flat stealing.
-	Hierarchical bool
 }
 
 // Name implements Scheduler.
 func (s StealingSched) Name() string {
 	switch {
-	case s.Hierarchical:
-		return "work-stealing-hier"
 	case s.Steal == StealOne && s.Victim == MostLoadedVictim:
 		return "work-stealing-one-maxvictim"
 	case s.Steal == StealOne:
@@ -420,7 +406,7 @@ func (s StealingSched) Name() string {
 func (s StealingSched) Plan(ts *TaskSet, ranks int) *Plan {
 	return &Plan{Pull: &PullPolicy{
 		Kind: PullStealing, Seed: s.Seed,
-		Steal: s.Steal, Victim: s.Victim, Hierarchical: s.Hierarchical,
+		Steal: s.Steal, Victim: s.Victim,
 	}}
 }
 
@@ -581,16 +567,12 @@ func SchedulerByName(name string, opt SchedOptions) (Scheduler, error) {
 		return StealingSched{Steal: StealOne, Seed: opt.Seed}, nil
 	case "work-stealing-maxvictim":
 		return StealingSched{Victim: MostLoadedVictim, Seed: opt.Seed}, nil
-	case "work-stealing-hier":
-		return StealingSched{Hierarchical: true, Seed: opt.Seed}, nil
 	case "lpt":
 		return LPTSched{}, nil
 	case "semimatching", "semi-matching":
 		return SemiMatchingSched{ExtraEdges: opt.ExtraEdges, Seed: opt.Seed}, nil
 	case "hypergraph":
 		return HypergraphSched{Eps: opt.Eps, Seed: opt.Seed}, nil
-	case "hypergraph-flat":
-		return HypergraphSched{Eps: opt.Eps, Seed: opt.Seed, Flat: true}, nil
 	case "persistence":
 		return NewPersistenceSched(PersistenceOptions{Seed: opt.Seed, Costs: opt.Costs}), nil
 	case "persistence-sm":
@@ -614,8 +596,8 @@ func SchedulerByName(name string, opt SchedOptions) (Scheduler, error) {
 func SchedulerNames() []string {
 	return []string{
 		"static", "cyclic", "dynamic", "self-sched-guided", "self-sched-factoring",
-		"stealing", "work-stealing-one", "work-stealing-maxvictim", "work-stealing-hier",
-		"lpt", "semimatching", "hypergraph", "hypergraph-flat",
+		"stealing", "work-stealing-one", "work-stealing-maxvictim",
+		"lpt", "semimatching", "hypergraph",
 		"persistence", "persistence-sm", "persistence-feedback",
 	}
 }

@@ -43,7 +43,7 @@ func runAssignment(model string, w *Workload, m *cluster.Machine, assign []int, 
 				continue
 			}
 			seen[r][b] = true
-			ct := 2 * m.XferTimeBetween(owner, r, w.BlockBytes[b])
+			ct := 2 * m.XferTime(w.BlockBytes[b])
 			m.Trace.Record(cluster.Interval{Rank: r, Start: clock[r], End: clock[r] + ct, TaskID: -1, Activity: "comm", Src: owner, Dst: r, Bytes: w.BlockBytes[b]})
 			res.addComm(r, ct, w.BlockBytes[b])
 			clock[r] += ct

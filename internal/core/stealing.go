@@ -78,7 +78,7 @@ func runStealingSim(name string, pull *PullPolicy, w *Workload, m *cluster.Machi
 					continue
 				}
 				seen[r][b] = true
-				ct := 2 * m.XferTimeBetween(owner, r, w.BlockBytes[b])
+				ct := 2 * m.XferTime(w.BlockBytes[b])
 				m.Trace.Record(cluster.Interval{Rank: r, Start: t, End: t + ct, TaskID: -1, Activity: "comm", Src: owner, Dst: r, Bytes: w.BlockBytes[b]})
 				res.addComm(r, ct, w.BlockBytes[b])
 				t += ct
@@ -95,11 +95,8 @@ func runStealingSim(name string, pull *PullPolicy, w *Workload, m *cluster.Machi
 		}
 
 		// Steal attempt.
-		victim := pull.pickVictim(r, queues, rng, m)
+		victim := pull.pickVictim(r, queues, rng)
 		cost := m.RoundTrip()
-		if victim >= 0 {
-			cost = m.RoundTripBetween(r, victim)
-		}
 		if victim >= 0 && len(queues[victim]) > 0 {
 			var loot []int
 			if pull.Steal == StealOne {
@@ -117,16 +114,9 @@ func runStealingSim(name string, pull *PullPolicy, w *Workload, m *cluster.Machi
 			}
 			queues[r] = append(queues[r], loot...)
 			res.count(obs.CSteals, r, 1)
-			if !m.SameNode(r, victim) {
-				res.count(obs.CRemoteSteals, r, 1)
-			}
 			fails[r] = 0
 			// Transferring task descriptors: one extra latency per steal.
-			if m.SameNode(r, victim) {
-				cost += m.RoundTripBetween(r, victim) / 2
-			} else {
-				cost += m.Cfg.Latency
-			}
+			cost += m.Cfg.Latency
 		} else {
 			res.count(obs.CFailedSteals, r, 1)
 			fails[r]++
@@ -145,22 +135,10 @@ func runStealingSim(name string, pull *PullPolicy, w *Workload, m *cluster.Machi
 
 // pickVictim chooses the rank thief self steals from under the plan's
 // victim policy, or -1 when there is no other rank.
-func (pull *PullPolicy) pickVictim(self int, queues [][]int, rng *rand.Rand, m *cluster.Machine) int {
+func (pull *PullPolicy) pickVictim(self int, queues [][]int, rng *rand.Rand) int {
 	p := len(queues)
 	if p == 1 {
 		return -1
-	}
-	if pull.Hierarchical {
-		// Prefer a same-node victim that has work; fall back to remote.
-		var local []int
-		for r := 0; r < p; r++ {
-			if r != self && m.SameNode(self, r) && len(queues[r]) > 0 {
-				local = append(local, r)
-			}
-		}
-		if len(local) > 0 {
-			return local[rng.Intn(len(local))]
-		}
 	}
 	if pull.Victim == MostLoadedVictim {
 		best, bestLen := -1, 0

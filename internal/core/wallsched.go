@@ -96,7 +96,7 @@ func (s *wallAssignSched) counters() wallCounters { return wallCounters{} }
 // backend — the only place a policy meets a wallSched. Assignment plans
 // run through wallAssignSched; pull plans map onto the counter and
 // stealing schedules. Self-scheduling chunk policies and the stealing
-// variants (steal-one, max-loaded victim, hierarchical) model cluster
+// variants (steal-one, max-loaded victim) model cluster
 // behaviors with no goroutine counterpart and are rejected as
 // simulator-only.
 func newWallSchedFromPlan(plan *Plan, n, workers int) (wallSched, error) {
@@ -109,7 +109,7 @@ func newWallSchedFromPlan(plan *Plan, n, workers int) (wallSched, error) {
 		}
 		return newWallDynSched(n, workers, plan.Pull.Chunk), nil
 	case plan.Pull != nil && plan.Pull.Kind == PullStealing:
-		if plan.Pull.Steal != StealHalf || plan.Pull.Victim != RandomVictim || plan.Pull.Hierarchical {
+		if plan.Pull.Steal != StealHalf || plan.Pull.Victim != RandomVictim {
 			return nil, fmt.Errorf("core: stealing variants other than steal-half/random-victim are simulator-only")
 		}
 		return newWallStealSched(n, workers, plan.Pull.Seed), nil

@@ -72,7 +72,6 @@ func TestNewWallSchedFromPlanRejectsSimulatorOnly(t *testing.T) {
 		{"self-sched", &Plan{Pull: &PullPolicy{Kind: PullCounter, Policy: GuidedChunk{}}}, "simulator-only"},
 		{"steal-one", &Plan{Pull: &PullPolicy{Kind: PullStealing, Steal: StealOne}}, "steal-half"},
 		{"max-victim", &Plan{Pull: &PullPolicy{Kind: PullStealing, Victim: MostLoadedVictim}}, "steal-half"},
-		{"hierarchical", &Plan{Pull: &PullPolicy{Kind: PullStealing, Hierarchical: true}}, "steal-half"},
 		{"empty", &Plan{}, "empty plan"},
 	}
 	for _, c := range cases {
@@ -176,7 +175,7 @@ func TestWallAssignSchedNextZeroAlloc(t *testing.T) {
 // wall-capable SchedulerByName policy.
 func wallSchedPolicyCases() []string {
 	return []string{"static", "cyclic", "dynamic", "stealing",
-		"lpt", "semimatching", "hypergraph", "hypergraph-flat",
+		"lpt", "semimatching", "hypergraph",
 		"persistence", "persistence-sm", "persistence-feedback"}
 }
 

@@ -11,7 +11,6 @@ type Result struct {
 	Part      []int   // part of each vertex
 	Cut       float64 // connectivity-1 metric
 	Imbalance float64 // max/avg - 1
-	Levels    int     // coarsening levels used (1 for flat)
 }
 
 // Options tunes the partitioner.
@@ -19,13 +18,6 @@ type Options struct {
 	Eps       float64 // balance slack: max part weight <= (1+Eps)*avg (default 0.05)
 	Seed      int64
 	MaxPasses int // refinement passes per level (default 8)
-	// Flat disables the multilevel hierarchy (ablation baseline): initial
-	// partition plus refinement on the original hypergraph only.
-	Flat bool
-	// FM selects the Fiduccia–Mattheyses refiner (tentative moves with
-	// best-prefix rollback) instead of the default positive-gain greedy
-	// passes — better at escaping plateaus, a few times more expensive.
-	FM bool
 }
 
 func (o *Options) setDefaults() {
@@ -47,34 +39,27 @@ func Partition(h *Hypergraph, k int, opts Options) *Result {
 	}
 	if k == 1 {
 		part := make([]int, h.NumVertices())
-		return &Result{Part: part, Cut: 0, Imbalance: 0, Levels: 1}
+		return &Result{Part: part, Cut: 0, Imbalance: 0}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Build the hierarchy.
 	levels := []level{{h: h}}
-	if !opts.Flat {
-		cur := h
-		for cur.NumVertices() > max(4*k, 64) {
-			coarse, vmap, ok := coarsen(cur, rng)
-			if !ok {
-				break
-			}
-			levels[len(levels)-1].map_ = vmap
-			levels = append(levels, level{h: coarse})
-			cur = coarse
+	cur := h
+	for cur.NumVertices() > max(4*k, 64) {
+		coarse, vmap, ok := coarsen(cur, rng)
+		if !ok {
+			break
 		}
-	}
-
-	refiner := refine
-	if opts.FM {
-		refiner = refineFM
+		levels[len(levels)-1].map_ = vmap
+		levels = append(levels, level{h: coarse})
+		cur = coarse
 	}
 
 	// Initial partition on the coarsest level.
 	coarsest := levels[len(levels)-1].h
 	part := initialPartition(coarsest, k, rng)
-	refiner(coarsest, part, k, opts, rng)
+	refine(coarsest, part, k, opts, rng)
 
 	// Uncoarsen, projecting and refining at each level.
 	for li := len(levels) - 2; li >= 0; li-- {
@@ -84,7 +69,7 @@ func Partition(h *Hypergraph, k int, opts Options) *Result {
 			finePart[v] = part[fine.map_[v]]
 		}
 		part = finePart
-		refiner(fine.h, part, k, opts, rng)
+		refine(fine.h, part, k, opts, rng)
 	}
 	balancePass(h, part, k, opts)
 
@@ -92,7 +77,6 @@ func Partition(h *Hypergraph, k int, opts Options) *Result {
 		Part:      part,
 		Cut:       ConnectivityCut(h, part, k),
 		Imbalance: Imbalance(h, part, k),
-		Levels:    len(levels),
 	}
 }
 

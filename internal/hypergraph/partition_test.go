@@ -139,36 +139,6 @@ func TestPartitionCutConsistent(t *testing.T) {
 	}
 }
 
-// Multilevel must (weakly) beat flat FM on clustered inputs, and must
-// actually build a hierarchy.
-func TestMultilevelVsFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	h := New(400)
-	for c := 0; c < 4; c++ {
-		base := c * 100
-		for i := 0; i < 500; i++ {
-			a, b := base+rng.Intn(100), base+rng.Intn(100)
-			if a != b {
-				h.AddNet(1, a, b)
-			}
-		}
-	}
-	for i := 0; i < 10; i++ {
-		h.AddNet(1, rng.Intn(400), rng.Intn(400))
-	}
-	ml := Partition(h, 4, Options{Seed: 2})
-	flat := Partition(h, 4, Options{Seed: 2, Flat: true})
-	if ml.Levels < 2 {
-		t.Fatalf("multilevel used %d levels", ml.Levels)
-	}
-	if flat.Levels != 1 {
-		t.Fatalf("flat used %d levels", flat.Levels)
-	}
-	if ml.Cut > flat.Cut*1.5+10 {
-		t.Fatalf("multilevel cut %v much worse than flat %v", ml.Cut, flat.Cut)
-	}
-}
-
 func TestPartitionK1(t *testing.T) {
 	h := New(5)
 	h.AddNet(1, 0, 1)

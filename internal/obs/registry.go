@@ -32,7 +32,6 @@ const (
 
 	CTasks        = "tasks_total"
 	CSteals       = "steals_total"
-	CRemoteSteals = "remote_steals_total"
 	CFailedSteals = "failed_steals_total"
 	CCounterOps   = "counter_ops_total"
 	CCommBytes    = "comm_bytes_total"
