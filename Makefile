@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench bench-wall wall-smoke bench-serve cover cover-check fuzz fuzz-serve serve serve-smoke blame metrics experiments figures clean
+.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench wall-smoke cover cover-check fuzz fuzz-serve serve serve-smoke blame metrics experiments figures clean
 
 all: build test lint
 
@@ -56,21 +56,11 @@ zero-alloc:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Regenerate the committed wall-clock Fock benchmark report: the real
-# (non-simulated) executors at several worker counts, the pre-arena
-# baseline vs the scratch-arena hot path, ns/task, GFLOP/s, allocs/task
-# and steal/counter telemetry. Numbers are host-dependent; the committed
-# file records the reference machine in its goos/gomaxprocs fields.
-bench-wall:
-	go run ./cmd/benchsuite -wall BENCH_wall.json -scale small
-	go run ./cmd/benchsuite -exp W1 -scale small
-
-# CI's "Wall bench smoke" step: the wall bench capped at 2 workers, then
-# hfscf itself under a feedback policy (RHF), a pull policy (UHF) and on
-# the README's ionized doublet — each exits non-zero unless converged —
-# and the two refusals: an unknown -sched, closed-shell -mp2 under -uhf.
+# CI's "hfscf smoke" step: hfscf on the wall-clock backend under a
+# feedback policy (RHF), a pull policy (UHF) and on the README's ionized
+# doublet — each exits non-zero unless converged — and the two refusals:
+# an unknown -sched, closed-shell -mp2 under -uhf.
 wall-smoke:
-	go run ./cmd/benchsuite -wall bench_wall_ci.json -scale small -wall-workers 2 -wall-sched semimatching,persistence-feedback
 	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
 	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
 	go run ./cmd/hfscf -molecule water -charge 1 -uhf
@@ -81,16 +71,11 @@ wall-smoke:
 serve:
 	go run ./cmd/scfd -addr :8080 -spool spool
 
-# Regenerate the committed load-test report: scfd + a 1000-client
-# heavy-tailed scfload run (latency percentiles, throughput, per-tenant
-# Jain fairness). Host-dependent, like BENCH_wall.json.
-bench-serve:
-	bash scripts/bench_serve.sh BENCH_serve.json
-
-# The kill -9 / restart / resume smoke CI runs: burst load, a long job
-# killed mid-run, checkpoint resume after restart, graceful drain.
+# The kill -9 / restart / resume smoke CI runs: a long job killed
+# mid-run, a burst of small jobs after restart that must all converge,
+# checkpoint resume of the killed job, graceful drain.
 serve-smoke:
-	bash scripts/serve_smoke.sh bench_serve_ci.json
+	bash scripts/serve_smoke.sh
 
 cover:
 	go test -coverprofile=cover.out ./internal/...

@@ -35,10 +35,6 @@ func main() {
 		dump      = flag.String("dump", "", "write the suite's chemistry workload as JSON to this file and exit")
 		svgDir    = flag.String("svg", "", "render the figure experiments (F2-F6) as SVG charts into this directory and exit")
 		metrics   = flag.String("metrics", "", "run every model at -ranks and write OpenMetrics dumps, JSON summaries and blame tables into this directory, then exit")
-		wallOut   = flag.String("wall", "", "run the wall-clock Fock benchmark and write its JSON report (BENCH_wall.json) to this file, then exit")
-		wallCap   = flag.Int("wall-workers", 0, "with -wall: cap the worker sweep at this count (0 = full sweep; CI smoke uses 2)")
-		wallSched = flag.String("wall-sched", "semimatching,hypergraph,persistence-feedback",
-			"with -wall: comma list of policies measured as rows after static, dynamic and stealing; persistence-feedback enables the W3 feedback section")
 	)
 	flag.Parse()
 
@@ -51,40 +47,19 @@ func main() {
 	}
 
 	s := bench.NewSuite(*scale, *seed)
-	s.MaxWorkers = *wallCap
-	for _, p := range strings.Split(*wallSched, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		// Fail fast on a typo before any benchmark time is spent.
-		if _, err := core.NewWallScheduler(p, 1, core.WallOptions{}); err != nil {
-			log.Fatalf("-wall-sched: %v", err)
-		}
-		s.WallScheds = append(s.WallScheds, p)
-	}
 	if *dump != "" {
 		f, err := os.Create(*dump)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := core.WriteWorkload(f, s.Workload()); err != nil {
-			log.Fatal(err)
+		err = core.WriteWorkload(f, s.Workload())
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("wrote %s-scale chemistry workload to %s\n", *scale, *dump)
-		return
-	}
-	if *wallOut != "" {
-		f, err := os.Create(*wallOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if err := s.WriteWallBench(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s-scale wall-clock benchmark report to %s\n", *scale, *wallOut)
+		fmt.Printf("wrote %s-scale chemistry workload to %s\n", *scale, *dump)
 		return
 	}
 	if *metrics != "" {

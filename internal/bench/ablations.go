@@ -29,12 +29,19 @@ func (s *Suite) AblationWallVsSim() *Table {
 		Title:  f("wall-clock vs simulated time, %d workers/ranks", workers),
 		Header: []string{"model", "wall(s)", "wall-imbalance", "sim(s)", "sim-imbalance"},
 	}
-	for _, name := range wallModes {
+	for _, name := range []string{"static", "dynamic", "stealing"} {
 		sched, err := core.SchedulerByName(name, core.SchedOptions{Seed: s.Seed, Block: 1})
 		if err != nil {
 			panic(err)
 		}
-		wr, _ := wallSchedRun(name, s.fock, h, d, workers, 1, s.Seed, 1)
+		ws, err := core.NewWallScheduler(name, workers, core.WallOptions{Seed: s.Seed, Block: 1})
+		if err != nil {
+			panic(err)
+		}
+		wr, err := ws.Build(s.fock, h, d)
+		if err != nil {
+			panic(err)
+		}
 		sr := core.RunScheduler(sched, s.work, simMachine)
 		t.Rows = append(t.Rows, []string{
 			sched.Name(),

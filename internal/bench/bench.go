@@ -91,17 +91,6 @@ type Suite struct {
 	Scale string // "small" (seconds, for tests) or "paper" (full sweep)
 	Seed  int64
 
-	// MaxWorkers, when > 0, caps the wall-clock benchmark's worker sweep
-	// (the CI smoke run caps at 2 so it finishes in seconds).
-	MaxWorkers int
-
-	// WallScheds lists the policies (core.WallSchedulerNames) measured as
-	// wall-benchmark rows after static, dynamic and stealing, which every
-	// report carries. Including "persistence-feedback" additionally runs
-	// the W3 measured-cost feedback experiment into the report's feedback
-	// section.
-	WallScheds []string
-
 	once  sync.Once
 	bs    *chem.BasisSet
 	mol   *chem.Molecule
@@ -227,8 +216,6 @@ var registry = map[string]experiment{
 	"F4": {claimVariability, (*Suite).Figure4},
 	"F6": {claimVariability, (*Suite).Figure6},
 	"A1": {claimSubstitution, (*Suite).AblationWallVsSim},
-	"W1": {claimSubstitution, (*Suite).WallBenchTable},
-	"W3": {claimSubstitution, (*Suite).WallFeedbackTable},
 }
 
 // Claim returns the claim experiment id backs, or "" for an unknown id.

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -137,6 +139,37 @@ func TestTable4CostGap(t *testing.T) {
 	ratio := cellFloat(t, tbl, last, 3)
 	if ratio < 3 {
 		t.Errorf("hypergraph only %vx more expensive at the largest size", ratio)
+	}
+}
+
+// A1 (substitution claim, which it carries alone): every wall cell is a
+// measured time or ratio, and at two or more workers static-block is the
+// slowest of the three policies in simulated time, with a visible
+// imbalance.
+func TestAblationWallVsSimOrdering(t *testing.T) {
+	tbl := sharedSuite.AblationWallVsSim()
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("A1: want 3 rows, got %v", tbl.Rows)
+	}
+	for row := range tbl.Rows {
+		for _, col := range []int{1, 2} {
+			if v := cellFloat(t, tbl, row, col); !(v > 0) || math.IsInf(v, 0) {
+				t.Errorf("A1 row %d: %s = %v, want a positive finite number", row, tbl.Header[col], v)
+			}
+		}
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("A1 runs at 1 worker here: the simulated rows are equal there")
+	}
+	first := tbl.Rows[0][0] // static-block
+	static := cellFloat(t, tbl, 0, 3)
+	for row := 1; row < len(tbl.Rows); row++ {
+		if other := cellFloat(t, tbl, row, 3); static <= other {
+			t.Errorf("A1: %s sim makespan %v not above %s's %v", first, static, tbl.Rows[row][0], other)
+		}
+	}
+	if im := cellFloat(t, tbl, 0, 4); im <= 1.1 {
+		t.Errorf("A1: %s sim imbalance %v, want > 1.1", first, im)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Suite) Table9() *Table {
 // `<name>.summary.json` (the machine-readable run summary), plus a single
 // `blame.txt` with the human-readable blame tables. Output is a pure
 // function of (scale, seed, ranks) — byte-identical across runs.
-func (s *Suite) WriteMetrics(dir string, ranks int) error {
+func (s *Suite) WriteMetrics(dir string, ranks int) (err error) {
 	if err := checkRanks(ranks); err != nil {
 		return err
 	}
@@ -84,7 +84,11 @@ func (s *Suite) WriteMetrics(dir string, ranks int) error {
 	if err != nil {
 		return err
 	}
-	defer bf.Close()
+	defer func() {
+		if cerr := bf.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	for _, mod := range core.AllModels(s.Seed) {
 		res, b := s.blameRun(mod, ranks)

@@ -51,8 +51,7 @@ func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 
 // A warmed-up scratch arena must make the steady-state ERI loop
 // allocation-free: zero heap allocations per task. This is the perf
-// trajectory's regression gate — BENCH_wall.json's allocs/task column is
-// only meaningful while this holds.
+// trajectory's regression gate for the ERI hot path.
 func TestExecuteTaskScratchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race pass")

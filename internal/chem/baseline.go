@@ -7,10 +7,9 @@ import "execmodels/internal/linalg"
 //
 //   - ExecuteTaskBaseline / ExecuteTaskSpinBaseline: the pre-arena task
 //     executor, still screening inside the worker loop. It is the "before"
-//     point of the perf trajectory (BENCH_wall.json, the
-//     BenchmarkExecuteTask* pair) and the foil proving that generation-time
-//     screening (FockTask.Kets) selects exactly the quartets the in-loop
-//     bound test did.
+//     side of the BenchmarkExecuteTask* pair and the foil proving that
+//     generation-time screening (FockTask.Kets) selects exactly the
+//     quartets the in-loop bound test did.
 //   - BuildFockNaive / NaiveSpinJK: the symmetry-free, unscreened
 //     quadruple shell loop — every ordered quartet computed independently,
 //     no 8-fold folding, no Schwarz bound. It is the ground truth the
@@ -23,8 +22,8 @@ import "execmodels/internal/linalg"
 // the baseline executor.
 
 // ExecuteTaskBaseline is the pre-arena reference implementation of
-// ExecuteTaskScratch, retained as the "before" point of the repo's perf
-// trajectory (BENCH_wall.json) and as the allocation-behavior foil in
+// ExecuteTaskScratch, retained as the "before" side of the
+// BenchmarkExecuteTask* pair and as the allocation-behavior foil in
 // tests: it allocates the ERI block, the Hermite workspaces and the
 // digest closures per quartet. Its results must match ExecuteTaskScratch
 // exactly up to floating-point accumulation order.

@@ -336,10 +336,11 @@ func (w *FockWorkload) blockTasks(blockSize int) {
 // Reblock returns a workload over the same screened pairs, Schwarz data
 // and per-pair Hermite tables, re-decomposed into tasks of blockSize bra
 // pairs. Because the expensive screening and pair setup are shared,
-// granularity sweeps (the W2 experiment) cost only the task
-// bookkeeping. The returned workload digests exactly the
-// same quartets in the same global bra-major order, so a serial sweep
-// over its tasks is bit-identical to one over the original's.
+// re-blocking costs only the task bookkeeping, which is what the
+// granularity differential tests need. The returned workload digests
+// exactly the same quartets in the same global bra-major order, so a
+// serial sweep over its tasks is bit-identical to one over the
+// original's.
 func (w *FockWorkload) Reblock(blockSize int) *FockWorkload {
 	if blockSize < 1 {
 		panic("chem: blockSize must be >= 1")
@@ -426,15 +427,6 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 		}
 	}
 	return done
-}
-
-// TotalFlops returns the summed cost estimate across all tasks.
-func (w *FockWorkload) TotalFlops() float64 {
-	var s float64
-	for _, t := range w.Tasks {
-		s += t.EstFlops
-	}
-	return s
 }
 
 // BuildFock computes F = H + J - K/2 serially from density d, using the

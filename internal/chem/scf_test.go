@@ -204,8 +204,12 @@ func TestWorkloadCostIrregularity(t *testing.T) {
 	if im := w.CostImbalance(); im < 1.5 {
 		t.Errorf("max/mean task cost = %v; expected an irregular workload", im)
 	}
-	if w.TotalFlops() <= 0 {
-		t.Error("TotalFlops must be positive")
+	var flops float64
+	for _, task := range w.Tasks {
+		flops += task.EstFlops
+	}
+	if flops <= 0 {
+		t.Error("summed task flop estimate must be positive")
 	}
 }
 

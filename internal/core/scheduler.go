@@ -291,8 +291,8 @@ func (StaticCyclicSched) Plan(ts *TaskSet, ranks int) *Plan {
 }
 
 // LPTSched plans longest-processing-time-first list scheduling over the
-// task-set cost estimates — the estimate-only baseline the W3 feedback
-// experiment compares measured-cost assignment against.
+// task-set cost estimates — the estimate-only baseline that
+// measured-cost assignment (persistence-feedback) is compared against.
 type LPTSched struct{}
 
 // Name implements Scheduler.
@@ -547,8 +547,8 @@ type SchedOptions struct {
 const feedbackAlphaDefault = 0.5
 
 // SchedulerByName instantiates a balancing policy from its canonical
-// name (or a common alias). The names double as the scfd -sched and
-// benchsuite -wall-sched vocabularies.
+// name (or a common alias). The names double as the benchsuite -gantt
+// and the scfd and hfscf -sched vocabularies.
 func SchedulerByName(name string, opt SchedOptions) (Scheduler, error) {
 	switch name {
 	case "static", "static-block":

@@ -31,7 +31,7 @@ const cursorBumps = 1 << 16
 // its neighbours. Compare with BenchmarkCursorPadded — on a multi-core
 // host the packed variant is several times slower; on a single-core
 // host the two converge (no cross-core invalidation), which is itself a
-// useful datum next to BENCH_wall.json's single-core note.
+// useful datum when reading wall timings taken on such a host.
 func BenchmarkCursorFalseSharing(b *testing.B) {
 	const workers = 4
 	cursors := make([]int64, workers) // packed: all four share a line

@@ -24,8 +24,7 @@ type TaskCost struct {
 // CostProfile is the exportable snapshot of a measured-cost model — the
 // obs side of the obs→scheduler feedback loop. Producers emit entries
 // sorted by Key so the export is a pure function of the model state;
-// consumers (the W3 experiment, offline tooling) get one row per task
-// identity.
+// consumers (offline tooling) get one row per task identity.
 type CostProfile struct {
 	// Source names the producer (model or builder name).
 	Source string `json:"source"`

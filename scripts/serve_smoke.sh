@@ -1,27 +1,25 @@
 #!/usr/bin/env bash
-# CI smoke test for the SCF job server: start scfd, drive a scfload
-# burst, kill -9 the server mid-job, restart it over the same spool,
-# verify the killed job resumes from its checkpoint and converges, and
-# assert a clean graceful drain. Writes the burst's bench report to the
-# path given as $1 (default bench_serve_ci.json).
+# CI smoke test for the SCF job server: start scfd, kill -9 it mid-job,
+# restart it over the same spool, submit a burst of small jobs beside the
+# resumed one, verify every burst job converges and the killed job
+# resumes from its checkpoint and converges, and assert a clean graceful
+# drain. Exits non-zero on any failure.
 set -euo pipefail
 
 ADDR=127.0.0.1:8089
 BASE="http://$ADDR"
-OUT="${1:-bench_serve_ci.json}"
 SPOOL="$(mktemp -d)"
-SCFD="$(mktemp -d)/scfd"
-SCFLOAD="$(dirname "$SCFD")/scfload"
+WORK="$(mktemp -d)"
+SCFD="$WORK/scfd"
 SCFD_PID=""
 
 cleanup() {
     [ -n "$SCFD_PID" ] && kill -9 "$SCFD_PID" 2>/dev/null || true
-    rm -rf "$SPOOL" "$(dirname "$SCFD")"
+    rm -rf "$SPOOL" "$WORK"
 }
 trap cleanup EXIT
 
 go build -o "$SCFD" ./cmd/scfd
-go build -o "$SCFLOAD" ./cmd/scfload
 
 start_scfd() {
     "$SCFD" -addr "$ADDR" -spool "$SPOOL" -workers 2 \
@@ -37,6 +35,27 @@ start_scfd() {
 
 json_field() { # json_field <file-or-> <field>: first string/number value
     grep -o "\"$2\":\"\?[^,\"}]*\"\?" "$1" | head -1 | sed 's/.*://; s/"//g'
+}
+
+submit() { # submit <spec>: print the new job's id; honour 429 Retry-After, 20 tries
+    local code retry
+    for _ in $(seq 1 20); do
+        code="$(curl -s -o "$WORK/body" -D "$WORK/headers" -w '%{http_code}' \
+            -X POST -d "$1" "$BASE/v1/jobs")"
+        case "$code" in
+        202)
+            grep -o '"id":"[^"]*"' "$WORK/body" | cut -d'"' -f4
+            return 0 ;;
+        429)
+            retry="$(grep -i '^retry-after:' "$WORK/headers" | tr -dc '0-9')"
+            sleep "${retry:-1}" ;;
+        *)
+            echo "serve_smoke: submit $1: HTTP $code: $(cat "$WORK/body")" >&2
+            return 1 ;;
+        esac
+    done
+    echo "serve_smoke: submit $1 still refused after 20 tries" >&2
+    return 1
 }
 
 echo "== phase 1: start scfd, submit a long job, kill -9 mid-run =="
@@ -61,11 +80,37 @@ wait "$SCFD_PID" 2>/dev/null || true
 SCFD_PID=""
 [ ! -f "$SPOOL/$LONG_ID/result.json" ] || { echo "serve_smoke: job finished before the kill; smoke needs a longer job" >&2; exit 1; }
 
-echo "== phase 2: restart over the same spool, drive a burst, expect resume =="
+echo "== phase 2: restart over the same spool, submit a burst, expect resume =="
 start_scfd
 
-"$SCFLOAD" -addr "$BASE" -clients 100 -jobs 150 -out "$OUT" \
-    -tenants acme=3,blue=1,guest=1
+TENANTS=(acme blue guest)
+MOLECULES=(h2 water waters:2)
+BASES=(sto-3g 6-31g)
+BURST_IDS=()
+for i in $(seq 0 29); do
+    spec="{\"tenant\":\"${TENANTS[i % 3]}\",\"molecule\":\"${MOLECULES[i / 3 % 3]}\",\"basis\":\"${BASES[i / 9 % 2]}\"}"
+    id="$(submit "$spec")" || exit 1
+    [ -n "$id" ] || { echo "serve_smoke: no id for $spec" >&2; exit 1; }
+    BURST_IDS+=("$id")
+done
+echo "burst: submitted ${#BURST_IDS[@]} jobs"
+
+# Every burst job must end done and converged.
+for id in "${BURST_IDS[@]}"; do
+    for _ in $(seq 1 600); do
+        JOB="$(curl -fs "$BASE/v1/jobs/$id")" ||
+            { echo "serve_smoke: status of burst job $id unavailable" >&2; exit 1; }
+        case "$JOB" in *'"state":"done"'* | *'"state":"failed"'*) break ;; esac
+        sleep 0.5
+    done
+    case "$JOB" in *'"state":"done"'*) ;; *)
+        echo "serve_smoke: burst job $id did not finish: $JOB" >&2; exit 1 ;;
+    esac
+    case "$JOB" in *'"converged":true'*) ;; *)
+        echo "serve_smoke: burst job $id did not converge: $JOB" >&2; exit 1 ;;
+    esac
+done
+echo "burst: all ${#BURST_IDS[@]} jobs done and converged"
 
 # The killed job must finish too — resumed from its checkpoint.
 for _ in $(seq 1 600); do
@@ -87,8 +132,9 @@ for _ in $(seq 1 120); do
     sleep 0.5
 done
 if [ "$DRAIN_OK" != 1 ]; then echo "serve_smoke: scfd did not drain within 60s" >&2; exit 1; fi
-wait "$SCFD_PID" 2>/dev/null; STATUS=$?
+STATUS=0
+wait "$SCFD_PID" 2>/dev/null || STATUS=$?
 SCFD_PID=""
 [ "$STATUS" -eq 0 ] || { echo "serve_smoke: scfd exited with status $STATUS" >&2; exit 1; }
 
-echo "serve_smoke: OK (report: $OUT)"
+echo "serve_smoke: OK"
