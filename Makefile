@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench wall-smoke cover cover-check fuzz fuzz-serve serve serve-smoke blame metrics experiments figures clean
+.PHONY: all build test race lint lint-determinism lint-fuzz zero-alloc bench wall-smoke cover cover-check fuzz serve serve-smoke blame metrics experiments figures clean
 
 all: build test lint
 
@@ -58,14 +58,17 @@ bench:
 
 # CI's "hfscf smoke" step: hfscf on the wall-clock backend under a
 # feedback policy (RHF), a pull policy (UHF) and on the README's ionized
-# doublet — each exits non-zero unless converged — and the two refusals:
-# an unknown -sched, closed-shell -mp2 under -uhf.
+# doublet — each exits non-zero unless converged — and the refusals: an
+# unknown -sched, closed-shell -mp2 under -uhf, a negative -block and a
+# negative -screen.
 wall-smoke:
 	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
 	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
 	go run ./cmd/hfscf -molecule water -charge 1 -uhf
 	! go run ./cmd/hfscf -sched bogus
 	! go run ./cmd/hfscf -molecule water -uhf -mp2
+	! go run ./cmd/hfscf -block -1
+	! go run ./cmd/hfscf -screen -1
 
 # Run the SCF job server locally (spool ./spool, Ctrl-C drains cleanly).
 serve:
@@ -90,20 +93,20 @@ cover-check:
 		'{ pct = $$3 + 0; printf "coverage %.1f%% (floor %.1f%%)\n", pct, min; \
 		   if (pct < min) { print "coverage regressed below the ratchet"; exit 1 } }'
 
-# Short deterministic fuzz pass (CI runs the same budget): the
-# scheduling comparability invariant, the Schwarz no-false-pruning
-# bound, the ERI kernel against its oracle and the Boys function's
+# The short fuzz pass, 30 s a target; CI's "Fuzz" step runs this
+# target, so the list lives here only: the scheduling comparability
+# invariant; the job-server spec decoder (untrusted submissions never
+# panic, accepted specs survive Validate and a JSON round trip); the
+# Schwarz no-false-pruning bound; the ERI kernel against its oracle; the
+# primitive-quartet skip's no-false-drop bound; and the Boys function's
 # invariants.
 fuzz:
 	go test ./internal/core/ -fuzz FuzzSemiVsHypergraphAssignment -fuzztime 30s -run '^$$'
+	go test ./internal/serve/ -fuzz FuzzJobSpecDecode -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzSchwarzBound -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzERIBlockPair -fuzztime 30s -run '^$$'
+	go test ./internal/chem/ -fuzz FuzzPrimitiveBound -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzBoys -fuzztime 30s -run '^$$'
-
-# Fuzz the job-server spec decoder: untrusted submissions must never
-# panic, and accepted specs must survive Validate and a JSON round trip.
-fuzz-serve:
-	go test ./internal/serve/ -fuzz FuzzJobSpecDecode -fuzztime 30s -run '^$$'
 
 # The observability walkthrough, run twice: byte-identical output is the
 # layer's core promise.

@@ -48,6 +48,9 @@ func main() {
 		nosym    = flag.Bool("nosym", false, "disable 8-fold symmetry folding and Schwarz screening: every Fock build runs the naive N^4 quadruple loop (ground-truth escape hatch; serial RHF only, ~8x+ slower)")
 	)
 	flag.Parse()
+	if err := checkSizes(*maxIter, *block, *screen); err != nil {
+		log.Fatal(err)
+	}
 
 	mol, err := parseMolecule(*molecule, *seed)
 	if err != nil {
@@ -180,6 +183,21 @@ func report(mol *chem.Molecule, bs *chem.BasisSet, res *chem.SCFResult, u *chem.
 	}
 }
 
+// checkSizes refuses a non-positive -maxiter, -block or -screen: the
+// library reads zero as its default and refuses a negative value, so the
+// flags, whose defaults are spelled out, take neither.
+func checkSizes(maxIter, block int, screen float64) error {
+	switch {
+	case maxIter < 1:
+		return fmt.Errorf("-maxiter %d: need at least 1", maxIter)
+	case block < 1:
+		return fmt.Errorf("-block %d: need at least 1", block)
+	case !(screen > 0):
+		return fmt.Errorf("-screen %g: need a positive threshold", screen)
+	}
+	return nil
+}
+
 // fockBuilders maps -sched onto the restricted and unrestricted Fock
 // builders: nil builders (chem's serial sweep) for "serial", otherwise
 // the named policy on the wall-clock backend. Each builder owns its own
@@ -197,7 +215,8 @@ func fockBuilders(sched string, workers int, opt core.WallOptions) (chem.FockBui
 }
 
 // printQuartetStats reports how much work the 8-fold symmetry folding and
-// Schwarz screening removed before any task reached an executor.
+// Schwarz screening removed before any task reached an executor, and how
+// many primitive quartets of the survivors the kernel evaluates.
 func printQuartetStats(w *chem.FockWorkload, nosym bool) {
 	st := w.Stats()
 	if nosym {
@@ -205,8 +224,8 @@ func printQuartetStats(w *chem.FockWorkload, nosym bool) {
 		return
 	}
 	fold := float64(st.NaiveQuartets) / float64(st.UniqueQuartets)
-	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening\n",
-		st.UniqueQuartets, st.NaiveQuartets, fold, st.Surviving)
+	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening, %d of their %d primitive quartets evaluated\n",
+		st.UniqueQuartets, st.NaiveQuartets, fold, st.Surviving, st.PrimSurviving, st.PrimQuartets)
 }
 
 func parseMolecule(spec string, seed int64) (*chem.Molecule, error) {

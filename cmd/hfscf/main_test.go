@@ -77,3 +77,25 @@ func TestFockBuilders(t *testing.T) {
 		}
 	}
 }
+
+// Non-positive sizes are refused before any work: -block -1 used to
+// panic in the workload, -maxiter -1 to print a zero energy and -screen
+// -1 to turn screening off.
+func TestCheckSizes(t *testing.T) {
+	if err := checkSizes(50, 4, 1e-10); err != nil {
+		t.Errorf("defaults refused: %v", err)
+	}
+	for _, c := range []struct {
+		maxIter, block int
+		screen         float64
+		flag           string
+	}{
+		{0, 4, 1e-10, "-maxiter"}, {-1, 4, 1e-10, "-maxiter"},
+		{50, 0, 1e-10, "-block"}, {50, -1, 1e-10, "-block"},
+		{50, 4, 0, "-screen"}, {50, 4, -1, "-screen"},
+	} {
+		if err := checkSizes(c.maxIter, c.block, c.screen); err == nil || !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("checkSizes(%d, %d, %g) = %v, want a %s error", c.maxIter, c.block, c.screen, err, c.flag)
+		}
+	}
+}

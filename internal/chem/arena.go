@@ -13,6 +13,11 @@ import "execmodels/internal/linalg"
 // value works and grows on demand, but NewERIScratch pre-sizes
 // everything so even the first task is allocation-free.
 //
+// A scratch also carries the budget by which ERIBlockPairInto may let
+// skipped primitive quartets move an integral. Only
+// FockWorkload.NewScratch sets one; the zero value and NewERIScratch are
+// exact, which Schwarz factors and the kernel's oracle tests rely on.
+//
 //hotpath:isolated
 type ERIScratch struct {
 	blk  []float64 // ERI shell-quartet block buffer
@@ -21,6 +26,8 @@ type ERIScratch struct {
 	ks   [2]*linalg.Matrix
 	dks  [2]*linalg.Matrix
 	rw   hermiteRWork
+
+	budget float64 // primBudget of the workload's threshold; 0: exact
 
 	// R-cube offsets of the bra's and the ket's Hermite indices, recomputed
 	// per quartet because the cube's stride is ltot+1.
@@ -50,10 +57,14 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 	return s
 }
 
-// NewScratch returns a scratch arena sized for the workload's basis set.
-// Every worker of a parallel Fock build should hold exactly one.
+// NewScratch returns a scratch arena sized for the workload's basis set,
+// with the primitive-skip budget of its threshold, primBudget: the
+// scratch of every Fock build, serial or parallel. Every worker of a
+// parallel Fock build should hold exactly one.
 func (w *FockWorkload) NewScratch() *ERIScratch {
-	return NewERIScratch(w.Basis)
+	s := NewERIScratch(w.Basis)
+	s.budget = primBudget(w.Threshold)
+	return s
 }
 
 // JKAccum bundles the worker-private Coulomb/exchange accumulators of a

@@ -126,6 +126,11 @@ func ERIBlock(a, b, c, d *Shell) []float64 {
 // ERIBlock(a, b, c, d). It is the task cost model used by the scheduling
 // study: the dominant term is (primitive quartets) × (Hermite summation
 // volume) × (Cartesian component products).
+//
+// It counts every primitive quartet, including those ERIBlockPairInto
+// skips by their Cauchy–Schwarz bound, so it overestimates a block by
+// as much as its share of skipped primitive quartets, which varies from
+// quartet to quartet and grows with the system.
 func ERIBlockFlops(a, b, c, d *Shell) float64 {
 	prims := float64(len(a.Exps) * len(b.Exps) * len(c.Exps) * len(d.Exps))
 	comps := float64(a.NumFuncs() * b.NumFuncs() * c.NumFuncs() * d.NumFuncs())

@@ -268,7 +268,9 @@ func BuildFockWorkload(bs *BasisSet, threshold float64, blockSize int) *FockWork
 
 // BuildFockWorkloadFromPairs is BuildFockWorkload with precomputed Schwarz
 // bounds, so granularity sweeps can re-block the same screening data
-// without recomputing the (ij|ij) integrals each time.
+// without recomputing the (ij|ij) integrals each time. allPairs must come
+// from SchwarzBounds: the workload takes over the Hermite tables each
+// pair carries.
 func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold float64, blockSize int) *FockWorkload {
 	if blockSize < 1 {
 		panic("chem: blockSize must be >= 1")
@@ -284,7 +286,7 @@ func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold fl
 	w := &FockWorkload{Basis: bs, Pairs: pairs, Threshold: threshold}
 	w.pairData = make([]*PairData, len(pairs))
 	for i, p := range pairs {
-		w.pairData[i] = NewPairData(&bs.Shells[p.I], &bs.Shells[p.J])
+		w.pairData[i] = p.pd
 	}
 	w.blockTasks(blockSize)
 	return w
@@ -315,11 +317,11 @@ func (w *FockWorkload) blockTasks(blockSize int) {
 		}
 		kets := make([]int32, 0, t.NumQuarts)
 		for bi := start; bi < end; bi++ {
-			bra := pairs[bi]
+			bra := &pairs[bi]
 			row := len(kets)
 			for ki := 0; ki <= bi; ki++ {
-				ket := pairs[ki]
-				if !quartetSurvives(&bra, &ket, w.Threshold) {
+				ket := &pairs[ki]
+				if !quartetSurvives(bra, ket, w.Threshold) {
 					continue
 				}
 				kets = append(kets, int32(ki))
@@ -351,7 +353,8 @@ func (w *FockWorkload) Reblock(blockSize int) *FockWorkload {
 }
 
 // WorkloadStats summarizes how much work symmetry folding and Schwarz
-// screening removed before any task reached a scheduler.
+// screening removed before any task reached a scheduler, and how much of
+// what survived the kernel's primitive-quartet bound removes after.
 type WorkloadStats struct {
 	Shells           int   // basis shells N
 	AllPairs         int   // N(N+1)/2 candidate shell pairs
@@ -359,9 +362,16 @@ type WorkloadStats struct {
 	NaiveQuartets    int64 // N^4 ordered quartets of the symmetry-free loop
 	UniqueQuartets   int64 // canonical quartets before screening: M(M+1)/2, M = AllPairs
 	Surviving        int64 // unique quartets surviving Schwarz screening (sum of task NumQuarts)
+	PrimQuartets     int64 // primitive quartets of the surviving quartets
+	PrimSurviving    int64 // those a NewScratch evaluates: their Cauchy–Schwarz bound clears the kernel's cut
 }
 
-// Stats returns the workload's symmetry/screening accounting.
+// Stats returns the workload's symmetry/screening accounting. The
+// primitive-quartet counts come from the stored primitive factors through
+// the kernel's own skip predicate (primQuartetsKept), not from a run.
+// They are counted here, on demand, rather than when the tasks are
+// generated: the count costs more than the rest of task generation
+// together, and only reports read it.
 func (w *FockWorkload) Stats() WorkloadStats {
 	n := int64(len(w.Basis.Shells))
 	m := n * (n + 1) / 2
@@ -372,8 +382,18 @@ func (w *FockWorkload) Stats() WorkloadStats {
 		NaiveQuartets:    n * n * n * n,
 		UniqueQuartets:   m * (m + 1) / 2,
 	}
+	budget := primBudget(w.Threshold)
 	for i := range w.Tasks {
-		st.Surviving += int64(w.Tasks[i].NumQuarts)
+		t := &w.Tasks[i]
+		st.Surviving += int64(t.NumQuarts)
+		for bi, kets := range t.Kets {
+			bra := w.pairData[t.PairOffset+bi]
+			for _, ki := range kets {
+				ket := w.pairData[ki]
+				st.PrimQuartets += int64(len(bra.prims) * len(ket.prims))
+				st.PrimSurviving += int64(primQuartetsKept(bra, ket, budget))
+			}
+		}
 	}
 	return st
 }

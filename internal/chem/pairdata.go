@@ -1,6 +1,10 @@
 package chem
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // piPow25 is the π^{5/2} prefactor constant of the Coulomb Gaussian
 // product theorem, hoisted out of the primitive-quartet loop.
@@ -23,6 +27,14 @@ type pairPrim struct {
 // per pair — instead of once per quartet — removes the dominant redundant
 // work of the ERI engine: each pair appears in O(#pairs) quartets.
 //
+// Each primitive pair also has its own Cauchy–Schwarz factor q =
+// sqrt(max_ab |(ab|ab)|), with the contraction coefficients and the
+// component norms inside: no element of any block gets more than q·q'
+// from the primitive quartet of this pair and a partner pair's q'. The
+// primitive pairs are stored in descending order of q, so that
+// ERIBlockPairInto can stop a primitive loop at the first pair whose
+// bound falls below its cut (see primKept).
+//
 // The expansion is stored flat. A term is one structurally non-zero
 // Hermite index (t,u,v) of one Cartesian component pair ab = fa·nb+fb,
 // i.e. t <= lx, u <= ly, v <= lz of the component pair's summed angular
@@ -31,8 +43,9 @@ type pairPrim struct {
 type PairData struct {
 	A, B  *Shell
 	prims []pairPrim
-	start []int32 // terms of component pair ab are start[ab]:start[ab+1]
-	slot  []int32 // position of each term's (t,u,v) in hermiteOffsets(A.L+B.L)
+	q     []float64 // Cauchy–Schwarz factor of each primitive pair, descending
+	start []int32   // terms of component pair ab are start[ab]:start[ab+1]
+	slot  []int32   // position of each term's (t,u,v) in hermiteOffsets(A.L+B.L)
 }
 
 // numHermite returns the number of Hermite indices with t+u+v <= l.
@@ -51,8 +64,17 @@ func hermiteOffsets(dst []int32, l, n int) []int32 {
 	return dst
 }
 
-// NewPairData precomputes the Hermite expansion of the shell pair (a, b).
+// NewPairData precomputes the Hermite expansion of the shell pair (a, b)
+// and the Cauchy–Schwarz factor q of each of its primitive pairs.
 func NewPairData(a, b *Shell) *PairData {
+	pd, _ := newPairData(a, b, &ERIScratch{})
+	return pd
+}
+
+// newPairData is NewPairData computing the factors q on s, which must be
+// exact (a zero budget). It also returns the shell pair's own
+// Cauchy–Schwarz factor, sqrt(max_ab |(ab|ab)|), exact as well.
+func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 	ca, cb := Components(a.L), Components(b.L)
 	lab := a.L + b.L
 	pd := &PairData{
@@ -115,7 +137,99 @@ func NewPairData(a, b *Shell) *PairData {
 			})
 		}
 	}
-	return pd
+	// One exact kernel call on a one-primitive view of pair i against
+	// itself gives q_i, the d-shell component norms inside, and one
+	// against the pairs after it the rest of row i of the shell pair's
+	// diagonal elements: (ab_i|ab_k) = (ab_k|ab_i), so (ab|ab) =
+	// Σ_i (ab_i|ab_i) + 2 Σ_{i<k} (ab_i|ab_k), half the primitive
+	// quartets of the whole block.
+	nf := len(pd.start) - 1
+	diag := make([]float64, nf)
+	q := make([]float64, len(pd.prims))
+	vi, vk := *pd, *pd
+	for i := range pd.prims {
+		vi.prims, vi.q = pd.prims[i:i+1], q[i:i+1]
+		blk := ERIBlockPairInto(&vi, &vi, s)
+		var mx float64
+		for ab := range diag {
+			v := blk[ab*nf+ab]
+			diag[ab] += v
+			mx = math.Max(mx, math.Abs(v))
+		}
+		q[i] = math.Sqrt(mx)
+		if i+1 < len(pd.prims) {
+			vk.prims, vk.q = pd.prims[i+1:], q[i+1:]
+			blk = ERIBlockPairInto(&vi, &vk, s)
+			for ab := range diag {
+				diag[ab] += 2 * blk[ab*nf+ab]
+			}
+		}
+	}
+	var mx float64
+	for _, v := range diag {
+		mx = math.Max(mx, math.Abs(v))
+	}
+
+	order := make([]int, len(q))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(q[y], q[x]) })
+	prims := make([]pairPrim, len(order))
+	pd.q = make([]float64, len(order))
+	for i, o := range order {
+		prims[i], pd.q[i] = pd.prims[o], q[o]
+	}
+	pd.prims = prims
+	return pd, math.Sqrt(mx)
+}
+
+// primBudget is the most that the primitive quartets a Fock build at
+// Schwarz threshold skips may move any one integral: min(threshold,
+// 1e-12). It does not grow with a loose threshold, because the skipped
+// terms add up over a task's quartets and the build is held to the
+// unskipped baseline at fixed tolerances (1e-12 per task, 1e-11 per Fock
+// matrix) whatever the threshold; a budget equal to the threshold
+// breaks both already at 1e-10 and 1e-8.
+func primBudget(threshold float64) float64 { return math.Min(threshold, 1e-12) }
+
+// primCut is the bound below which ERIBlockPairInto skips a primitive
+// quartet of (bra|ket): the budget shared among all of the block's
+// primitive quartets, so that everything skipped from one integral
+// stays below the budget.
+func primCut(bra, ket *PairData, budget float64) float64 {
+	return budget / float64(len(bra.prims)*len(ket.prims))
+}
+
+// primKept returns how many of ket's primitive pairs, from the first,
+// the kernel evaluates against a bra primitive pair of factor qb: those
+// whose bound qb·q reaches cut. By Cauchy–Schwarz on the Coulomb metric
+// a primitive quartet moves no element of its block by more than qb·q,
+// and since ket's pairs are sorted by descending q, the kept pairs are a
+// prefix. kept is the prefix kept against the previous bra primitive
+// pair (all of them for the first): the bra's pairs are sorted too, so
+// the prefix only shrinks. A zero cut keeps every pair. It is the one skip
+// predicate: the kernel's loops and the workload's counts
+// (primQuartetsKept) both go through it.
+func primKept(ket *PairData, qb, cut float64, kept int) int {
+	for kept > 0 && qb*ket.q[kept-1] < cut {
+		kept--
+	}
+	return kept
+}
+
+// primQuartetsKept counts the primitive quartets ERIBlockPairInto
+// evaluates for (bra|ket) on a scratch of the given budget.
+func primQuartetsKept(bra, ket *PairData, budget float64) int {
+	cut := primCut(bra, ket, budget)
+	n, kept := 0, len(ket.q)
+	for _, qb := range bra.q {
+		if kept = primKept(ket, qb, cut, kept); kept == 0 {
+			break
+		}
+		n += kept
+	}
+	return n
 }
 
 // ERIBlockPair computes the (bra|ket) shell-quartet block from two
@@ -142,6 +256,12 @@ func ERIBlockPair(bra, ket *PairData) []float64 {
 // once. R is read straight out of its cube: an index sum is an offset
 // sum, pref is folded into the cube, and the rest of the prefactor into
 // the coefficients.
+//
+// A scratch with a budget (FockWorkload.NewScratch) skips the primitive
+// quartets whose Cauchy–Schwarz bound falls below primCut: the ket loop
+// ends at the first ket primitive pair below it and the bra loop at the
+// first bra primitive pair that keeps no ket one, so no integral moves by
+// more than the budget. A zero-value scratch and NewERIScratch are exact.
 func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 	a, b, c, d := bra.A, bra.B, ket.A, ket.B
 	nab, ncd := len(bra.start)-1, len(ket.start)-1
@@ -149,14 +269,19 @@ func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 		s.blk = make([]float64, nab*ncd) //lint:ignore allocfree cold start: blk grows to the largest quartet block once, then every call reuses it
 	}
 	blk := s.blk[:nab*ncd]
+	cut := primCut(bra, ket, s.budget)
 	ltot := a.L + b.L + c.L + d.L
 	if ltot == 0 {
 		// (ss|ss): one term a side, R is F_0.
 		var sum float64
 		var f [1]float64
+		kept := len(ket.prims)
 		for bp := range bra.prims {
 			pp := &bra.prims[bp]
-			for kp := range ket.prims {
+			if kept = primKept(ket, bra.q[bp], cut, kept); kept == 0 {
+				break
+			}
+			for kp := range ket.prims[:kept] {
 				qq := &ket.prims[kp]
 				ipq := 1 / (pp.p + qq.p)
 				Boys(0, pp.p*qq.p*ipq*pp.P.Sub(qq.P).Norm2(), f[:])
@@ -188,10 +313,14 @@ func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 	s.ketOff = hermiteOffsets(s.ketOff[:0], ltot-lbra, n1)
 	braOff, ketOff := s.braOff, s.ketOff
 
+	kept := len(ket.prims)
 	for bp := range bra.prims {
 		pp := &bra.prims[bp]
+		if kept = primKept(ket, bra.q[bp], cut, kept); kept == 0 {
+			break
+		}
 		clear(acc)
-		for kp := range ket.prims {
+		for kp := range ket.prims[:kept] {
 			qq := &ket.prims[kp]
 			ipq := 1 / (pp.p + qq.p)
 			r := s.rw.compute(ltot, pp.p*qq.p*ipq, pp.P.Sub(qq.P), 2*piPow25*math.Sqrt(ipq))

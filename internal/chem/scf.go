@@ -66,6 +66,19 @@ type SCFRestart struct {
 // completed iteration's state.
 var ErrSCFInterrupted = errors.New("chem: SCF run interrupted")
 
+// validate refuses a negative size; zero means the default.
+func (o *SCFOptions) validate() error {
+	switch {
+	case o.MaxIter < 0:
+		return fmt.Errorf("chem: MaxIter %d is negative", o.MaxIter)
+	case o.BlockSize < 0:
+		return fmt.Errorf("chem: BlockSize %d is negative", o.BlockSize)
+	case !(o.Screening >= 0):
+		return fmt.Errorf("chem: Screening threshold %g must not be negative", o.Screening)
+	}
+	return nil
+}
+
 // setDefaults fills what the caller left zero. RunUHF sets its own
 // MaxIter and Damping defaults before it calls this; the rest are shared.
 func (o *SCFOptions) setDefaults() {
@@ -108,8 +121,11 @@ type FockBuilder func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix
 
 // RunSCF performs a restricted closed-shell Hartree–Fock calculation on
 // mol in basis bs. If build is nil the serial reference Fock builder is
-// used.
+// used. A negative MaxIter, BlockSize or Screening is an error.
 func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*SCFResult, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts.setDefaults()
 	ne := mol.NumElectrons()
 	if ne%2 != 0 {

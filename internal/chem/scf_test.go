@@ -2,6 +2,7 @@ package chem
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"execmodels/internal/linalg"
@@ -91,6 +92,30 @@ func TestSCFOddElectronsRejected(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", mol)
 	if _, err := RunSCF(mol, bs, SCFOptions{}, nil); err == nil {
 		t.Fatal("expected error for odd electron count")
+	}
+}
+
+// Both entry points refuse a negative size before any work, where the
+// workload would panic on the block size, run no iteration, or turn
+// screening off. Zero still means the default (TestSCFH2).
+func TestSCFNegativeSizesRejected(t *testing.T) {
+	mol := H2(1.4)
+	bs := mustBasis(t, "sto-3g", mol)
+	for _, c := range []struct {
+		name           string
+		maxIter, block int
+		screen         float64
+	}{
+		{"MaxIter", -1, 0, 0},
+		{"BlockSize", 0, -1, 0},
+		{"Screening", 0, 0, -1},
+	} {
+		if _, err := RunSCF(mol, bs, SCFOptions{MaxIter: c.maxIter, BlockSize: c.block, Screening: c.screen}, nil); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("RunSCF with a negative %s: err = %v", c.name, err)
+		}
+		if _, err := RunUHF(mol, bs, UHFOptions{MaxIter: c.maxIter, BlockSize: c.block, Screening: c.screen}); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("RunUHF with a negative %s: err = %v", c.name, err)
+		}
 	}
 }
 

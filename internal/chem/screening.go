@@ -3,17 +3,22 @@ package chem
 import "math"
 
 // ShellPair identifies an ordered pair of shells (I <= J) together with
-// its Schwarz bound.
+// its Schwarz bound. SchwarzBounds also attaches the pair's Hermite
+// tables, so that BuildFockWorkloadFromPairs need not compute them again.
 type ShellPair struct {
 	I, J   int
 	Bound  float64 // sqrt(max |(ij|ij)|), the Cauchy–Schwarz factor
 	Extent float64 // spatial extent heuristic (bohr), used for locality
+
+	pd *PairData // the pair's Hermite tables and primitive factors
 }
 
 // SchwarzBounds computes, for every shell pair, the Cauchy–Schwarz
 // screening factor Q_ij = sqrt(max over components |(ij|ij)|). A quartet
 // (ij|kl) is bounded by Q_ij * Q_kl and can be skipped when that product
-// falls below the screening threshold.
+// falls below the screening threshold. Each pair carries the PairData
+// the factor was computed from, primitive factors included; every
+// integral here is exact.
 func SchwarzBounds(bs *BasisSet) []ShellPair {
 	n := len(bs.Shells)
 	pairs := make([]ShellPair, 0, n*(n+1)/2)
@@ -21,22 +26,10 @@ func SchwarzBounds(bs *BasisSet) []ShellPair {
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			a, b := &bs.Shells[i], &bs.Shells[j]
-			pd := NewPairData(a, b)
-			blk := ERIBlockPairInto(pd, pd, s)
-			na, nb := a.NumFuncs(), b.NumFuncs()
-			var mx float64
-			// Diagonal elements (fa fb | fa fb) of the block.
-			for fa := 0; fa < na; fa++ {
-				for fb := 0; fb < nb; fb++ {
-					v := math.Abs(blk[((fa*nb+fb)*na+fa)*nb+fb])
-					if v > mx {
-						mx = v
-					}
-				}
-			}
+			pd, bound := newPairData(a, b, s)
 			ext := 1/math.Sqrt(a.MinExp()) + 1/math.Sqrt(b.MinExp()) +
 				a.Center.Sub(b.Center).Norm()
-			pairs = append(pairs, ShellPair{I: i, J: j, Bound: math.Sqrt(mx), Extent: ext})
+			pairs = append(pairs, ShellPair{I: i, J: j, Bound: bound, Extent: ext, pd: pd})
 		}
 	}
 	return pairs

@@ -73,8 +73,13 @@ type UHFResult struct {
 }
 
 // RunUHF performs an unrestricted Hartree–Fock calculation: separate α
-// and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ].
+// and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ]. A
+// negative MaxIter, BlockSize or Screening is an error.
 func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
+	lo := opts.loopOptions()
+	if err := lo.validate(); err != nil {
+		return nil, err
+	}
 	ne := mol.NumElectrons()
 	mult := opts.Multiplicity
 	if mult == 0 {
@@ -88,7 +93,7 @@ func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 	if nBeta < 0 || nAlpha > bs.NBF {
 		return nil, fmt.Errorf("chem: cannot place %dα/%dβ electrons in %d functions", nAlpha, nBeta, bs.NBF)
 	}
-	st, err := scfLoop(mol, bs, unrestricted(nAlpha, nBeta, opts.Builder), opts.loopOptions())
+	st, err := scfLoop(mol, bs, unrestricted(nAlpha, nBeta, opts.Builder), lo)
 	res := &UHFResult{
 		Energy: st.energy, Electronic: st.electronic, Nuclear: st.nuclear,
 		Iterations: st.iter, Converged: st.converged, NAlpha: nAlpha, NBeta: nBeta,
