@@ -59,14 +59,14 @@ bench:
 # CI's "hfscf smoke" step: hfscf on the wall-clock backend under a
 # feedback policy (RHF), a pull policy (UHF) and on the README's ionized
 # doublet — each exits non-zero unless converged — and the refusals: an
-# unknown -sched, closed-shell -mp2 under -uhf, a negative -block and a
+# unknown -sched, -multiplicity without -uhf, a negative -block and a
 # negative -screen.
 wall-smoke:
 	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
 	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
 	go run ./cmd/hfscf -molecule water -charge 1 -uhf
 	! go run ./cmd/hfscf -sched bogus
-	! go run ./cmd/hfscf -molecule water -uhf -mp2
+	! go run ./cmd/hfscf -multiplicity 3
 	! go run ./cmd/hfscf -block -1
 	! go run ./cmd/hfscf -screen -1
 

@@ -32,7 +32,6 @@ func main() {
 		ranks     = flag.Int("ranks", 8, "rank count for -gantt and -metrics")
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 		chromeOut = flag.String("chrome", "", "with -gantt: write a Chrome trace-event JSON to this file instead of text")
-		dump      = flag.String("dump", "", "write the suite's chemistry workload as JSON to this file and exit")
 		svgDir    = flag.String("svg", "", "render the figure experiments (F2-F6) as SVG charts into this directory and exit")
 		metrics   = flag.String("metrics", "", "run every model at -ranks and write OpenMetrics dumps, JSON summaries and blame tables into this directory, then exit")
 	)
@@ -47,21 +46,6 @@ func main() {
 	}
 
 	s := bench.NewSuite(*scale, *seed)
-	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = core.WriteWorkload(f, s.Workload())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s-scale chemistry workload to %s\n", *scale, *dump)
-		return
-	}
 	if *metrics != "" {
 		if err := s.WriteMetrics(*metrics, *ranks); err != nil {
 			log.Fatal(err)

@@ -22,7 +22,6 @@ import (
 
 	"execmodels/internal/chem"
 	"execmodels/internal/core"
-	"execmodels/internal/linalg"
 )
 
 func main() {
@@ -40,15 +39,15 @@ func main() {
 		seed     = flag.Int64("seed", 7, "seed for generated geometries and the work-stealing scheduler")
 		dynblock = flag.Int("dynblock", 1, "tasks fetched per shared-counter op in -sched dynamic")
 		diis     = flag.Bool("diis", true, "DIIS convergence acceleration (RHF; -uhf runs damped)")
-		mp2      = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems only)")
-		props    = flag.Bool("properties", false, "print dipole moment and Mulliken charges")
 		uhf      = flag.Bool("uhf", false, "unrestricted Hartree-Fock")
 		mult     = flag.Int("multiplicity", 0, "spin multiplicity 2S+1 for -uhf (0 = lowest)")
 		charge   = flag.Int("charge", 0, "net molecular charge")
-		nosym    = flag.Bool("nosym", false, "disable 8-fold symmetry folding and Schwarz screening: every Fock build runs the naive N^4 quadruple loop (ground-truth escape hatch; serial RHF only, ~8x+ slower)")
 	)
 	flag.Parse()
-	if err := checkSizes(*maxIter, *block, *screen); err != nil {
+	if err := checkSizes(*maxIter, *block, *dynblock, *screen); err != nil {
+		log.Fatal(err)
+	}
+	if err := checkSpin(*uhf, *mult); err != nil {
 		log.Fatal(err)
 	}
 
@@ -61,12 +60,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *nosym && *sched != "serial" {
-		log.Fatal("-nosym is the serial restricted ground-truth path; it cannot combine with -sched")
-	}
-	if *uhf && (*nosym || *mp2 || *props) {
-		log.Fatal("-nosym, -mp2 and -properties are restricted closed-shell code; they cannot combine with -uhf")
-	}
 	builder, uhfBuilder, err := fockBuilders(*sched, *workers, core.WallOptions{Seed: *seed, Block: *dynblock})
 	if err != nil {
 		log.Fatal(err)
@@ -75,12 +68,6 @@ func main() {
 	fockMode := *sched
 	if *sched != "serial" {
 		fockMode = fmt.Sprintf("%s (%d workers)", *sched, *workers)
-	}
-	if *nosym {
-		fockMode = "serial (naive N^4, no symmetry/screening)"
-		builder = func(fw *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
-			return chem.BuildFockNaive(fw.Basis, h, d)
-		}
 	}
 
 	fmt.Printf("molecule  %s (%d atoms, %d electrons)\n", mol.Name, len(mol.Atoms), mol.NumElectrons())
@@ -117,16 +104,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report(mol, bs, res, u, time.Since(start), *nosym, *orbitals, *props, *mp2)
+	report(res, u, time.Since(start), *orbitals)
 }
 
 // report prints the result of a run — the same lines for both spin
 // treatments, then the spin-specific ones (u is nil for a restricted run)
 // — and exits non-zero unless the SCF converged.
-func report(mol *chem.Molecule, bs *chem.BasisSet, res *chem.SCFResult, u *chem.UHFResult, elapsed time.Duration, nosym, orbitals, props, mp2 bool) {
+func report(res *chem.SCFResult, u *chem.UHFResult, elapsed time.Duration, orbitals bool) {
 	fmt.Printf("\ntasks     %d (cost max/mean %.2f)\n",
 		len(res.Workload.Tasks), res.Workload.CostImbalance())
-	printQuartetStats(res.Workload, nosym)
+	printQuartetStats(res.Workload)
 	if !res.Converged {
 		fmt.Printf("WARNING   not converged after %d iterations\n", res.Iterations)
 	} else {
@@ -159,41 +146,34 @@ func report(mol *chem.Molecule, bs *chem.BasisSet, res *chem.SCFResult, u *chem.
 			}
 		}
 	}
-	if props && res.Converged {
-		mu := chem.DipoleMoment(mol, bs, res.D)
-		fmt.Printf("\ndipole    (%+.4f, %+.4f, %+.4f) a.u., |mu| = %.4f a.u. = %.4f D\n",
-			mu.X, mu.Y, mu.Z, mu.Norm(), mu.Norm()*2.541746)
-		s := chem.Overlap(bs)
-		q := chem.MullikenCharges(mol, bs, res.D, s)
-		fmt.Println("mulliken charges:")
-		for i, a := range mol.Atoms {
-			fmt.Printf("  %-3s %+.4f\n", a.Symbol(), q[i])
-		}
-	}
-	if mp2 && res.Converged {
-		e2, err := chem.MP2Energy(bs, res)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("E(MP2)    %+.8f hartree\n", e2)
-		fmt.Printf("E(tot+2)  %+.8f hartree\n", res.Energy+e2)
-	}
 	if !res.Converged {
 		os.Exit(1)
 	}
 }
 
-// checkSizes refuses a non-positive -maxiter, -block or -screen: the
-// library reads zero as its default and refuses a negative value, so the
-// flags, whose defaults are spelled out, take neither.
-func checkSizes(maxIter, block int, screen float64) error {
+// checkSizes refuses a non-positive -maxiter, -block, -dynblock or
+// -screen: the library reads zero as its default and refuses a negative
+// value (core.WallOptions reads any block below 1 as 1), so the flags,
+// whose defaults are spelled out, take neither.
+func checkSizes(maxIter, block, dynblock int, screen float64) error {
 	switch {
 	case maxIter < 1:
 		return fmt.Errorf("-maxiter %d: need at least 1", maxIter)
 	case block < 1:
 		return fmt.Errorf("-block %d: need at least 1", block)
+	case dynblock < 1:
+		return fmt.Errorf("-dynblock %d: need at least 1", dynblock)
 	case !(screen > 0):
 		return fmt.Errorf("-screen %g: need a positive threshold", screen)
+	}
+	return nil
+}
+
+// checkSpin refuses -multiplicity without -uhf: the restricted loop runs
+// a closed-shell singlet and would otherwise ignore the flag.
+func checkSpin(uhf bool, mult int) error {
+	if mult != 0 && !uhf {
+		return fmt.Errorf("-multiplicity %d: needs -uhf (RHF is a closed-shell singlet)", mult)
 	}
 	return nil
 }
@@ -217,12 +197,8 @@ func fockBuilders(sched string, workers int, opt core.WallOptions) (chem.FockBui
 // printQuartetStats reports how much work the 8-fold symmetry folding and
 // Schwarz screening removed before any task reached an executor, and how
 // many primitive quartets of the survivors the kernel evaluates.
-func printQuartetStats(w *chem.FockWorkload, nosym bool) {
+func printQuartetStats(w *chem.FockWorkload) {
 	st := w.Stats()
-	if nosym {
-		fmt.Printf("quartets  %d ordered (naive loop computes all of them)\n", st.NaiveQuartets)
-		return
-	}
 	fold := float64(st.NaiveQuartets) / float64(st.UniqueQuartets)
 	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening, %d of their %d primitive quartets evaluated\n",
 		st.UniqueQuartets, st.NaiveQuartets, fold, st.Surviving, st.PrimSurviving, st.PrimQuartets)

@@ -79,23 +79,45 @@ func TestFockBuilders(t *testing.T) {
 }
 
 // Non-positive sizes are refused before any work: -block -1 used to
-// panic in the workload, -maxiter -1 to print a zero energy and -screen
-// -1 to turn screening off.
+// panic in the workload, -maxiter -1 to print a zero energy, -screen -1
+// to turn screening off and -dynblock 0 or -3 to run silently as 1.
 func TestCheckSizes(t *testing.T) {
-	if err := checkSizes(50, 4, 1e-10); err != nil {
+	if err := checkSizes(50, 4, 1, 1e-10); err != nil {
 		t.Errorf("defaults refused: %v", err)
 	}
 	for _, c := range []struct {
-		maxIter, block int
-		screen         float64
-		flag           string
+		maxIter, block, dynblock int
+		screen                   float64
+		flag                     string
 	}{
-		{0, 4, 1e-10, "-maxiter"}, {-1, 4, 1e-10, "-maxiter"},
-		{50, 0, 1e-10, "-block"}, {50, -1, 1e-10, "-block"},
-		{50, 4, 0, "-screen"}, {50, 4, -1, "-screen"},
+		{0, 4, 1, 1e-10, "-maxiter"}, {-1, 4, 1, 1e-10, "-maxiter"},
+		{50, 0, 1, 1e-10, "-block"}, {50, -1, 1, 1e-10, "-block"},
+		{50, 4, 0, 1e-10, "-dynblock"}, {50, 4, -3, 1e-10, "-dynblock"},
+		{50, 4, 1, 0, "-screen"}, {50, 4, 1, -1, "-screen"},
 	} {
-		if err := checkSizes(c.maxIter, c.block, c.screen); err == nil || !strings.HasPrefix(err.Error(), c.flag) {
-			t.Errorf("checkSizes(%d, %d, %g) = %v, want a %s error", c.maxIter, c.block, c.screen, err, c.flag)
+		if err := checkSizes(c.maxIter, c.block, c.dynblock, c.screen); err == nil || !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("checkSizes(%d, %d, %d, %g) = %v, want a %s error", c.maxIter, c.block, c.dynblock, c.screen, err, c.flag)
+		}
+	}
+}
+
+// -multiplicity is a -uhf flag: without -uhf the restricted loop used to
+// run a closed-shell singlet and ignore it.
+func TestCheckSpin(t *testing.T) {
+	for _, c := range []struct {
+		uhf  bool
+		mult int
+		ok   bool
+	}{
+		{false, 0, true}, {true, 0, true}, {true, 3, true},
+		{false, 3, false}, {false, 1, false},
+	} {
+		err := checkSpin(c.uhf, c.mult)
+		if (err == nil) != c.ok {
+			t.Errorf("checkSpin(%v, %d) = %v, want ok=%v", c.uhf, c.mult, err, c.ok)
+		}
+		if err != nil && !strings.HasPrefix(err.Error(), "-multiplicity") {
+			t.Errorf("checkSpin(%v, %d) = %v, want a -multiplicity error", c.uhf, c.mult, err)
 		}
 	}
 }

@@ -152,12 +152,6 @@ func (s *Suite) prepare() {
 	})
 }
 
-// Workload returns the suite's shared chemistry workload.
-func (s *Suite) Workload() *core.Workload {
-	s.prepare()
-	return s.work
-}
-
 // machine builds the standard homogeneous quiet machine.
 func (s *Suite) machine(ranks int) *cluster.Machine {
 	return cluster.New(cluster.Config{Ranks: ranks, Seed: s.Seed})

@@ -81,53 +81,3 @@ func TestSCFEnergyRotationInvariantWithDShells(t *testing.T) {
 		t.Errorf("d-shell energy changed by %v under rigid motion", diff)
 	}
 }
-
-// The dipole magnitude (not its components) is rotation-invariant, and
-// translation-invariant for a neutral molecule.
-func TestDipoleMagnitudeInvariant(t *testing.T) {
-	mol := Water()
-	bs := mustBasis(t, "sto-3g", mol)
-	ref, err := RunSCF(mol, bs, SCFOptions{UseDIIS: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu0 := DipoleMoment(mol, bs, ref.D).Norm()
-
-	moved := transformMolecule(mol, 1.0, 0.5, 2.0, Vec3{4, -3, 2})
-	mbs := mustBasis(t, "sto-3g", moved)
-	res, err := RunSCF(moved, mbs, SCFOptions{UseDIIS: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu1 := DipoleMoment(moved, mbs, res.D).Norm()
-	if math.Abs(mu0-mu1) > 1e-6 {
-		t.Errorf("dipole magnitude changed: %v vs %v", mu0, mu1)
-	}
-}
-
-// MP2 correlation energy is likewise invariant.
-func TestMP2RigidMotionInvariant(t *testing.T) {
-	mol := H2(1.4)
-	bs := mustBasis(t, "sto-3g", mol)
-	ref, err := RunSCF(mol, bs, SCFOptions{UseDIIS: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2ref, err := MP2Energy(bs, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := transformMolecule(mol, 0.3, 0.9, 1.7, Vec3{-2, 1, 3})
-	mbs := mustBasis(t, "sto-3g", moved)
-	res, err := RunSCF(moved, mbs, SCFOptions{UseDIIS: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := MP2Energy(mbs, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e2-e2ref) > 1e-9 {
-		t.Errorf("MP2 changed by %v under rigid motion", e2-e2ref)
-	}
-}

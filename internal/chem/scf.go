@@ -121,13 +121,17 @@ type FockBuilder func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix
 
 // RunSCF performs a restricted closed-shell Hartree–Fock calculation on
 // mol in basis bs. If build is nil the serial reference Fock builder is
-// used. A negative MaxIter, BlockSize or Screening is an error.
+// used. A negative MaxIter, BlockSize or Screening is an error, as is a
+// charge that leaves no electrons.
 func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*SCFResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
 	opts.setDefaults()
 	ne := mol.NumElectrons()
+	if ne <= 0 {
+		return nil, fmt.Errorf("chem: RHF needs at least one electron pair, got %d electrons", ne)
+	}
 	if ne%2 != 0 {
 		return nil, fmt.Errorf("chem: RHF requires an even electron count, got %d", ne)
 	}

@@ -29,6 +29,38 @@ func referenceFock(bs *BasisSet, eri []float64, h, d *linalg.Matrix) *linalg.Mat
 	return f
 }
 
+// FullERITensor builds the dense two-electron-integral tensor (μν|λσ)
+// over all basis functions, by brute force over every ordered shell
+// quartet. It is O(N⁴) memory and intended for small systems: the dense
+// Fock-build oracle referenceFock contracts it.
+func FullERITensor(bs *BasisSet) []float64 {
+	n := bs.NBF
+	eri := make([]float64, n*n*n*n)
+	for ia := range bs.Shells {
+		for ib := range bs.Shells {
+			for ic := range bs.Shells {
+				for id := range bs.Shells {
+					a, b, c, d := &bs.Shells[ia], &bs.Shells[ib], &bs.Shells[ic], &bs.Shells[id]
+					blk := ERIBlock(a, b, c, d)
+					na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
+					for fa := 0; fa < na; fa++ {
+						for fb := 0; fb < nb; fb++ {
+							for fc := 0; fc < nc; fc++ {
+								for fd := 0; fd < nd; fd++ {
+									mu, nu := a.Start+fa, b.Start+fb
+									lam, sig := c.Start+fc, d.Start+fd
+									eri[((mu*n+nu)*n+lam)*n+sig] = blk[((fa*nb+fb)*nc+fc)*nd+fd]
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return eri
+}
+
 // The optimized, screened, permutation-symmetric Fock build must agree
 // with the brute-force contraction.
 func TestBuildFockMatchesReference(t *testing.T) {
@@ -92,6 +124,23 @@ func TestSCFOddElectronsRejected(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", mol)
 	if _, err := RunSCF(mol, bs, SCFOptions{}, nil); err == nil {
 		t.Fatal("expected error for odd electron count")
+	}
+}
+
+// A charge that removes every electron is refused by both entry points:
+// H2 at +4 used to "converge" in two iterations on the nuclear repulsion
+// alone, with -1 occupied orbitals.
+func TestSCFNoElectronsRejected(t *testing.T) {
+	for _, charge := range []int{2, 4} {
+		mol := H2(1.4)
+		mol.Charge = charge
+		bs := mustBasis(t, "sto-3g", mol)
+		if _, err := RunSCF(mol, bs, SCFOptions{}, nil); err == nil {
+			t.Errorf("RunSCF accepted H2 at charge +%d", charge)
+		}
+		if _, err := RunUHF(mol, bs, UHFOptions{}); err == nil {
+			t.Errorf("RunUHF accepted H2 at charge +%d", charge)
+		}
 	}
 }
 
@@ -246,4 +295,87 @@ func TestBuildFockWorkloadBadBlockSize(t *testing.T) {
 		}
 	}()
 	BuildFockWorkload(bs, 1e-10, 0)
+}
+
+// DIIS must reach the same fixed point as plain iteration, in no more
+// iterations.
+func TestDIISMatchesPlainSCF(t *testing.T) {
+	mol := Water()
+	bs := mustBasis(t, "sto-3g", mol)
+	plain, err := RunSCF(mol, bs, SCFOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diis, err := RunSCF(mol, bs, SCFOptions{UseDIIS: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Converged || !diis.Converged {
+		t.Fatal("convergence failure")
+	}
+	if math.Abs(plain.Energy-diis.Energy) > 1e-7 {
+		t.Errorf("DIIS energy %v vs plain %v", diis.Energy, plain.Energy)
+	}
+	if diis.Iterations > plain.Iterations {
+		t.Errorf("DIIS took %d iterations vs plain %d", diis.Iterations, plain.Iterations)
+	}
+}
+
+// The polarized 6-31G* basis must build, include d shells, and lower the
+// water energy below 6-31G (variational principle with a larger basis).
+func TestSixThreeOneStar(t *testing.T) {
+	mol := Water()
+	bsPlain := mustBasis(t, "6-31g", mol)
+	bsStar := mustBasis(t, "6-31g*", mol)
+	if bsStar.NBF != bsPlain.NBF+6 {
+		t.Fatalf("6-31g* NBF = %d, want %d+6", bsStar.NBF, bsPlain.NBF)
+	}
+	var hasD bool
+	for _, sh := range bsStar.Shells {
+		if sh.L == 2 {
+			hasD = true
+		}
+	}
+	if !hasD {
+		t.Fatal("no d shell in 6-31g*")
+	}
+	plain, err := RunSCF(mol, bsPlain, SCFOptions{UseDIIS: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := RunSCF(mol, bsStar, SCFOptions{UseDIIS: true, MaxIter: 80}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Converged || !star.Converged {
+		t.Fatalf("convergence: 6-31g %v, 6-31g* %v", plain.Converged, star.Converged)
+	}
+	if star.Energy >= plain.Energy {
+		t.Errorf("6-31g* energy %v not below 6-31g %v", star.Energy, plain.Energy)
+	}
+	// 6-31G water ≈ -75.98; 6-31G* ≈ -76.01 hartree.
+	if plain.Energy > -75.8 || plain.Energy < -76.2 {
+		t.Errorf("E(6-31g) = %v implausible", plain.Energy)
+	}
+	if star.Energy > -75.9 || star.Energy < -76.2 {
+		t.Errorf("E(6-31g*) = %v implausible", star.Energy)
+	}
+}
+
+// d-shell integrals must satisfy the same Fock-build oracle as s/p.
+func TestFockOracleWithDShells(t *testing.T) {
+	// A single oxygen atom in 6-31g*: small enough for the O(N⁴) oracle.
+	mol := &Molecule{Name: "O", Atoms: []Atom{{Z: 8}}}
+	bs := mustBasis(t, "6-31g*", mol)
+	eri := FullERITensor(bs)
+	h := CoreHamiltonian(bs, mol)
+	s := Overlap(bs)
+	x := linalg.InvSqrtSym(s, 1e-10)
+	d, _, _ := densityFromFock(h, x, 4, 2)
+	w := BuildFockWorkload(bs, 1e-14, 3)
+	got := w.BuildFock(h, d)
+	want := referenceFock(bs, eri, h, d)
+	if diff := got.MaxAbsDiff(want); diff > 1e-8 {
+		t.Errorf("d-shell Fock mismatch %v", diff)
+	}
 }

@@ -74,13 +74,17 @@ type UHFResult struct {
 
 // RunUHF performs an unrestricted Hartree–Fock calculation: separate α
 // and β orbital sets, Fock matrices F^σ = H + J[Dα+Dβ] − K[Dσ]. A
-// negative MaxIter, BlockSize or Screening is an error.
+// negative MaxIter, BlockSize or Screening is an error, as is a charge
+// that leaves no electrons.
 func RunUHF(mol *Molecule, bs *BasisSet, opts UHFOptions) (*UHFResult, error) {
 	lo := opts.loopOptions()
 	if err := lo.validate(); err != nil {
 		return nil, err
 	}
 	ne := mol.NumElectrons()
+	if ne <= 0 {
+		return nil, fmt.Errorf("chem: UHF needs at least one electron, got %d", ne)
+	}
 	mult := opts.Multiplicity
 	if mult == 0 {
 		mult = 1 + ne%2

@@ -12,10 +12,10 @@ import (
 // committed iteration and, after a crash, resumes the job from this state:
 // iterations finished after the last checkpoint are run again.
 //
-// Like workloadJSON in serialize.go, the format is versioned JSON with
-// all state inlined (the row-major density matrix plus the scalars
-// RunSCF needs to resume), so a checkpoint written by one process is
-// readable by a freshly started one with no shared memory.
+// The format is versioned JSON with all state inlined (the row-major
+// density matrix plus the scalars RunSCF needs to resume), so a
+// checkpoint written by one process is readable by a freshly started one
+// with no shared memory.
 type SCFCheckpoint struct {
 	Version   int     `json:"version"`
 	JobID     string  `json:"jobId,omitempty"`    // owning job, for spool-dir audits
