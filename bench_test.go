@@ -126,7 +126,7 @@ func BenchmarkFockBuildSerial(b *testing.B) {
 	mol, bs := waterBasis(b, 1, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)
 	h := chem.CoreHamiltonian(bs, mol)
-	d := linalg.Identity(bs.NBF)
+	d := convergedDensity(b, mol, bs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.BuildFock(h, d)
@@ -224,13 +224,27 @@ func BenchmarkSimDynamicCounter(b *testing.B) {
 	}
 }
 
+// convergedDensity returns the converged RHF density of mol, computed
+// before any timer starts. The Fock executor skips quartets by the
+// density they contract, so the identity density would time the
+// executor's skip rule, not its kernel.
+func convergedDensity(b *testing.B, mol *chem.Molecule, bs *chem.BasisSet) *linalg.Matrix {
+	b.Helper()
+	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{UseDIIS: true}, nil)
+	if err != nil || !res.Converged {
+		b.Fatalf("RunSCF: converged %v, %v", res != nil && res.Converged, err)
+	}
+	return res.D
+}
+
 // Before/after pair for the worker scratch arena: the baseline path
 // allocates its ERI block, Hermite tables and Boys workspace per
 // quartet; the arena path reuses one scratch across the whole sweep.
+// Both run at a converged density.
 func BenchmarkExecuteTaskBaseline(b *testing.B) {
-	_, bs := waterBasis(b, 1, "sto-3g")
+	mol, bs := waterBasis(b, 1, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)
-	d := linalg.Identity(bs.NBF)
+	d := convergedDensity(b, mol, bs)
 	j := linalg.NewMatrix(bs.NBF, bs.NBF)
 	k := linalg.NewMatrix(bs.NBF, bs.NBF)
 	b.ReportAllocs()
@@ -241,9 +255,9 @@ func BenchmarkExecuteTaskBaseline(b *testing.B) {
 }
 
 func BenchmarkExecuteTaskArena(b *testing.B) {
-	_, bs := waterBasis(b, 1, "sto-3g")
+	mol, bs := waterBasis(b, 1, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)
-	d := linalg.Identity(bs.NBF)
+	d := convergedDensity(b, mol, bs)
 	j := linalg.NewMatrix(bs.NBF, bs.NBF)
 	k := linalg.NewMatrix(bs.NBF, bs.NBF)
 	scratch := w.NewScratch()
@@ -258,7 +272,7 @@ func BenchmarkWallStealingFock(b *testing.B) {
 	mol, bs := waterBasis(b, 2, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)
 	h := chem.CoreHamiltonian(bs, mol)
-	d := linalg.Identity(bs.NBF)
+	d := convergedDensity(b, mol, bs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws, err := core.NewWallScheduler("stealing", 4, core.WallOptions{Seed: int64(i)})

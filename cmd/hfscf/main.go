@@ -196,11 +196,13 @@ func fockBuilders(sched string, workers int, opt core.WallOptions) (chem.FockBui
 
 // printQuartetStats reports how much work the 8-fold symmetry folding and
 // Schwarz screening removed before any task reached an executor, and how
-// many primitive quartets of the survivors the kernel evaluates.
+// many primitive quartets of the survivors the kernel evaluates at unit
+// density weight (Stats().PrimSurviving): a build's own count scales with
+// the density each quartet contracts, and incremental builds skip more.
 func printQuartetStats(w *chem.FockWorkload) {
 	st := w.Stats()
 	fold := float64(st.NaiveQuartets) / float64(st.UniqueQuartets)
-	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening, %d of their %d primitive quartets evaluated\n",
+	fmt.Printf("quartets  %d unique of %d ordered (%.2fx symmetry fold), %d surviving screening, %d of their %d primitive quartets evaluated at unit density weight\n",
 		st.UniqueQuartets, st.NaiveQuartets, fold, st.Surviving, st.PrimSurviving, st.PrimQuartets)
 }
 

@@ -14,9 +14,11 @@ import "execmodels/internal/linalg"
 // everything so even the first task is allocation-free.
 //
 // A scratch also carries the budget by which ERIBlockPairInto may let
-// skipped primitive quartets move an integral. Only
-// FockWorkload.NewScratch sets one; the zero value and NewERIScratch are
-// exact, which Schwarz factors and the kernel's oracle tests rely on.
+// skipped primitive quartets move an integral, and the Fock executor
+// the quartets and primitive quartets it skips by their density move a
+// Fock element's terms. Only FockWorkload.NewScratch sets one; the zero
+// value and NewERIScratch are exact, which Schwarz factors and the
+// kernel's oracle tests rely on.
 //
 //hotpath:isolated
 type ERIScratch struct {
@@ -28,6 +30,10 @@ type ERIScratch struct {
 	rw   hermiteRWork
 
 	budget float64 // primBudget of the workload's threshold; 0: exact
+
+	// Per task, max |D| over each shell block (a·shells+b) of J's density
+	// and of the exchange densities: the density weight of a quartet.
+	dMaxJ, dMaxK []float64
 
 	// R-cube offsets of the bra's and the ket's Hermite indices, recomputed
 	// per quartet because the cube's stride is ltot+1.
@@ -52,6 +58,8 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 		braOff: make([]int32, 0, numHermite(2*maxL)),
 		ketOff: make([]int32, 0, numHermite(2*maxL)),
 		kAcc:   make([]float64, 2),
+		dMaxJ:  make([]float64, len(bs.Shells)*len(bs.Shells)),
+		dMaxK:  make([]float64, len(bs.Shells)*len(bs.Shells)),
 	}
 	s.rw.grow(4 * maxL)
 	return s

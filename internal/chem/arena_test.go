@@ -23,28 +23,35 @@ func arenaWorkload(t testing.TB) (*FockWorkload, *linalg.Matrix) {
 }
 
 // The arena-backed fast path must reproduce the retained baseline
-// implementation: same quartets, same digest order, and J/K equal to
-// 1e-12. The two kernels sum a block's Hermite terms in different orders
+// implementation: J/K equal to 1e-12, and the same quartets on an exact
+// scratch. The two kernels sum a block's Hermite terms in different orders
 // (the baseline term by term per component, the fast path factored
 // through T), so they differ by rounding, a few 1e-15 here; bitwise
 // equality was a property of sharing one loop nest, not a requirement.
+// A Fock build's scratch also skips the quartets the density rule
+// weighs below its budget: with the identity density those whose
+// blocks are all off-diagonal, three of task 2's 24.
 func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
-	s := w.NewScratch()
-	for i := range w.Tasks {
-		jF, kF := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-		jB, kB := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-		doneF := w.ExecuteTaskScratch(&w.Tasks[i], d, jF, kF, s)
-		doneB := w.ExecuteTaskBaseline(&w.Tasks[i], d, jB, kB)
-		if doneF != doneB {
-			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
-		}
-		if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
-			t.Errorf("task %d: J differs from baseline by %g", i, diff)
-		}
-		if diff := kF.MaxAbsDiff(kB); diff > 1e-12 {
-			t.Errorf("task %d: K differs from baseline by %g", i, diff)
+	for _, s := range []*ERIScratch{NewERIScratch(w.Basis), w.NewScratch()} {
+		for i := range w.Tasks {
+			task := &w.Tasks[i]
+			jF, kF := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+			jB, kB := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+			doneF := w.ExecuteTaskScratch(task, d, jF, kF, s)
+			doneB := w.ExecuteTaskBaseline(task, d, jB, kB)
+			want, _ := densityRule(w, task, d, []*linalg.Matrix{d}, s.budget)
+			if doneB != task.NumQuarts || doneF != want {
+				t.Fatalf("budget %g, task %d: %d quartets (scratch), want %d; %d (baseline), want %d",
+					s.budget, i, doneF, want, doneB, task.NumQuarts)
+			}
+			if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
+				t.Errorf("budget %g, task %d: J differs from baseline by %g", s.budget, i, diff)
+			}
+			if diff := kF.MaxAbsDiff(kB); diff > 1e-12 {
+				t.Errorf("budget %g, task %d: K differs from baseline by %g", s.budget, i, diff)
+			}
 		}
 	}
 }

@@ -202,13 +202,14 @@ func pairIndex(i, j int) int { return j*(j+1)/2 + i }
 
 // FockTask is one work unit of the two-electron Fock build: a contiguous
 // block of unique bra shell-pairs. Executing the task computes, for every
-// bra pair in the block, all surviving unique quartets with ket pair index
-// <= bra pair index, and digests them into partial J/K matrices.
+// bra pair in the block, the surviving unique quartets with ket pair
+// index <= bra pair index, and digests them into partial J/K matrices.
 //
-// Schwarz screening is resolved when the task is generated, not when it
-// is executed: Kets holds the exact surviving ket-pair index list per bra
-// pair, so workers never evaluate a bound and the task multiset handed to
-// a scheduler is already pruned.
+// Schwarz screening is resolved when the task is generated: Kets holds
+// the exact surviving ket-pair index list per bra pair, so the task
+// multiset handed to a scheduler is already pruned. What a build's
+// density adds is tested by the executor, per quartet (executeTask), so
+// Kets, NumQuarts, EstFlops and Key stay the same from build to build.
 type FockTask struct {
 	ID         int
 	BraPairs   []ShellPair // the bra pairs owned by this task
@@ -294,8 +295,8 @@ func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold fl
 
 // blockTasks (re)builds the task decomposition at the given bra-pair
 // block size, resolving Schwarz screening into each task's explicit
-// Kets lists: the executor's quartet multiset is fixed here, at
-// generation time, and workers never test a bound.
+// Kets lists: no quartet outside them is ever evaluated. Workers test
+// only the density rule on top (executeTask).
 func (w *FockWorkload) blockTasks(blockSize int) {
 	bs, pairs := w.Basis, w.Pairs
 	w.Tasks = nil
@@ -363,12 +364,14 @@ type WorkloadStats struct {
 	UniqueQuartets   int64 // canonical quartets before screening: M(M+1)/2, M = AllPairs
 	Surviving        int64 // unique quartets surviving Schwarz screening (sum of task NumQuarts)
 	PrimQuartets     int64 // primitive quartets of the surviving quartets
-	PrimSurviving    int64 // those a NewScratch evaluates: their Cauchy–Schwarz bound clears the kernel's cut
+	PrimSurviving    int64 // those a NewScratch evaluates at unit density weight: their Cauchy–Schwarz bound clears the kernel's cut
 }
 
 // Stats returns the workload's symmetry/screening accounting. The
 // primitive-quartet counts come from the stored primitive factors through
-// the kernel's own skip predicate (primQuartetsKept), not from a run.
+// the kernel's own skip predicate (primQuartetsKept), not from a run, at
+// a density weight of 1: a build keeps more of them where its density
+// weighs a quartet above 1, and fewer where below (executeTask).
 // They are counted here, on demand, rather than when the tasks are
 // generated: the count costs more than the rest of task generation
 // together, and only reports read it.
@@ -401,9 +404,11 @@ func (w *FockWorkload) Stats() WorkloadStats {
 // ExecuteTaskScratch runs one Fock task against density d through the
 // caller's scratch arena (one per worker), accumulating into the caller's
 // partial J and K matrices. It returns the number of quartets actually
-// computed — always exactly the task's NumQuarts, since the quartet
-// multiset was resolved at generation time into the Kets lists (each
-// unique quartet appears on exactly one task). With a warmed-up arena the
+// computed: on an exact scratch (NewERIScratch) exactly the task's
+// NumQuarts, since Schwarz screening was resolved at generation time into
+// the Kets lists (each unique quartet appears on exactly one task), and
+// on a Fock build's (NewScratch) those of them the density rule of
+// executeTask does not skip. With a warmed-up arena the
 // steady state performs zero heap allocations per task (enforced by a
 // testing.AllocsPerRun gate and proved by the allocfree check).
 //
@@ -424,10 +429,17 @@ func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, 
 	return w.executeTask(t, dTot, s.ks[:2], s.dks[:2], j, s)
 }
 
-// executeTask digests every quartet on the task's pre-screened Kets
-// lists. No Schwarz bound is evaluated here — the surviving quartet
-// multiset was fixed at task-generation time (blockTasks), so the worker
-// loop is pure compute: ERI block, symmetric digest, next.
+// executeTask digests the quartets on the task's pre-screened Kets
+// lists, each weighed by the density it contracts. Schwarz screening was
+// fixed at task-generation time (blockTasks); the density changes from
+// build to build, so it is tested here. An integral of (ab|cd) enters J
+// times D_J over ab or cd (twice: cd and dc) and K times D_K over ac, ad,
+// bc or bd, and a Fock element can take both a J and a K term of it. So
+// with w = 2·max(2|D_J|ab, 2|D_J|cd, |D_K|ac, |D_K|ad, |D_K|bc, |D_K|bd),
+// from shell-block maxima, an integral that moves by δ moves no Fock
+// element by more than δ·w: the quartet is skipped when Q_ab·Q_cd·w falls
+// below the scratch's budget, and the kernel otherwise gets the budget
+// divided by w for its primitive quartets. A zero budget is exact.
 //
 //hotpath:allocfree
 func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*linalg.Matrix, j *linalg.Matrix, s *ERIScratch) int {
@@ -436,17 +448,58 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 		s.kAcc = make([]float64, len(ks)) //lint:ignore allocfree cold start: kAcc is sized once per arena for the K-matrix count and reused by every task
 	}
 	kAcc := s.kAcc[:len(ks)]
+	ns := len(shells)
+	mj, mk := s.dMaxJ, s.dMaxK // sized by NewERIScratch, which every scratch with a budget comes from
+	if s.budget > 0 {
+		clear(mj)
+		clear(mk)
+		blockMaxAbs(mj, shells, dj)
+		for _, dk := range dks {
+			blockMaxAbs(mk, shells, dk)
+		}
+	}
 	var done int
 	for bi, bra := range t.BraPairs {
 		braPD := w.pairData[t.PairOffset+bi]
 		for _, ki := range t.Kets[bi] {
 			ket := &w.Pairs[ki]
-			blk := ERIBlockPairInto(braPD, w.pairData[ki], s)
+			budget := s.budget
+			if budget > 0 {
+				a, b, c, d := bra.I, bra.J, ket.I, ket.J
+				wt := 2 * max(2*mj[a*ns+b], 2*mj[c*ns+d], mk[a*ns+c], mk[a*ns+d], mk[b*ns+c], mk[b*ns+d])
+				if bra.Bound*ket.Bound*wt < budget {
+					continue
+				}
+				budget /= wt
+			}
+			blk := eriBlockPairInto(braPD, w.pairData[ki], s, budget)
 			digestUniqueQuartetStrides(j, dj, ks, dks, kAcc, shells, bra.I, bra.J, ket.I, ket.J, blk)
 			done++
 		}
 	}
 	return done
+}
+
+// blockMaxAbs raises m[a·len(shells)+b] to max |d| over the shell block
+// (a, b), for every pair of shells.
+//
+//hotpath:allocfree
+func blockMaxAbs(m []float64, shells []Shell, d *linalg.Matrix) {
+	ns := len(shells)
+	for a := range shells {
+		sa := &shells[a]
+		for i := sa.Start; i < sa.Start+sa.NumFuncs(); i++ {
+			row := d.Data[i*d.Cols : (i+1)*d.Cols]
+			for b := range shells {
+				sb := &shells[b]
+				v := m[a*ns+b]
+				for _, x := range row[sb.Start : sb.Start+sb.NumFuncs()] {
+					v = max(v, math.Abs(x))
+				}
+				m[a*ns+b] = v
+			}
+		}
+	}
 }
 
 // BuildFock computes F = H + J - K/2 serially from density d, using the

@@ -184,9 +184,11 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 	return pd, math.Sqrt(mx)
 }
 
-// primBudget is the most that the primitive quartets a Fock build at
-// Schwarz threshold skips may move any one integral: min(threshold,
-// 1e-12). It does not grow with a loose threshold, because the skipped
+// primBudget is the skip budget of a Fock build at Schwarz threshold:
+// the most that what it skips of one integral, whole quartet or
+// primitive quartets, may move the terms that integral adds to a Fock
+// element (executeTask): min(threshold, 1e-12). It does not grow with a
+// loose threshold, because the skipped
 // terms add up over a task's quartets and the build is held to the
 // unskipped baseline at fixed tolerances (1e-12 per task, 1e-11 per Fock
 // matrix) whatever the threshold; a budget equal to the threshold
@@ -263,13 +265,21 @@ func ERIBlockPair(bra, ket *PairData) []float64 {
 // first bra primitive pair that keeps no ket one, so no integral moves by
 // more than the budget. A zero-value scratch and NewERIScratch are exact.
 func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
+	return eriBlockPairInto(bra, ket, s, s.budget)
+}
+
+// eriBlockPairInto is ERIBlockPairInto on the skip budget given instead
+// of the scratch's: the Fock executor divides s.budget by the density
+// weight of the quartet, so that the budget bounds what the skipped
+// primitive quartets move a Fock element, not an integral.
+func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float64 {
 	a, b, c, d := bra.A, bra.B, ket.A, ket.B
 	nab, ncd := len(bra.start)-1, len(ket.start)-1
 	if cap(s.blk) < nab*ncd {
 		s.blk = make([]float64, nab*ncd) //lint:ignore allocfree cold start: blk grows to the largest quartet block once, then every call reuses it
 	}
 	blk := s.blk[:nab*ncd]
-	cut := primCut(bra, ket, s.budget)
+	cut := primCut(bra, ket, budget)
 	ltot := a.L + b.L + c.L + d.L
 	if ltot == 0 {
 		// (ss|ss): one term a side, R is F_0.

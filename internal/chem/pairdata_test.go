@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"execmodels/internal/linalg"
 )
 
 // classShell builds a shell of angular momentum l with the first depth
@@ -198,6 +200,98 @@ func FuzzPrimitiveBound(f *testing.F) {
 			if d := math.Abs(got[e] - w); d > budget+1e-15*math.Max(1, math.Abs(w)) {
 				t.Fatalf("element %d: %.17g on a budget of %g, exact %.17g: off by %g",
 					e, got[e], budget, w, d)
+			}
+		}
+	})
+}
+
+// FuzzDensityBound is the no-false-drop check of the density rule, on
+// randomQuartet's four shells taken as a basis of their own, with random
+// symmetric α and β densities scaled by 10^−k, k from −3 to 12. The rule
+// lets no integral·density term of J or K move by more than the budget,
+// so a Fock build's scratch must keep every element of J, Kα and Kβ
+// within the budget per term of what an exact scratch digests, plus
+// rounding: 1e-14 of the terms' absolute sum, an integral counted as at
+// least 1 as in FuzzPrimitiveBound.
+func FuzzDensityBound(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(7))
+	f.Add(int64(-42))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		bs := &BasisSet{Name: "fuzz"}
+		for _, sh := range randomQuartet(seed) {
+			sh.Start = bs.NBF
+			bs.NBF += sh.NumFuncs()
+			bs.Shells = append(bs.Shells, *sh)
+		}
+		w := BuildFockWorkload(bs, 1e-10, 2)
+		n := bs.NBF
+		rng := rand.New(rand.NewSource(seed))
+		scale := math.Pow(10, float64(3-rng.Intn(16)))
+		density := func() *linalg.Matrix {
+			d := linalg.NewMatrix(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j <= i; j++ {
+					v := scale * (2*rng.Float64() - 1)
+					d.Set(i, j, v)
+					d.Set(j, i, v)
+				}
+			}
+			return d
+		}
+		dA, dB := density(), density()
+		dTot := dA.Clone().AddScaled(1, dB)
+		build := func(s *ERIScratch) []*linalg.Matrix {
+			jk := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
+			for i := range w.Tasks {
+				w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, dA, dB, jk[0], jk[1], jk[2], s)
+			}
+			return jk
+		}
+		exact, got := build(NewERIScratch(bs)), build(w.NewScratch())
+
+		// The terms each element takes, and their absolute sum: the same
+		// digest on a block and densities of ones, and of absolute values.
+		abs := func(d *linalg.Matrix) *linalg.Matrix {
+			a := d.Clone()
+			for i, v := range a.Data {
+				a.Data[i] = math.Abs(v)
+			}
+			return a
+		}
+		ones := linalg.NewMatrix(n, n)
+		for i := range ones.Data {
+			ones.Data[i] = 1
+		}
+		terms := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
+		mass := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
+		aTot, aA, aB := abs(dTot), abs(dA), abs(dB)
+		s, kAcc := NewERIScratch(bs), make([]float64, 2)
+		for ti := range w.Tasks {
+			task := &w.Tasks[ti]
+			for bi, bra := range task.BraPairs {
+				for _, ki := range task.Kets[bi] {
+					ket := &w.Pairs[ki]
+					blk := ERIBlockPairInto(w.pairData[task.PairOffset+bi], w.pairData[ki], s)
+					one, size := make([]float64, len(blk)), make([]float64, len(blk))
+					for e, v := range blk {
+						one[e], size[e] = 1, math.Max(1, math.Abs(v))
+					}
+					digestUniqueQuartetStrides(terms[0], ones, terms[1:], []*linalg.Matrix{ones, ones}, kAcc,
+						bs.Shells, bra.I, bra.J, ket.I, ket.J, one)
+					digestUniqueQuartetStrides(mass[0], aTot, mass[1:], []*linalg.Matrix{aA, aB}, kAcc,
+						bs.Shells, bra.I, bra.J, ket.I, ket.J, size)
+				}
+			}
+		}
+		budget := w.NewScratch().budget
+		for m, name := range []string{"J", "Kα", "Kβ"} {
+			for e, want := range exact[m].Data {
+				tol := budget*terms[m].Data[e] + 1e-14*mass[m].Data[e]
+				if d := math.Abs(got[m].Data[e] - want); d > tol {
+					t.Fatalf("density scale %g, %s element %d: %.17g on a budget of %g, exact %.17g: off by %g, allowed %g",
+						scale, name, e, got[m].Data[e], budget, want, d, tol)
+				}
 			}
 		}
 	})

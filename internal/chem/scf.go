@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"execmodels/internal/linalg"
 )
@@ -110,13 +111,16 @@ type SCFResult struct {
 	OrbitalE   []float64      // orbital energies, ascending
 	C          *linalg.Matrix // MO coefficients (columns)
 	D          *linalg.Matrix // final density matrix
-	F          *linalg.Matrix // final Fock matrix
+	F          *linalg.Matrix // final Fock matrix, accumulated over the run's incremental builds
 	Workload   *FockWorkload  // the task decomposition used for Fock builds
 }
 
 // FockBuilder computes a Fock matrix from a density matrix. The default is
 // the serial reference implementation; the scheduling study substitutes
-// parallel executors with identical semantics.
+// parallel executors with identical semantics. A builder must be linear
+// in (h, d) and return a matrix of its own: the SCF loop calls it with
+// (H, D₁) once and then, every iteration, with a zero H and the density
+// change D_k − D_{k−1}, and adds the result to the previous Fock matrix.
 type FockBuilder func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix
 
 // RunSCF performs a restricted closed-shell Hartree–Fock calculation on
@@ -247,8 +251,26 @@ func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions) (
 		}
 	}
 
+	// G is linear in D and so is Symmetrize, so every build after a
+	// run's first is incremental: F_k = F_{k−1} + G(D_k − D_{k−1}) with a
+	// zero H, whose small density lets the executor skip most quartets.
+	// The first is the same call from zero references, which passes H and
+	// D₁ unchanged. There is no periodic full rebuild.
+	zero := linalg.NewMatrix(bs.NBF, bs.NBF)
+	hk, fRef, dRef := h, make([]*linalg.Matrix, n), make([]*linalg.Matrix, n)
+	for i := range fRef {
+		fRef[i], dRef[i] = zero, zero
+	}
 	for iter := st.iter + 1; iter <= opts.MaxIter; iter++ {
-		fs := spin.fock(w, h, ds)
+		dd := make([]*linalg.Matrix, n)
+		for i, d := range ds {
+			dd[i] = d.Clone().AddScaled(-1, dRef[i])
+		}
+		fs := spin.fock(w, hk, dd)
+		for i, f := range fs {
+			f.AddScaled(1, fRef[i])
+		}
+		hk, fRef, dRef = zero, fs, slices.Clone(ds)
 		var eElec float64
 		for i, d := range ds {
 			eElec += electronicEnergy(d, h, fs[i])

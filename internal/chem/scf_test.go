@@ -253,19 +253,32 @@ func TestWorkloadTaskPartition(t *testing.T) {
 }
 
 // ExecuteTaskScratch must compute exactly the quartets the cost model
-// counted.
+// counted on an exact scratch, and on a Fock build's scratch those of
+// them the density rule does not skip.
 func TestExecuteTaskQuartetCount(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", WaterCluster(2, 1))
 	w := BuildFockWorkload(bs, 1e-10, 4)
 	n := bs.NBF
 	d := linalg.Identity(n)
-	scratch := w.NewScratch()
-	for i := range w.Tasks {
-		j := linalg.NewMatrix(n, n)
-		k := linalg.NewMatrix(n, n)
-		got := w.ExecuteTaskScratch(&w.Tasks[i], d, j, k, scratch)
-		if got != w.Tasks[i].NumQuarts {
-			t.Fatalf("task %d executed %d quartets, estimated %d", i, got, w.Tasks[i].NumQuarts)
+	for _, scratch := range []*ERIScratch{NewERIScratch(bs), w.NewScratch()} {
+		var skipped int
+		for i := range w.Tasks {
+			j := linalg.NewMatrix(n, n)
+			k := linalg.NewMatrix(n, n)
+			task := &w.Tasks[i]
+			got := w.ExecuteTaskScratch(task, d, j, k, scratch)
+			want, _ := densityRule(w, task, d, []*linalg.Matrix{d}, scratch.budget)
+			if scratch.budget == 0 && want != task.NumQuarts {
+				t.Fatalf("task %d: the exact rule keeps %d quartets, estimated %d", i, want, task.NumQuarts)
+			}
+			if got != want {
+				t.Fatalf("budget %g, task %d executed %d quartets of %d estimated, want %d",
+					scratch.budget, i, got, task.NumQuarts, want)
+			}
+			skipped += task.NumQuarts - got
+		}
+		if scratch.budget > 0 && skipped == 0 {
+			t.Errorf("the density rule skipped no quartet of the identity density")
 		}
 	}
 }

@@ -38,9 +38,10 @@ func SchwarzBounds(bs *BasisSet) []ShellPair {
 // quartetSurvives reports whether the unique quartet formed by bra and
 // ket clears the Schwarz bound: |(ij|kl)| <= Q_ij Q_kl, so the quartet
 // is negligible when the product of pair bounds falls below threshold.
-// This is the single screening predicate of the Fock build — it runs at
+// This is the single Schwarz predicate of the Fock build — it runs at
 // task-generation time (FockWorkload.blockTasks) and in the retained
-// baseline executor, never in the arena-path workers.
+// baseline executor, never in the arena-path workers, which test only
+// the density a listed quartet contracts.
 func quartetSurvives(bra, ket *ShellPair, threshold float64) bool {
 	return bra.Bound*ket.Bound >= threshold
 }

@@ -220,9 +220,11 @@ func TestSymmetricSpinJKMatchesNaive(t *testing.T) {
 
 // The spin baseline executor (in-worker screening, closure digest,
 // term-by-term ERI loop nest) and the arena spin path (generation-time
-// screening, stride digest, factored ERI kernel) select and digest the
-// same quartets in the same order; the ERI blocks differ by summation
-// order only, so J, Kα and Kβ agree to 1e-12.
+// screening, stride digest, factored ERI kernel) select the same quartets
+// on an exact scratch and digest them in the same order; the ERI blocks
+// differ by summation order only, so J, Kα and Kβ agree to 1e-12. A Fock
+// build's scratch leaves out the quartets the density rule skips, and
+// stays within the same 1e-12.
 func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -230,27 +232,31 @@ func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 	dB.Scale(0.7)
 	dTot := d.Clone()
 	dTot.AddScaled(1, dB)
-	s := w.NewScratch()
-	for i := range w.Tasks {
-		jF := linalg.NewMatrix(n, n)
-		kAF := linalg.NewMatrix(n, n)
-		kBF := linalg.NewMatrix(n, n)
-		jB := linalg.NewMatrix(n, n)
-		kAB := linalg.NewMatrix(n, n)
-		kBB := linalg.NewMatrix(n, n)
-		doneF := w.ExecuteTaskSpinScratch(&w.Tasks[i], dTot, d, dB, jF, kAF, kBF, s)
-		doneB := w.ExecuteTaskSpinBaseline(&w.Tasks[i], dTot, d, dB, jB, kAB, kBB)
-		if doneF != doneB {
-			t.Fatalf("task %d: %d quartets (scratch) vs %d (baseline)", i, doneF, doneB)
-		}
-		if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
-			t.Errorf("task %d: J differs from spin baseline by %g", i, diff)
-		}
-		if diff := kAF.MaxAbsDiff(kAB); diff > 1e-12 {
-			t.Errorf("task %d: Kα differs from spin baseline by %g", i, diff)
-		}
-		if diff := kBF.MaxAbsDiff(kBB); diff > 1e-12 {
-			t.Errorf("task %d: Kβ differs from spin baseline by %g", i, diff)
+	for _, s := range []*ERIScratch{NewERIScratch(w.Basis), w.NewScratch()} {
+		for i := range w.Tasks {
+			task := &w.Tasks[i]
+			jF := linalg.NewMatrix(n, n)
+			kAF := linalg.NewMatrix(n, n)
+			kBF := linalg.NewMatrix(n, n)
+			jB := linalg.NewMatrix(n, n)
+			kAB := linalg.NewMatrix(n, n)
+			kBB := linalg.NewMatrix(n, n)
+			doneF := w.ExecuteTaskSpinScratch(task, dTot, d, dB, jF, kAF, kBF, s)
+			doneB := w.ExecuteTaskSpinBaseline(task, dTot, d, dB, jB, kAB, kBB)
+			want, _ := densityRule(w, task, dTot, []*linalg.Matrix{d, dB}, s.budget)
+			if doneB != task.NumQuarts || doneF != want {
+				t.Fatalf("budget %g, task %d: %d quartets (scratch), want %d; %d (baseline), want %d",
+					s.budget, i, doneF, want, doneB, task.NumQuarts)
+			}
+			if diff := jF.MaxAbsDiff(jB); diff > 1e-12 {
+				t.Errorf("budget %g, task %d: J differs from spin baseline by %g", s.budget, i, diff)
+			}
+			if diff := kAF.MaxAbsDiff(kAB); diff > 1e-12 {
+				t.Errorf("budget %g, task %d: Kα differs from spin baseline by %g", s.budget, i, diff)
+			}
+			if diff := kBF.MaxAbsDiff(kBB); diff > 1e-12 {
+				t.Errorf("budget %g, task %d: Kβ differs from spin baseline by %g", s.budget, i, diff)
+			}
 		}
 	}
 }

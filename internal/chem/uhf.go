@@ -32,7 +32,10 @@ type UHFOptions struct {
 // total density) and the per-spin exchange matrices (against dA and dB)
 // for one unrestricted Fock build. Implementations must be equivalent to
 // the serial ExecuteTaskSpinScratch sweep up to floating-point accumulation
-// order.
+// order, and so linear in the densities: after the first iteration the
+// SCF loop passes the density changes Dσ,k − Dσ,k−1 (and their sum as
+// dTot) and adds what it assembles from the result, with a zero H, to the
+// previous Fock matrices.
 type UHFFockBuilder func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix)
 
 // loopOptions are the options as scfLoop reads them, with the two

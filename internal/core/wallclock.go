@@ -183,9 +183,10 @@ func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 // account the busy time. This is the loop the paper's execution-model
 // comparison times, so it must not allocate — the arena-backed
 // accumulator makes the digestion allocation-free after warm-up, and the
-// allocfree check proves it for every schedule implementation. Screening
-// never appears here: the task's quartet multiset was resolved into Kets
-// lists at generation time.
+// allocfree check proves it for every schedule implementation. Schwarz
+// screening never appears here: the task's quartets were resolved into
+// Kets lists at generation time, and the density rule that skips some of
+// them in each build runs inside ExecuteTaskAccum.
 //
 //hotpath:allocfree
 func wallWorkerLoop(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix,
