@@ -99,7 +99,8 @@ cover-check:
 # panic, accepted specs survive Validate and a JSON round trip); the
 # Schwarz no-false-pruning bound; the ERI kernel against its oracle; the
 # primitive-quartet skip's and the density rule's no-false-drop bounds;
-# and the Boys function's invariants.
+# the one-pass J/K digest against its per-permutation oracle; and the
+# Boys function's invariants.
 fuzz:
 	go test ./internal/core/ -fuzz FuzzSemiVsHypergraphAssignment -fuzztime 30s -run '^$$'
 	go test ./internal/serve/ -fuzz FuzzJobSpecDecode -fuzztime 30s -run '^$$'
@@ -107,6 +108,7 @@ fuzz:
 	go test ./internal/chem/ -fuzz FuzzERIBlockPair -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzPrimitiveBound -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzDensityBound -fuzztime 30s -run '^$$'
+	go test ./internal/chem/ -fuzz FuzzDigestQuartet -fuzztime 30s -run '^$$'
 	go test ./internal/chem/ -fuzz FuzzBoys -fuzztime 30s -run '^$$'
 
 # The observability walkthrough, run twice: byte-identical output is the

@@ -268,6 +268,28 @@ func BenchmarkExecuteTaskArena(b *testing.B) {
 	}
 }
 
+// The unrestricted digest beside BenchmarkExecuteTaskArena: (H2O)2/6-31G
+// tasks through ExecuteTaskSpinScratch at a converged UHF density, so J
+// contracts the total density and two exchange matrices the α and β
+// densities.
+func BenchmarkExecuteTaskSpinArena(b *testing.B) {
+	mol, bs := waterBasis(b, 2, "6-31g")
+	res, err := chem.RunUHF(mol, bs, chem.UHFOptions{UseDIIS: true})
+	if err != nil || !res.Converged {
+		b.Fatalf("RunUHF: converged %v, %v", res != nil && res.Converged, err)
+	}
+	w := res.Workload
+	dTot := res.DA.Clone().AddScaled(1, res.DB)
+	n := bs.NBF
+	j, kA, kB := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
+	scratch := w.NewScratch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.ExecuteTaskSpinScratch(&w.Tasks[i%len(w.Tasks)], dTot, res.DA, res.DB, j, kA, kB, scratch)
+	}
+}
+
 func BenchmarkWallStealingFock(b *testing.B) {
 	mol, bs := waterBasis(b, 2, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)

@@ -3,8 +3,8 @@ package chem
 import "execmodels/internal/linalg"
 
 // ERIScratch is a per-worker scratch arena for the two-electron hot path:
-// the ERI block buffer, the Hermite R / Boys workspace and the small
-// digest accumulators are allocated once and reused for every quartet, so
+// the ERI block buffer, the Hermite R / Boys workspace and the per-task
+// density maxima are allocated once and reused for every quartet, so
 // the steady-state Fock build performs zero heap allocations per task.
 //
 // A scratch is not safe for concurrent use; each worker goroutine owns
@@ -22,12 +22,11 @@ import "execmodels/internal/linalg"
 //
 //hotpath:isolated
 type ERIScratch struct {
-	blk  []float64 // ERI shell-quartet block buffer
-	acc  []float64 // ERIBlockPairInto's T[cd][tuv] accumulator
-	kAcc []float64 // per-σ exchange accumulators (one per K matrix)
-	ks   [2]*linalg.Matrix
-	dks  [2]*linalg.Matrix
-	rw   hermiteRWork
+	blk []float64 // ERI shell-quartet block buffer
+	acc []float64 // ERIBlockPairInto's T[cd][tuv] accumulator
+	ks  [2]*linalg.Matrix
+	dks [2]*linalg.Matrix
+	rw  hermiteRWork
 
 	budget float64 // primBudget of the workload's threshold; 0: exact
 
@@ -57,7 +56,6 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 		acc:    make([]float64, maxNF*maxNF*numHermite(2*maxL)),
 		braOff: make([]int32, 0, numHermite(2*maxL)),
 		ketOff: make([]int32, 0, numHermite(2*maxL)),
-		kAcc:   make([]float64, 2),
 		dMaxJ:  make([]float64, len(bs.Shells)*len(bs.Shells)),
 		dMaxK:  make([]float64, len(bs.Shells)*len(bs.Shells)),
 	}

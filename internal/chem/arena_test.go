@@ -148,28 +148,3 @@ func TestZeroValueScratch(t *testing.T) {
 		t.Errorf("zero-value scratch J differs by %g", diff)
 	}
 }
-
-// quartetPermutationsInto must agree with the map-based enumeration it
-// replaced, in content and first-occurrence order, for every equality
-// pattern of shell indices.
-func TestQuartetPermutationsIntoMatchesMapBased(t *testing.T) {
-	cases := [][4]int{
-		{0, 0, 0, 0}, {0, 1, 2, 3}, {0, 0, 1, 1}, {0, 1, 0, 1},
-		{0, 1, 1, 0}, {2, 2, 2, 3}, {3, 2, 2, 2}, {5, 5, 7, 7},
-		{1, 2, 2, 1}, {4, 4, 4, 9},
-	}
-	for _, c := range cases {
-		want := quartetPermutations(c[0], c[1], c[2], c[3])
-		var got [8][4]int
-		n := quartetPermutationsInto(c[0], c[1], c[2], c[3], &got)
-		if n != len(want) {
-			t.Errorf("%v: %d permutations, want %d", c, n, len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%v: perm %d = %v, want %v", c, i, got[i], want[i])
-			}
-		}
-	}
-}

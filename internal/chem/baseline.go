@@ -13,8 +13,10 @@ import "execmodels/internal/linalg"
 //
 // It computes every block with ERIBlock, the one ERI reference: a fresh
 // result block and fresh Hermite E and R tables per primitive quartet,
-// nothing cached per shell pair. Those per-quartet costs are the point of
-// the baseline executor.
+// nothing cached per shell pair. It digests each block with
+// digestUniqueQuartet, one closure-driven pass per distinct permutation
+// of the quartet, the oracle of the fast path's one-pass digestQuartet.
+// Those per-quartet costs are the point of the baseline executor.
 
 // ExecuteTaskBaseline is the pre-arena reference implementation of
 // ExecuteTaskScratch, retained as the "before" side of the

@@ -83,9 +83,9 @@ func quartetPermutations(a, b, c, d int) [][4]int {
 // accumulators. shells is the full shell list; ia..id index into it; blk
 // is laid out as ERIBlock(ia, ib, ic, id).
 //
-// This closure-based form allocates per call; it survives as the
-// ExecuteTaskBaseline path, while the hot path uses
-// digestUniqueQuartetStrides.
+// This closure-based form, one pass per permutation, allocates per call;
+// it survives as ExecuteTaskBaseline's path and as the oracle of the hot
+// path's one-pass digestQuartet.
 func digestUniqueQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
 	sh := [4]*Shell{&shells[ia], &shells[ib], &shells[ic], &shells[id]}
 	nb, nc, nd := sh[1].NumFuncs(), sh[2].NumFuncs(), sh[3].NumFuncs()
@@ -107,93 +107,94 @@ func digestUniqueQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells 
 	}
 }
 
-// quartetPerms8 is the 8-fold symmetry group in the fixed enumeration
-// order the digest relies on.
-var quartetPerms8 = [8][4]int{
-	{0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 3, 2}, {1, 0, 3, 2},
-	{2, 3, 0, 1}, {3, 2, 0, 1}, {2, 3, 1, 0}, {3, 2, 1, 0},
-}
-
-// quartetPermutationsInto is quartetPermutations without the map and
-// slice allocations: distinct permutations are written to out (in the
-// same first-occurrence order) and their count returned.
-func quartetPermutationsInto(a, b, c, d int, out *[8][4]int) int {
-	ids := [4]int{a, b, c, d}
-	var keys [8][4]int
-	n := 0
-	for _, p := range quartetPerms8 {
-		key := [4]int{ids[p[0]], ids[p[1]], ids[p[2]], ids[p[3]]}
-		dup := false
-		for i := 0; i < n; i++ {
-			if keys[i] == key {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keys[n] = key
-			out[n] = p
-			n++
-		}
-	}
-	return n
-}
-
-// digestJKStrides is digestJK with the permuted block view expressed as
-// index strides instead of a closure: element (fa,fb,fc,fd) of the view
-// lives at blk[fa*sa+fb*sb+fc*sc+fd*sd]. The loop structure (and hence
-// the floating-point accumulation order) is identical to digestJK; only
-// the per-element closure dispatch and the kAcc allocation are gone.
+// digestQuartet is digestUniqueQuartet in one pass over the block. With
+// a ≤ b and c ≤ d, as every shell pair is stored, the distinct
+// permutations of the quartet are exactly the products of three flags,
+// fab: a≠b, fcd: c≠d and fbk: (a,b)≠(c,d). Taken as 0/1 weights, they
+// let each element v = (μν|λσ), μ∈a, ν∈b, λ∈c, σ∈d, add the terms of
+// every distinct permutation at once:
+//
+//	J[μν] += (DJ[λσ] + fcd·DJ[σλ])·v       J[νμ] += fab·(DJ[λσ] + fcd·DJ[σλ])·v
+//	J[λσ] += fbk·(DJ[μν] + fab·DJ[νμ])·v   J[σλ] += fbk·fcd·(DJ[μν] + fab·DJ[νμ])·v
+//	K[μλ] += DK[νσ]·v                      K[λμ] += fbk·DK[σν]·v
+//	K[νλ] += fab·DK[μσ]·v                  K[λν] += fbk·fab·DK[σμ]·v
+//	K[μσ] += fcd·DK[νλ]·v                  K[σμ] += fbk·fcd·DK[λν]·v
+//	K[νσ] += fab·fcd·DK[μλ]·v              K[σν] += fbk·fab·fcd·DK[λμ]·v
+//
+// for every exchange density DK and its K. These are the terms of
+// digestUniqueQuartet's permuted views, summed in a different order; no
+// density is assumed symmetric.
 //
 //hotpath:allocfree
-func digestJKStrides(j *linalg.Matrix, dj *linalg.Matrix, ks, dks []*linalg.Matrix, kAcc []float64, a, b, c, dd *Shell, blk []float64, sa, sb, sc, sd int) {
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), dd.NumFuncs()
+func digestQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
+	a, b, c, d := &shells[ia], &shells[ib], &shells[ic], &shells[id]
+	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
+	var fab, fcd, fbk float64
+	if ia != ib {
+		fab = 1
+	}
+	if ic != id {
+		fcd = 1
+	}
+	if ia != ic || ib != id {
+		fbk = 1
+	}
+	n, s0 := j.Cols, d.Start
+	jd, djd := j.Data, dj.Data
+	e := 0
 	for fa := 0; fa < na; fa++ {
 		mu := a.Start + fa
-		baseA := fa * sa
 		for fb := 0; fb < nb; fb++ {
 			nu := b.Start + fb
-			baseAB := baseA + fb*sb
+			cJ := fbk * (djd[mu*n+nu] + fab*djd[nu*n+mu])
+			cJT := fcd * cJ
 			var jAcc float64
 			for fc := 0; fc < nc; fc++ {
 				lam := c.Start + fc
-				for i := range kAcc {
-					kAcc[i] = 0
-				}
-				baseABC := baseAB + fc*sc
-				for fd := 0; fd < nd; fd++ {
-					sig := dd.Start + fd
-					v := blk[baseABC+fd*sd]
-					jAcc += dj.At(lam, sig) * v
-					for i, dk := range dks {
-						kAcc[i] += dk.At(nu, sig) * v
-					}
+				row := blk[e : e+nd]
+				e += nd
+				// Flat indices walk σ along row λ (λσ) and down column λ
+				// (σλ) of J; below, along rows μ and ν and down columns μ
+				// and ν of each K and its density.
+				ls, sl := lam*n+s0, s0*n+lam
+				for _, v := range row {
+					jAcc += (djd[ls] + fcd*djd[sl]) * v
+					jd[ls] += cJ * v
+					jd[sl] += cJT * v
+					ls++
+					sl += n
 				}
 				for i, k := range ks {
-					k.Add(mu, lam, kAcc[i])
+					dk, kd := dks[i].Data, k.Data
+					cMS := fcd * dk[nu*n+lam]
+					cNS := fab * fcd * dk[mu*n+lam]
+					cSM := fbk * fcd * dk[lam*n+nu]
+					cSN := fbk * fab * fcd * dk[lam*n+mu]
+					var aML, aNL, aLM, aLN float64
+					ms, ns, sm, sn := mu*n+s0, nu*n+s0, s0*n+mu, s0*n+nu
+					for _, v := range row {
+						aML += dk[ns] * v
+						aNL += dk[ms] * v
+						aLM += dk[sn] * v
+						aLN += dk[sm] * v
+						kd[ms] += cMS * v
+						kd[ns] += cNS * v
+						kd[sm] += cSM * v
+						kd[sn] += cSN * v
+						ms++
+						ns++
+						sm += n
+						sn += n
+					}
+					kd[mu*n+lam] += aML
+					kd[nu*n+lam] += fab * aNL
+					kd[lam*n+mu] += fbk * aLM
+					kd[lam*n+nu] += fbk * fab * aLN
 				}
 			}
-			j.Add(mu, nu, jAcc)
+			jd[mu*n+nu] += jAcc
+			jd[nu*n+mu] += fab * jAcc
 		}
-	}
-}
-
-// digestUniqueQuartetStrides is the allocation-free digestUniqueQuartet:
-// permutations are enumerated into a stack array and each permuted view
-// is digested through precomputed strides. kAcc is caller-provided
-// scratch of length len(ks).
-//
-//hotpath:allocfree
-func digestUniqueQuartetStrides(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, kAcc []float64, shells []Shell, ia, ib, ic, id int, blk []float64) {
-	sh := [4]*Shell{&shells[ia], &shells[ib], &shells[ic], &shells[id]}
-	nb, nc, nd := sh[1].NumFuncs(), sh[2].NumFuncs(), sh[3].NumFuncs()
-	strides := [4]int{nb * nc * nd, nc * nd, nd, 1}
-	var perms [8][4]int
-	np := quartetPermutationsInto(ia, ib, ic, id, &perms)
-	for pi := 0; pi < np; pi++ {
-		p := perms[pi]
-		digestJKStrides(j, dj, ks, dks, kAcc, sh[p[0]], sh[p[1]], sh[p[2]], sh[p[3]], blk,
-			strides[p[0]], strides[p[1]], strides[p[2]], strides[p[3]])
 	}
 }
 
@@ -444,18 +445,18 @@ func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, 
 //hotpath:allocfree
 func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*linalg.Matrix, j *linalg.Matrix, s *ERIScratch) int {
 	shells := w.Basis.Shells
-	if cap(s.kAcc) < len(ks) {
-		s.kAcc = make([]float64, len(ks)) //lint:ignore allocfree cold start: kAcc is sized once per arena for the K-matrix count and reused by every task
-	}
-	kAcc := s.kAcc[:len(ks)]
 	ns := len(shells)
 	mj, mk := s.dMaxJ, s.dMaxK // sized by NewERIScratch, which every scratch with a budget comes from
 	if s.budget > 0 {
 		clear(mj)
-		clear(mk)
 		blockMaxAbs(mj, shells, dj)
-		for _, dk := range dks {
-			blockMaxAbs(mk, shells, dk)
+		if len(dks) == 1 && dks[0] == dj {
+			copy(mk, mj) // RHF: exchange contracts J's own density
+		} else {
+			clear(mk)
+			for _, dk := range dks {
+				blockMaxAbs(mk, shells, dk)
+			}
 		}
 	}
 	var done int
@@ -473,7 +474,7 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 				budget /= wt
 			}
 			blk := eriBlockPairInto(braPD, w.pairData[ki], s, budget)
-			digestUniqueQuartetStrides(j, dj, ks, dks, kAcc, shells, bra.I, bra.J, ket.I, ket.J, blk)
+			digestQuartet(j, dj, ks, dks, shells, bra.I, bra.J, ket.I, ket.J, blk)
 			done++
 		}
 	}

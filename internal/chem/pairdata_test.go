@@ -266,7 +266,7 @@ func FuzzDensityBound(f *testing.F) {
 		terms := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
 		mass := []*linalg.Matrix{linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)}
 		aTot, aA, aB := abs(dTot), abs(dA), abs(dB)
-		s, kAcc := NewERIScratch(bs), make([]float64, 2)
+		s := NewERIScratch(bs)
 		for ti := range w.Tasks {
 			task := &w.Tasks[ti]
 			for bi, bra := range task.BraPairs {
@@ -277,9 +277,9 @@ func FuzzDensityBound(f *testing.F) {
 					for e, v := range blk {
 						one[e], size[e] = 1, math.Max(1, math.Abs(v))
 					}
-					digestUniqueQuartetStrides(terms[0], ones, terms[1:], []*linalg.Matrix{ones, ones}, kAcc,
+					digestQuartet(terms[0], ones, terms[1:], []*linalg.Matrix{ones, ones},
 						bs.Shells, bra.I, bra.J, ket.I, ket.J, one)
-					digestUniqueQuartetStrides(mass[0], aTot, mass[1:], []*linalg.Matrix{aA, aB}, kAcc,
+					digestQuartet(mass[0], aTot, mass[1:], []*linalg.Matrix{aA, aB},
 						bs.Shells, bra.I, bra.J, ket.I, ket.J, size)
 				}
 			}

@@ -111,7 +111,7 @@ func TestAllocFreeRealTree(t *testing.T) {
 
 	// By function, not by file: kernel code may move between files.
 	rep := NewAllocFree().Analyze(pkgs)
-	for _, fn := range []string{"eriBlockPairInto", "(hermiteRWork).compute", "digestJKStrides"} {
+	for _, fn := range []string{"eriBlockPairInto", "(hermiteRWork).compute", "digestQuartet"} {
 		if !rep.ReachableFuncs["execmodels/internal/chem."+fn] {
 			t.Errorf("proof never reached chem.%s — the annotated roots are not wired to the ERI kernels", fn)
 		}
