@@ -277,14 +277,4 @@ func (s *Suite) Run(id string) (*Table, error) {
 	return e.run(s), nil
 }
 
-// All runs every experiment in canonical order.
-func (s *Suite) All() []*Table {
-	var out []*Table
-	for _, id := range Experiments() {
-		t, _ := s.Run(id)
-		out = append(out, t)
-	}
-	return out
-}
-
 func f(format string, args ...any) string { return fmt.Sprintf(format, args...) }

@@ -4,7 +4,6 @@ import (
 	"execmodels/internal/chem"
 	"execmodels/internal/cluster"
 	"execmodels/internal/core"
-	"execmodels/internal/stats"
 )
 
 // Figure1 reproduces the task-cost distribution of the Fock-build kernel:
@@ -16,13 +15,13 @@ func (s *Suite) Figure1() *Table {
 	for i, t := range s.work.Tasks {
 		costs[i] = t.Cost
 	}
-	sum := stats.Summarize(costs)
+	maxOverMean, cv, g := costSpread(costs)
 	t := &Table{
 		ID:     "F1",
 		Title:  f("task-cost distribution, %s, %d tasks", s.work.Name, len(costs)),
 		Header: []string{"cost-bucket-lo(flop)", "cost-bucket-hi(flop)", "tasks", "bar"},
 	}
-	for _, b := range stats.Histogram(costs, 12) {
+	for _, b := range histogram(costs, 12) {
 		bar := ""
 		for i := 0; i < b.Count*60/len(costs)+1 && b.Count > 0; i++ {
 			bar += "#"
@@ -33,7 +32,7 @@ func (s *Suite) Figure1() *Table {
 	}
 	t.Notes = append(t.Notes,
 		f("max/mean = %.2f, cv = %.2f, gini = %.2f — irregular, as the paper's kernel requires",
-			sum.MaxOverMean, sum.CoefficientOfVar, sum.Gini))
+			maxOverMean, cv, g))
 	return t
 }
 

@@ -134,8 +134,8 @@ func TestExecuteTaskScratchZeroAllocFreshArena(t *testing.T) {
 }
 
 // A zero-value scratch must work (growing on demand) so ad-hoc callers
-// like ERIBlockPair stay correct: within rounding (1e-12) of the baseline,
-// which sums in a different order.
+// like ERIBlockPairInto(bra, ket, &ERIScratch{}) stay correct: within
+// rounding (1e-12) of the baseline, which sums in a different order.
 func TestZeroValueScratch(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF

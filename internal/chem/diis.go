@@ -33,25 +33,6 @@ func (st *diisState) push(f, e *linalg.Matrix) {
 	}
 }
 
-// errorNorm returns the max-abs element of the newest error vector, the
-// standard DIIS convergence measure.
-func (st *diisState) errorNorm() float64 {
-	if len(st.errs) == 0 {
-		return 0
-	}
-	last := st.errs[len(st.errs)-1]
-	var mx float64
-	for _, v := range last.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // extrapolate returns the DIIS-combined Fock matrix, or nil when the
 // subspace is too small or the B-system is unsolvable (caller then uses
 // the raw Fock matrix).

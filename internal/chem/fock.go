@@ -294,7 +294,7 @@ func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold fl
 	return w
 }
 
-// blockTasks (re)builds the task decomposition at the given bra-pair
+// blockTasks builds the task decomposition at the given bra-pair
 // block size, resolving Schwarz screening into each task's explicit
 // Kets lists: no quartet outside them is ever evaluated. Workers test
 // only the density rule on top (executeTask).
@@ -335,23 +335,6 @@ func (w *FockWorkload) blockTasks(blockSize int) {
 		}
 		w.Tasks = append(w.Tasks, t)
 	}
-}
-
-// Reblock returns a workload over the same screened pairs, Schwarz data
-// and per-pair Hermite tables, re-decomposed into tasks of blockSize bra
-// pairs. Because the expensive screening and pair setup are shared,
-// re-blocking costs only the task bookkeeping, which is what the
-// granularity differential tests need. The returned workload digests
-// exactly the same quartets in the same global bra-major order, so a
-// serial sweep over its tasks is bit-identical to one over the
-// original's.
-func (w *FockWorkload) Reblock(blockSize int) *FockWorkload {
-	if blockSize < 1 {
-		panic("chem: blockSize must be >= 1")
-	}
-	nw := &FockWorkload{Basis: w.Basis, Pairs: w.Pairs, Threshold: w.Threshold, pairData: w.pairData}
-	nw.blockTasks(blockSize)
-	return nw
 }
 
 // WorkloadStats summarizes how much work symmetry folding and Schwarz

@@ -38,14 +38,6 @@ type Atom struct {
 	Pos Vec3
 }
 
-// Symbol returns the element symbol for the atom, or "X<Z>" if unknown.
-func (a Atom) Symbol() string {
-	if s, ok := symbols[a.Z]; ok {
-		return s
-	}
-	return fmt.Sprintf("X%d", a.Z)
-}
-
 var symbols = map[int]string{1: "H", 2: "He", 6: "C", 7: "N", 8: "O", 9: "F"}
 
 // AtomicNumber returns the atomic number for an element symbol, or 0 if

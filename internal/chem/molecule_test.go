@@ -128,12 +128,6 @@ func TestRandomClusterMinDistance(t *testing.T) {
 }
 
 func TestSymbols(t *testing.T) {
-	if (Atom{Z: 8}).Symbol() != "O" {
-		t.Fatal("O symbol")
-	}
-	if (Atom{Z: 99}).Symbol() != "X99" {
-		t.Fatal("unknown symbol fallback")
-	}
 	if AtomicNumber("C") != 6 || AtomicNumber("Zz") != 0 {
 		t.Fatal("AtomicNumber")
 	}

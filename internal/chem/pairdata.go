@@ -234,20 +234,11 @@ func primQuartetsKept(bra, ket *PairData, budget float64) int {
 	return n
 }
 
-// ERIBlockPair computes the (bra|ket) shell-quartet block from two
-// precomputed pair datasets. The result layout matches
-// ERIBlock(bra.A, bra.B, ket.A, ket.B).
-//
-// Each call allocates a fresh result (and workspace); the hot path uses
-// ERIBlockPairInto with a reused ERIScratch instead.
-func ERIBlockPair(bra, ket *PairData) []float64 {
-	return ERIBlockPairInto(bra, ket, &ERIScratch{})
-}
-
-// ERIBlockPairInto is ERIBlockPair writing into the scratch arena s: the
-// returned slice aliases s and stays valid only until the next call using
-// s. With a warmed-up scratch the steady-state computation performs zero
-// heap allocations.
+// ERIBlockPairInto computes the (bra|ket) shell-quartet block from two
+// precomputed pair datasets into the scratch arena s. The result layout
+// matches ERIBlock(bra.A, bra.B, ket.A, ket.B). The returned slice aliases
+// s and stays valid only until the next call using s. With a warmed-up
+// scratch the steady-state computation performs zero heap allocations.
 //
 // The McMurchie–Davidson sum over a primitive quartet,
 //

@@ -261,10 +261,10 @@ func TestExecuteTaskSpinBaselineMatchesScratch(t *testing.T) {
 	}
 }
 
-// Reblocking regroups bra pairs into different task shapes but must not
-// change the quartet multiset or the serial digestion order — the same
-// global bra-major sweep, so serial results are bit-identical and the
-// surviving-quartet count is invariant.
+// The block size regroups bra pairs into different task shapes but must
+// not change the quartet multiset or the serial digestion order — the
+// same global bra-major sweep, so serial results are bit-identical and
+// the surviving-quartet count is invariant.
 func TestReblockEquivalence(t *testing.T) {
 	w, d := arenaWorkload(t)
 	n := w.Basis.NBF
@@ -272,7 +272,7 @@ func TestReblockEquivalence(t *testing.T) {
 	want := w.BuildFock(h, d)
 	wantQuarts := w.Stats().Surviving
 	for _, block := range []int{1, 2, 7, 1 << 20} {
-		rw := w.Reblock(block)
+		rw := BuildFockWorkload(w.Basis, w.Threshold, block)
 		if got := rw.Stats().Surviving; got != wantQuarts {
 			t.Errorf("block %d: %d surviving quartets, want %d", block, got, wantQuarts)
 		}
@@ -399,8 +399,8 @@ func TestExecuteTaskAccumMatchesScratch(t *testing.T) {
 
 // The accumulator digest path — the wall-clock workers' steady state —
 // must preserve the zero-allocation invariant for both spin shapes, and
-// on a reblocked workload (pair-block task structs share the screened
-// pair data, so no lazily-grown state may hide there).
+// on workloads re-blocked from the same screened pairs (their task
+// structs share the pair data, so no lazily-grown state may hide there).
 func TestExecuteTaskAccumZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
@@ -410,13 +410,14 @@ func TestExecuteTaskAccumZeroAlloc(t *testing.T) {
 	dB.Scale(0.6)
 	dTot := d.Clone()
 	dTot.AddScaled(1, dB)
+	pairs := SchwarzBounds(w.Basis)
 	for _, tc := range []struct {
 		name string
 		w    *FockWorkload
 	}{
 		{"as-built", w},
-		{"reblocked/b1", w.Reblock(1)},
-		{"reblocked/b7", w.Reblock(7)},
+		{"reblocked/b1", BuildFockWorkloadFromPairs(w.Basis, pairs, w.Threshold, 1)},
+		{"reblocked/b7", BuildFockWorkloadFromPairs(w.Basis, pairs, w.Threshold, 7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rhf := tc.w.NewJKAccum(false)

@@ -74,18 +74,3 @@ func ParseXYZ(r io.Reader) (*Molecule, error) {
 	}
 	return mol, nil
 }
-
-// WriteXYZ writes the molecule in XYZ format (coordinates in ångström).
-func WriteXYZ(w io.Writer, mol *Molecule) error {
-	if _, err := fmt.Fprintf(w, "%d\n%s\n", len(mol.Atoms), mol.Name); err != nil {
-		return err
-	}
-	for _, a := range mol.Atoms {
-		_, err := fmt.Fprintf(w, "%-3s %14.8f %14.8f %14.8f\n",
-			a.Symbol(), a.Pos.X/angstrom, a.Pos.Y/angstrom, a.Pos.Z/angstrom)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -60,29 +60,6 @@ func TestParseXYZErrors(t *testing.T) {
 	}
 }
 
-func TestXYZRoundTrip(t *testing.T) {
-	orig := WaterCluster(3, 5)
-	var sb strings.Builder
-	if err := WriteXYZ(&sb, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseXYZ(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Atoms) != len(orig.Atoms) {
-		t.Fatalf("%d atoms after round trip", len(back.Atoms))
-	}
-	for i := range orig.Atoms {
-		if back.Atoms[i].Z != orig.Atoms[i].Z {
-			t.Fatalf("atom %d element changed", i)
-		}
-		if back.Atoms[i].Pos.Sub(orig.Atoms[i].Pos).Norm() > 1e-7 {
-			t.Fatalf("atom %d moved %v", i, back.Atoms[i].Pos.Sub(orig.Atoms[i].Pos).Norm())
-		}
-	}
-}
-
 // A parsed geometry must be usable end to end.
 func TestParseXYZThenSCF(t *testing.T) {
 	mol, err := ParseXYZ(strings.NewReader(waterXYZ))

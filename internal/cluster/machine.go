@@ -120,12 +120,6 @@ func New(cfg Config) *Machine {
 	return m
 }
 
-// Reset reseeds the machine's noise stream so that repeated runs over the
-// same machine are independent but reproducible.
-func (m *Machine) Reset(seed int64) {
-	m.rng = rand.New(rand.NewSource(seed))
-}
-
 // Speed returns rank r's static speed in work units per second.
 func (m *Machine) Speed(r int) float64 { return m.speeds[r] }
 

@@ -84,17 +84,6 @@ func TestTaskTimeNoiseReproducible(t *testing.T) {
 	}
 }
 
-func TestResetReseeds(t *testing.T) {
-	m := New(Config{Ranks: 1, NoiseSigma: 0.2, Seed: 5})
-	a := m.TaskTime(0, 1e6)
-	m.Reset(5)
-	// New(5) consumed no normals before the first TaskTime (no
-	// heterogeneity draws with h=0), so the streams must match.
-	if b := m.TaskTime(0, 1e6); a != b {
-		t.Fatalf("Reset(5) stream differs: %v vs %v", a, b)
-	}
-}
-
 func TestXferAndRoundTrip(t *testing.T) {
 	m := New(Config{Ranks: 2, Latency: 1e-6, Bandwidth: 1e9})
 	if got := m.XferTime(1000); math.Abs(got-(1e-6+1e-6)) > 1e-18 {
@@ -150,21 +139,10 @@ func TestCounterAgentNoContention(t *testing.T) {
 	}
 }
 
-func TestTraceBusyTime(t *testing.T) {
-	var tr Trace
-	tr.Record(Interval{Rank: 0, Start: 0, End: 2, TaskID: 1, Activity: "task"})
-	tr.Record(Interval{Rank: 0, Start: 2, End: 3, TaskID: -1, Activity: "steal"})
-	tr.Record(Interval{Rank: 1, Start: 0, End: 5, TaskID: 2, Activity: "task"})
-	busy := tr.BusyTime(2)
-	if busy[0] != 2 || busy[1] != 5 {
-		t.Fatalf("busy = %v", busy)
-	}
-}
-
 func TestNilTraceSafe(t *testing.T) {
 	var tr *Trace
 	tr.Record(Interval{}) // must not panic
-	if b := tr.BusyTime(3); len(b) != 3 {
-		t.Fatal("nil trace BusyTime")
+	if s, e := tr.Span(); s != 0 || e != 0 {
+		t.Fatal("nil trace span")
 	}
 }

@@ -4,20 +4,11 @@ package cluster
 // performance variability: power capping and thermal DVFS slow a rank
 // down for a while, then release it. Episodes are a pure function of
 // (seed, rank, time window) — no mutable state — so any executor can
-// query SpeedAt for any (rank, time) without ordering or reset concerns.
+// query any (rank, window) without ordering or reset concerns.
 //
 // Time is divided into windows of ThrottleWindow seconds; within each
 // window a rank is independently throttled to ThrottleFactor of its
 // static speed with probability ThrottleProb.
-
-// throttled reports whether rank r is throttled during the window
-// containing time t.
-func (m *Machine) throttled(r int, t float64) bool {
-	if t < 0 {
-		return false
-	}
-	return m.throttledWin(r, int64(t/m.throttleWindow()))
-}
 
 // throttledWin reports whether rank r is throttled during window index
 // win, as a pure deterministic hash of (seed, rank, window).
@@ -46,16 +37,6 @@ func (m *Machine) throttleFactor() float64 {
 		return m.Cfg.ThrottleFactor
 	}
 	return 0.5
-}
-
-// SpeedAt returns rank r's effective speed at simulated time t,
-// accounting for throttling episodes.
-func (m *Machine) SpeedAt(r int, t float64) float64 {
-	s := m.speeds[r]
-	if m.throttled(r, t) {
-		s *= m.throttleFactor()
-	}
-	return s
 }
 
 // TaskTimeAt returns the execution time of a task of the given cost

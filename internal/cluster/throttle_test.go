@@ -7,7 +7,7 @@ import (
 
 func TestThrottleDisabledByDefault(t *testing.T) {
 	m := New(Config{Ranks: 2, Seed: 1})
-	if m.SpeedAt(0, 0.123) != m.Speed(0) {
+	if m.throttledWin(0, 12) {
 		t.Fatal("throttling active with ThrottleProb = 0")
 	}
 	if got, want := m.TaskTimeAt(0, 1e6, 5.0), m.TaskTime(0, 1e6); got != want {
@@ -19,10 +19,9 @@ func TestThrottleDeterministic(t *testing.T) {
 	m1 := New(Config{Ranks: 4, ThrottleProb: 0.3, Seed: 9})
 	m2 := New(Config{Ranks: 4, ThrottleProb: 0.3, Seed: 9})
 	for r := 0; r < 4; r++ {
-		for i := 0; i < 100; i++ {
-			tt := float64(i) * 0.003
-			if m1.SpeedAt(r, tt) != m2.SpeedAt(r, tt) {
-				t.Fatalf("nondeterministic throttle at rank %d t=%v", r, tt)
+		for w := int64(0); w < 100; w++ {
+			if m1.throttledWin(r, w) != m2.throttledWin(r, w) {
+				t.Fatalf("nondeterministic throttle at rank %d window %d", r, w)
 			}
 		}
 	}
@@ -32,9 +31,9 @@ func TestThrottleFrequencyMatchesProb(t *testing.T) {
 	m := New(Config{Ranks: 8, ThrottleProb: 0.25, ThrottleWindow: 0.01, Seed: 3})
 	var throttled, total int
 	for r := 0; r < 8; r++ {
-		for w := 0; w < 500; w++ {
+		for w := int64(0); w < 500; w++ {
 			total++
-			if m.SpeedAt(r, float64(w)*0.01+0.005) < m.Speed(r) {
+			if m.throttledWin(r, w) {
 				throttled++
 			}
 		}
@@ -47,9 +46,6 @@ func TestThrottleFrequencyMatchesProb(t *testing.T) {
 
 func TestThrottleSlowsBySetFactor(t *testing.T) {
 	m := New(Config{Ranks: 1, ThrottleProb: 1, ThrottleFactor: 0.25, Seed: 1})
-	if got, want := m.SpeedAt(0, 0.5), 0.25*m.Speed(0); got != want {
-		t.Fatalf("SpeedAt = %v, want %v", got, want)
-	}
 	// Fully throttled: a task takes 4x as long (plus overhead).
 	base := 1e6/m.Speed(0) + m.Cfg.TaskOverhead
 	got := m.TaskTimeAt(0, 1e6, 0)
@@ -65,10 +61,9 @@ func TestThrottleIntegratesAcrossWindows(t *testing.T) {
 	// Hunt for a boundary where throttle state flips.
 	m := New(Config{Ranks: 1, ThrottleProb: 0.5, ThrottleWindow: 0.01, ThrottleFactor: 0.5, Seed: 2})
 	var at float64 = -1
-	for w := 0; w < 1000; w++ {
-		t0 := float64(w) * 0.01
-		if m.throttled(0, t0) != m.throttled(0, t0+0.01) {
-			at = t0 + 0.005 // start mid-window, spanning the flip
+	for w := int64(0); w < 1000; w++ {
+		if m.throttledWin(0, w) != m.throttledWin(0, w+1) {
+			at = float64(w)*0.01 + 0.005 // start mid-window, spanning the flip
 			break
 		}
 	}

@@ -15,26 +15,11 @@ func sampleTrace() *Trace {
 	return tr
 }
 
-func TestActivityTotals(t *testing.T) {
-	tot := sampleTrace().ActivityTotals()
-	if tot["task"] != 8 || tot["comm"] != 1 || tot["steal"] != 1 || tot["counter"] != 0.5 {
-		t.Fatalf("totals %v", tot)
-	}
-	var nilTrace *Trace
-	if len(nilTrace.ActivityTotals()) != 0 {
-		t.Fatal("nil trace totals")
-	}
-}
-
 func TestSpanAndBusy(t *testing.T) {
 	tr := sampleTrace()
 	s, e := tr.Span()
 	if s != 0 || e != 5.5 {
 		t.Fatalf("span %v..%v", s, e)
-	}
-	busy := tr.BusyTime(2)
-	if busy[0] != 4 || busy[1] != 4 {
-		t.Fatalf("busy %v", busy)
 	}
 	var nilTrace *Trace
 	if s, e := nilTrace.Span(); s != 0 || e != 0 {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 
 	"execmodels/internal/cluster"
 	"execmodels/internal/core"
@@ -17,8 +18,12 @@ func ExampleModel() {
 		Dist:     "triangular",
 		Seed:     42,
 	})
+	var maxCost float64
+	for _, t := range w.Tasks {
+		maxCost = math.Max(maxCost, t.Cost)
+	}
 	fmt.Printf("workload: %s, %d tasks, max/mean cost = %.2f\n",
-		w.Name, len(w.Tasks), w.CostImbalance())
+		w.Name, len(w.Tasks), maxCost/(w.TotalCost()/float64(len(w.Tasks))))
 
 	// A 32-rank machine: homogeneous speeds, RDMA-class network.
 	m := cluster.New(cluster.Config{Ranks: 32, Seed: 1})

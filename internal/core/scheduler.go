@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"execmodels/internal/cluster"
 	"execmodels/internal/hypergraph"
-	"execmodels/internal/obs"
 	"execmodels/internal/semimatching"
 )
 
@@ -220,24 +218,6 @@ func (c *CostModel) Costs(keys []uint64, est []float64) (costs []float64, known 
 		}
 	}
 	return costs, known
-}
-
-// Known reports whether the key has measured history.
-func (c *CostModel) Known(key uint64) bool { _, ok := c.m[key]; return ok }
-
-// Len returns the number of keys with measured history.
-func (c *CostModel) Len() int { return len(c.m) }
-
-// Profile exports the model's state as an obs.CostProfile, walking the
-// keys in sorted order so the export is deterministic for a given model
-// state.
-func (c *CostModel) Profile(source, unit string) *obs.CostProfile {
-	p := &obs.CostProfile{Source: source, Unit: unit}
-	for _, k := range sortedCostKeys(c.m) {
-		e := c.m[k]
-		p.Tasks = append(p.Tasks, obs.TaskCost{Key: k, Est: e.est, Measured: e.cost})
-	}
-	return p
 }
 
 // ---------------------------------------------------------------------
@@ -663,15 +643,4 @@ func RunSchedulerIterations(sched Scheduler, w *Workload, m *cluster.Machine, it
 		}
 	}
 	return res, history
-}
-
-// sortedCostKeys returns the model's keys in ascending order (export
-// helper, kept deterministic for the obs golden tests).
-func sortedCostKeys(m map[uint64]costEntry) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

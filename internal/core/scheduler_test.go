@@ -41,9 +41,8 @@ func TestCostModelEWMABlend(t *testing.T) {
 	if math.Abs(costs[0]-want) > 1e-12 {
 		t.Errorf("blended cost = %g, want %g", costs[0], want)
 	}
-	if !cm.Known(7) || cm.Known(8) || cm.Len() != 1 {
-		t.Errorf("history bookkeeping wrong: known(7)=%v known(8)=%v len=%d",
-			cm.Known(7), cm.Known(8), cm.Len())
+	if _, ok := cm.m[7]; !ok || len(cm.m) != 1 {
+		t.Errorf("history bookkeeping wrong: %v, want key 7 only", cm.m)
 	}
 }
 
@@ -282,7 +281,7 @@ func TestPersistenceHistoryKeyedByIdentityAcrossReblock(t *testing.T) {
 	// stale-by-index bug would hand it A's measurements; keyed history
 	// must cold-start instead.
 	for i, k := range tsB.Keys {
-		if cm.Known(k) {
+		if _, ok := cm.m[k]; ok {
 			t.Fatalf("task %d of workload B unexpectedly has history", i)
 		}
 	}

@@ -42,30 +42,6 @@ func (w *Workload) TotalCost() float64 {
 	return s
 }
 
-// MaxCost returns the largest true task cost.
-func (w *Workload) MaxCost() float64 {
-	var m float64
-	for _, t := range w.Tasks {
-		if t.Cost > m {
-			m = t.Cost
-		}
-	}
-	return m
-}
-
-// CostImbalance returns max/mean task cost — the raw irregularity of the
-// workload before any scheduling.
-func (w *Workload) CostImbalance() float64 {
-	if len(w.Tasks) == 0 {
-		return 0
-	}
-	mean := w.TotalCost() / float64(len(w.Tasks))
-	if mean == 0 {
-		return 0
-	}
-	return w.MaxCost() / mean
-}
-
 // FromFock converts a screened Fock-build decomposition into a scheduling
 // workload. Task cost is the ERI flop estimate; data blocks are the shell
 // row-blocks of the density/Fock matrices that the task's bra pairs touch,

@@ -382,7 +382,7 @@ func (s *wallStealSched) counters() wallCounters {
 
 // WallOptions carries the tunables NewWallScheduler threads through to
 // every Fock build of an SCF run. Task granularity is not among them: it
-// belongs to the workload (SCFOptions.BlockSize, FockWorkload.Reblock).
+// belongs to the workload (SCFOptions.BlockSize, chem.BuildFockWorkload).
 type WallOptions struct {
 	Seed  int64 // work-stealing victim-selection seed
 	Block int   // dynamic-counter tasks per NXTVAL fetch (<1 means 1)

@@ -155,7 +155,7 @@ func TestWallStaticBitwiseDeterministic(t *testing.T) {
 	}
 }
 
-// FockWorkload.Reblock changes the task decomposition without changing
+// The pair-block size changes the task decomposition without changing
 // the quartet multiset or the global digestion order, so serial results
 // are bitwise invariant and parallel results stay within the matrix
 // tolerance.
@@ -165,8 +165,9 @@ func TestWallPairBlockEquivalence(t *testing.T) {
 	h := chem.CoreHamiltonian(fw.Basis, mol)
 	d := wallDensity(fw, mol, h)
 	serial := fw.BuildFock(h, d)
+	pairs := chem.SchwarzBounds(fw.Basis)
 	for _, pb := range []int{1, 2, 7, 64} {
-		fwb := fw.Reblock(pb)
+		fwb := chem.BuildFockWorkloadFromPairs(fw.Basis, pairs, fw.Threshold, pb)
 		res := wallBuild(t, "static", fwb, h, d, 1, WallOptions{})
 		if diff := res.F.MaxAbsDiff(serial); diff != 0 {
 			t.Errorf("pairblock %d: single-worker static differs by %g, want bitwise", pb, diff)

@@ -6,7 +6,6 @@ import (
 
 	"execmodels/internal/chem"
 	"execmodels/internal/linalg"
-	"execmodels/internal/obs"
 )
 
 // This file is the wall-clock backend's only entry point: a Scheduler
@@ -180,16 +179,6 @@ func NewWallScheduler(name string, workers int, opt WallOptions) (*WallScheduler
 
 // Name returns the underlying scheduler's policy name.
 func (s *WallScheduler) Name() string { return s.sched.Name() }
-
-// CostProfile exports the measured-cost model of a feedback policy as an
-// obs profile (unit wall_seconds); nil for estimate-only policies.
-func (s *WallScheduler) CostProfile() *obs.CostProfile {
-	type costed interface{ Costs() *CostModel }
-	if c, ok := s.sched.(costed); ok && s.fb != nil {
-		return c.Costs().Profile(s.sched.Name(), "wall_seconds")
-	}
-	return nil
-}
 
 // taskSetFor caches the seam task set per workload, so an SCF run hashes
 // task identities once, not once per iteration.

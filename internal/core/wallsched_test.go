@@ -53,7 +53,7 @@ func TestFockTaskSetKeysTrackContent(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	for _, k := range FockTaskSet(fw.Reblock(1)).Keys {
+	for _, k := range FockTaskSet(chem.BuildFockWorkload(fw.Basis, fw.Threshold, 1)).Keys {
 		if seen[k] {
 			t.Fatal("re-blocked task reused an old identity key")
 		}
@@ -230,9 +230,9 @@ func TestWallSchedulerUHFBuild(t *testing.T) {
 // ---------------------------------------------------------------------
 // Feedback loop on the wall backend
 
-// After one build the feedback scheduler must hold measured wall history
-// for every task, and its exported profile must carry positive wall
-// seconds; estimate-only policies export nothing.
+// A fresh feedback scheduler has no history; after builds its cost model
+// holds one positive measured wall time and estimate per task.
+// Estimate-only policies keep no cost model at all.
 func TestWallSchedulerFeedbackObserves(t *testing.T) {
 	fw := fockWorkload(t, 2)
 	mol := chem.WaterCluster(2, 11)
@@ -243,24 +243,22 @@ func TestWallSchedulerFeedbackObserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := ws.CostProfile(); p == nil || len(p.Tasks) != 0 {
-		t.Fatalf("fresh feedback profile = %+v, want empty non-nil", p)
+	type costed interface{ Costs() *CostModel }
+	cm := ws.sched.(costed).Costs()
+	if len(cm.m) != 0 {
+		t.Fatalf("fresh feedback model has %d entries, want none", len(cm.m))
 	}
 	for it := 0; it < 2; it++ {
 		if _, err := ws.Build(fw, h, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	prof := ws.CostProfile()
-	if prof == nil || prof.Unit != "wall_seconds" {
-		t.Fatalf("profile = %+v, want unit wall_seconds", prof)
+	if len(cm.m) != len(fw.Tasks) {
+		t.Fatalf("cost model has %d tasks, want %d", len(cm.m), len(fw.Tasks))
 	}
-	if len(prof.Tasks) != len(fw.Tasks) {
-		t.Fatalf("profile has %d tasks, want %d", len(prof.Tasks), len(fw.Tasks))
-	}
-	for _, tc := range prof.Tasks {
-		if tc.Measured <= 0 || tc.Est <= 0 {
-			t.Fatalf("non-positive cost in profile: %+v", tc)
+	for k, e := range cm.m {
+		if e.cost <= 0 || e.est <= 0 {
+			t.Fatalf("task %x: non-positive cost %+v", k, e)
 		}
 	}
 
@@ -268,8 +266,8 @@ func TestWallSchedulerFeedbackObserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := est.CostProfile(); p != nil {
-		t.Errorf("estimate-only policy exported a cost profile: %+v", p)
+	if _, ok := est.sched.(costed); ok {
+		t.Errorf("estimate-only policy %s keeps a cost model", est.Name())
 	}
 }
 

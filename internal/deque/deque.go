@@ -50,20 +50,6 @@ func (d *Deque) Pop() (int, bool) {
 	return id, true
 }
 
-// Steal removes and returns the top task (thief side, FIFO). It reports
-// false if the deque is empty.
-func (d *Deque) Steal() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.items) {
-		return 0, false
-	}
-	id := d.items[d.head]
-	d.head++
-	d.maybeCompact()
-	return id, true
-}
-
 // StealHalf removes and returns up to half of the queued tasks (rounded
 // up, at least one) from the top. It returns nil if the deque is empty.
 func (d *Deque) StealHalf() []int {
@@ -79,13 +65,6 @@ func (d *Deque) StealHalf() []int {
 	d.head += take
 	d.maybeCompact()
 	return out
-}
-
-// Len returns the current number of queued tasks.
-func (d *Deque) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.items) - d.head
 }
 
 // maybeCompact reclaims consumed prefix space; called with mu held.

@@ -21,31 +21,20 @@ func TestPushPopLIFO(t *testing.T) {
 	}
 }
 
-func TestStealFIFO(t *testing.T) {
-	var d Deque
-	d.PushBatch([]int{1, 2, 3})
-	for want := 1; want <= 3; want++ {
-		got, ok := d.Steal()
-		if !ok || got != want {
-			t.Fatalf("Steal = %d,%v want %d", got, ok, want)
-		}
-	}
-	if _, ok := d.Steal(); ok {
-		t.Fatal("Steal from empty succeeded")
-	}
-}
-
 func TestOppositeEnds(t *testing.T) {
 	var d Deque
-	d.PushBatch([]int{1, 2, 3, 4})
-	if v, _ := d.Steal(); v != 1 {
-		t.Fatalf("Steal = %d", v)
+	d.PushBatch([]int{1, 2, 3, 4, 5})
+	if got := d.StealHalf(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("StealHalf = %v", got)
+	}
+	if v, _ := d.Pop(); v != 5 {
+		t.Fatalf("Pop = %d", v)
 	}
 	if v, _ := d.Pop(); v != 4 {
 		t.Fatalf("Pop = %d", v)
 	}
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
+	if _, ok := d.Pop(); ok {
+		t.Fatal("Pop after both ends drained succeeded")
 	}
 }
 
@@ -61,11 +50,11 @@ func TestStealHalf(t *testing.T) {
 			t.Fatalf("StealHalf[%d] = %d", i, got[i])
 		}
 	}
-	if d.Len() != 2 {
-		t.Fatalf("%d left", d.Len())
-	}
 	if got := d.StealHalf(); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("second StealHalf = %v", got)
+	}
+	if v, ok := d.Pop(); !ok || v != 5 {
+		t.Fatalf("Pop = %d,%v want 5", v, ok)
 	}
 }
 
@@ -114,23 +103,17 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 			mark(id)
 		}
 	}()
-	// Thieves: steal singles and batches.
+	// Thieves: steal batches.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if w%2 == 0 {
-					if id, ok := d.Steal(); ok {
-						mark(id)
-					}
-				} else {
-					for _, id := range d.StealHalf() {
-						mark(id)
-					}
+				for _, id := range d.StealHalf() {
+					mark(id)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	// Anything left (thieves may exit early) is drained here.
@@ -150,23 +133,21 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 
 func TestCompactionKeepsContents(t *testing.T) {
 	var d Deque
-	// Drive head far past the compaction threshold.
+	// Drive head far past the compaction threshold, several times over:
+	// each StealHalf takes the older half, so the loot stays in order.
 	for i := 0; i < 1000; i++ {
 		d.Push(i)
 	}
-	for i := 0; i < 900; i++ {
-		got, ok := d.Steal()
-		if !ok || got != i {
-			t.Fatalf("Steal %d = %d,%v", i, got, ok)
+	next := 0
+	for loot := d.StealHalf(); loot != nil; loot = d.StealHalf() {
+		for _, got := range loot {
+			if got != next {
+				t.Fatalf("StealHalf yielded %d, want %d", got, next)
+			}
+			next++
 		}
 	}
-	if d.Len() != 100 {
-		t.Fatalf("Len = %d", d.Len())
-	}
-	for i := 900; i < 1000; i++ {
-		got, ok := d.Steal()
-		if !ok || got != i {
-			t.Fatalf("post-compaction Steal = %d,%v want %d", got, ok, i)
-		}
+	if next != 1000 {
+		t.Fatalf("stole %d tasks, want 1000", next)
 	}
 }

@@ -67,20 +67,15 @@ func TestStealHalfRaceStress(t *testing.T) {
 				if remaining.Load() == 0 {
 					return
 				}
-				// Out of local work: steal. Half the time in bulk, half
-				// single, to cover both thief paths racing Pop/Push.
+				// Out of local work: steal in bulk, racing the victim's
+				// Pop/Push.
 				victim := rng.Intn(workers)
 				if victim == wk {
 					continue
 				}
-				if rng.Intn(2) == 0 {
-					if loot := deques[victim].StealHalf(); loot != nil {
-						deques[wk].PushBatch(loot)
-					}
-				} else if id, ok := deques[victim].Steal(); ok {
-					deques[wk].Push(id)
+				if loot := deques[victim].StealHalf(); loot != nil {
+					deques[wk].PushBatch(loot)
 				}
-				_ = deques[victim].Len() // concurrent reader in the mix
 			}
 		}(wk)
 	}
@@ -99,9 +94,9 @@ func TestStealHalfRaceStress(t *testing.T) {
 			t.Fatalf("task ID conservation broken at index %d: got %d (lost or duplicated)", i, id)
 		}
 	}
-	for _, d := range deques {
-		if n := d.Len(); n != 0 {
-			t.Errorf("deque not drained: %d items left", n)
+	for i, d := range deques {
+		if id, ok := d.Pop(); ok {
+			t.Errorf("deque %d not drained: task %d left", i, id)
 		}
 	}
 }

@@ -38,23 +38,6 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	}
 }
 
-// MatVec returns a*x as a new vector.
-func MatVec(a *Matrix, x []float64) []float64 {
-	if a.Cols != len(x) {
-		panic("linalg: MatVec dimension mismatch")
-	}
-	y := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // Dot returns the inner product of x and y.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {

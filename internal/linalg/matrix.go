@@ -107,18 +107,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
-// Trace returns the sum of diagonal elements. The matrix must be square.
-func (m *Matrix) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("linalg: Trace of non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
-}
-
 // MaxAbsDiff returns max_ij |m_ij - b_ij|.
 func (m *Matrix) MaxAbsDiff(b *Matrix) float64 {
 	if m.Rows != b.Rows || m.Cols != b.Cols {
@@ -140,22 +128,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// IsSymmetric reports whether |m_ij - m_ji| <= tol for all i, j.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.Data[i*n+j]-m.Data[j*n+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Symmetrize replaces m with (m + mᵀ)/2. The matrix must be square.

@@ -51,59 +51,3 @@ func Solve(a *Matrix, b []float64) (x []float64, ok bool) {
 	}
 	return x, true
 }
-
-// Cholesky returns the lower-triangular factor L with a = L·Lᵀ for a
-// symmetric positive-definite matrix, or ok=false if a is not (within
-// floating-point) positive definite.
-func Cholesky(a *Matrix) (l *Matrix, ok bool) {
-	n := a.Rows
-	if a.Cols != n {
-		panic("linalg: Cholesky of non-square matrix")
-	}
-	l = NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, false
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, true
-}
-
-// SolveCholesky solves a·x = b given the Cholesky factor L of a, via
-// forward and backward substitution.
-func SolveCholesky(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	if len(b) != n {
-		panic("linalg: SolveCholesky dimension mismatch")
-	}
-	// L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x
-}

@@ -52,70 +52,15 @@ func TestSolveResidual(t *testing.T) {
 		if !ok {
 			return false
 		}
-		r := MatVec(a, x)
-		for i := range r {
-			if math.Abs(r[i]-b[i]) > 1e-9 {
+		r := MatMul(a, NewMatrixFrom(n, 1, x))
+		for i := range b {
+			if math.Abs(r.At(i, 0)-b[i]) > 1e-9 {
 				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCholeskyKnown(t *testing.T) {
-	// a = [[4,2],[2,5]] = L·Lᵀ with L = [[2,0],[1,2]].
-	a := NewMatrixFrom(2, 2, []float64{4, 2, 2, 5})
-	l, ok := Cholesky(a)
-	if !ok {
-		t.Fatal("SPD matrix rejected")
-	}
-	want := NewMatrixFrom(2, 2, []float64{2, 0, 1, 2})
-	if l.MaxAbsDiff(want) > 1e-12 {
-		t.Fatalf("L =\n%v", l)
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := NewMatrixFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, ok := Cholesky(a); ok {
-		t.Fatal("indefinite matrix accepted")
-	}
-}
-
-// Property: Cholesky reconstruction and solve agree with Solve.
-func TestCholeskyReconstructAndSolve(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10)
-		b := randomMatrix(rng, n, n)
-		a := MatMul(b.Transpose(), b)
-		for i := 0; i < n; i++ {
-			a.Add(i, i, 1)
-		}
-		l, ok := Cholesky(a)
-		if !ok {
-			return false
-		}
-		if MatMul(l, l.Transpose()).MaxAbsDiff(a) > 1e-9 {
-			return false
-		}
-		rhs := make([]float64, n)
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		x1 := SolveCholesky(l, rhs)
-		x2, _ := Solve(a, rhs)
-		for i := range x1 {
-			if math.Abs(x1[i]-x2[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

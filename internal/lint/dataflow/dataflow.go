@@ -178,9 +178,6 @@ func New(pkgs []*Pkg) *Engine {
 	return e
 }
 
-// Funcs returns the number of indexed functions (used by tests).
-func (e *Engine) Funcs() int { return len(e.funcs) }
-
 // Each calls fn for every indexed function in sorted-ID order.
 func (e *Engine) Each(fn func(*Func)) {
 	for _, id := range e.ids {

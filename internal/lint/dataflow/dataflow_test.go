@@ -201,7 +201,7 @@ func TestEffectSummaries(t *testing.T) {
 	if efs := sums["p.local"]; len(efs) != 0 {
 		t.Errorf("local: purely local append must not appear in the summary, got %+v", efs)
 	}
-	if efs := find("p.leak", EffectAppend); len(efs) != 1 || !IsGlobalRoot(efs[0].Root) {
+	if efs := find("p.leak", EffectAppend); len(efs) != 1 || efs[0].Root != globalRoot {
 		t.Errorf("leak: want one append rooted at the global, got %+v", sums["p.leak"])
 	}
 	// relay's effect is inherited from sink and re-rooted at relay's own
@@ -231,8 +231,8 @@ func TestFuncIDStability(t *testing.T) {
 	// symbolic ID instead.
 	a := New([]*Pkg{loadSrc(t, recursiveSrc)})
 	b := New([]*Pkg{loadSrc(t, recursiveSrc)})
-	if a.Funcs() != b.Funcs() || a.Funcs() == 0 {
-		t.Fatalf("func counts differ: %d vs %d", a.Funcs(), b.Funcs())
+	if len(a.funcs) != len(b.funcs) || len(a.funcs) == 0 {
+		t.Fatalf("func counts differ: %d vs %d", len(a.funcs), len(b.funcs))
 	}
 	for id := range a.funcs {
 		if _, ok := b.funcs[id]; !ok {

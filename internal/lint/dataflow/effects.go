@@ -352,6 +352,3 @@ func exprString(e ast.Expr) string {
 
 // IsLocalRoot reports whether a root index means function-local state.
 func IsLocalRoot(root int) bool { return root == localRoot }
-
-// IsGlobalRoot reports whether a root index means package-level state.
-func IsGlobalRoot(root int) bool { return root == globalRoot }

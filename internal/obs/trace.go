@@ -46,32 +46,6 @@ func (t *Trace) Reset() {
 	t.Intervals = t.Intervals[:0]
 }
 
-// BusyTime returns per-rank total time spent in "task" activity.
-func (t *Trace) BusyTime(ranks int) []float64 {
-	busy := make([]float64, ranks)
-	if t == nil {
-		return busy
-	}
-	for _, iv := range t.Intervals {
-		if iv.Activity == "task" {
-			busy[iv.Rank] += iv.End - iv.Start
-		}
-	}
-	return busy
-}
-
-// ActivityTotals returns the summed duration per activity kind.
-func (t *Trace) ActivityTotals() map[string]float64 {
-	out := map[string]float64{}
-	if t == nil {
-		return out
-	}
-	for _, iv := range t.Intervals {
-		out[iv.Activity] += iv.End - iv.Start
-	}
-	return out
-}
-
 // Span returns the earliest start and latest end across all intervals.
 func (t *Trace) Span() (start, end float64) {
 	if t == nil || len(t.Intervals) == 0 {
@@ -83,20 +57,6 @@ func (t *Trace) Span() (start, end float64) {
 		end = math.Max(end, iv.End)
 	}
 	return start, end
-}
-
-// ByRank returns each rank's spans in recorded order.
-func (t *Trace) ByRank(ranks int) [][]Span {
-	out := make([][]Span, ranks)
-	if t == nil {
-		return out
-	}
-	for _, iv := range t.Intervals {
-		if iv.Rank >= 0 && iv.Rank < ranks {
-			out[iv.Rank] = append(out[iv.Rank], iv)
-		}
-	}
-	return out
 }
 
 // Gantt renders a width-character per-rank timeline: '#' task execution,

@@ -6,9 +6,9 @@
 // Lovász, Tamir, "Semi-matchings for bipartite graphs and load balancing",
 // WADS 2003].
 //
-// The unweighted algorithm here is exact; for weighted tasks (where the
-// problem is NP-hard) the package provides greedy LPT plus alternating
-// move/swap refinement, which is the practical variant the study uses.
+// Fock-build tasks are weighted, and weighted semi-matching is NP-hard,
+// so the package provides greedy LPT plus alternating move/swap
+// refinement, which is the practical variant the study uses.
 package semimatching
 
 import (
@@ -60,7 +60,7 @@ func Complete(nLeft, nRight int) *Bipartite {
 // Assignment maps every task to one machine.
 type Assignment struct {
 	Of    []int     // Of[task] = machine
-	Loads []float64 // per-machine total weight (1 per task if unweighted)
+	Loads []float64 // per-machine total weight
 }
 
 // Makespan returns the maximum machine load.
@@ -72,17 +72,6 @@ func (a *Assignment) Makespan() float64 {
 		}
 	}
 	return mx
-}
-
-// CostFlow returns Σ_r load_r·(load_r+1)/2, the total task flow time under
-// unit weights — the objective the optimal semi-matching provably
-// minimizes (together with every other convex objective).
-func (a *Assignment) CostFlow() float64 {
-	var s float64
-	for _, l := range a.Loads {
-		s += l * (l + 1) / 2
-	}
-	return s
 }
 
 // validate panics unless every task has at least one candidate machine.

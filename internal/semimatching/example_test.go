@@ -6,23 +6,6 @@ import (
 	"execmodels/internal/semimatching"
 )
 
-// Assign five unit tasks to machines where task 4 can only run on
-// machine 2: the optimal semi-matching balances the rest around it.
-func ExampleSemiMatch() {
-	b := semimatching.NewBipartite(5, 3)
-	for task := 0; task < 4; task++ {
-		b.AddEdge(task, 0)
-		b.AddEdge(task, 1)
-	}
-	b.AddEdge(4, 2)
-	a := semimatching.SemiMatch(b)
-	fmt.Println("loads:", a.Loads)
-	fmt.Println("makespan:", a.Makespan())
-	// Output:
-	// loads: [2 2 1]
-	// makespan: 2
-}
-
 // Weighted tasks: LPT places 5 and 4 apart, then the refinement pass
 // recovers the optimal split that plain LPT misses.
 func ExampleWeightedSemiMatch() {
