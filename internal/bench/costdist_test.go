@@ -102,11 +102,19 @@ func TestHistogramCoversAll(t *testing.T) {
 	}
 }
 
+func TestCostSpreadEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	costSpread(nil)
+}
+
 func TestEmptyInputsPanic(t *testing.T) {
 	cases := map[string]func(){
-		"costSpread": func() { costSpread(nil) },
-		"gini":       func() { gini(nil) },
-		"histogram":  func() { histogram(nil, 4) },
+		"gini":      func() { gini(nil) },
+		"histogram": func() { histogram(nil, 4) },
 	}
 	for name, fn := range cases {
 		func() {
