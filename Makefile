@@ -14,11 +14,9 @@ test:
 race:
 	go test -race ./...
 
-# Repo-specific static analysis, all thirteen checks: the syntactic
-# determinism, guardedby, lockbalance and floateq; the interprocedural
-# clocktaint, maporder and lockset; the hot-path proofs allocfree,
-# goleak and padcheck; and the race-freedom proofs shareiso,
-# atomicdiscipline and ctxcancel (see internal/lint,
+# Repo-specific static analysis, all seven checks: the syntactic
+# guardedby and floateq, and the interprocedural clocktaint, maporder,
+# lockset, goleak and ctxcancel (see internal/lint,
 # internal/lint/dataflow and cmd/execlint). -stale-suppressions also
 # fails the run on any //lint:ignore directive that no longer
 # suppresses anything.
@@ -28,30 +26,28 @@ lint:
 # The linter's own determinism: diagnostics must be sorted, never
 # map-ordered, so two consecutive runs are byte-identical — for the full
 # suite and for every analyzer selected explicitly by name (their
-# call-graph walks and layout maps must not leak map order either).
+# call-graph walks must not leak map order either).
 # `|| true` keeps a findings-bearing tree comparable; lint-determinism
 # checks stability, `lint` checks cleanliness.
 lint-determinism:
 	go run ./cmd/execlint -json ./... > execlint_run1.json || true
 	go run ./cmd/execlint -json ./... > execlint_run2.json || true
 	diff execlint_run1.json execlint_run2.json
-	go run ./cmd/execlint -json -analyzer determinism,guardedby,lockbalance,floateq,clocktaint,maporder,lockset,allocfree,goleak,padcheck,shareiso,atomicdiscipline,ctxcancel ./... > execlint_run1.json || true
-	go run ./cmd/execlint -json -analyzer determinism,guardedby,lockbalance,floateq,clocktaint,maporder,lockset,allocfree,goleak,padcheck,shareiso,atomicdiscipline,ctxcancel ./... > execlint_run2.json || true
+	go run ./cmd/execlint -json -analyzer guardedby,floateq,clocktaint,maporder,lockset,goleak,ctxcancel ./... > execlint_run1.json || true
+	go run ./cmd/execlint -json -analyzer guardedby,floateq,clocktaint,maporder,lockset,goleak,ctxcancel ./... > execlint_run2.json || true
 	diff execlint_run1.json execlint_run2.json
 	rm -f execlint_run1.json execlint_run2.json
 
-# Fuzz the execlint directive parsers: arbitrary comment text must never
+# Fuzz the execlint directive parser: arbitrary comment text must never
 # panic the linter.
 lint-fuzz:
 	go test ./internal/lint/ -fuzz FuzzDirectiveParse -fuzztime 30s -run '^$$'
 
-# The zero-allocation gate from both sides: the dynamic AllocsPerRun
-# tests (run without -race, which inserts allocations of its own) and
-# the static allocfree proof over the same hot paths.
+# The zero-allocation gate: the AllocsPerRun tests, run without -race,
+# which inserts allocations of its own.
 zero-alloc:
 	go test ./internal/chem/ -run ZeroAlloc -count=1 -v
 	go test ./internal/core/ -run ZeroAlloc -count=1 -v
-	go run ./cmd/execlint -analyzer allocfree ./...
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -1,20 +1,13 @@
 // Command execlint runs the repository's static-analysis suite: the
-// syntactic determinism, guardedby, lockbalance and floateq checks, the
-// interprocedural clocktaint, maporder and lockset checks built on the
-// internal/lint/dataflow summary engine, the hot-path proofs —
-// allocfree (//hotpath:allocfree call chains must not allocate), goleak
-// (every go statement needs a completion edge) and padcheck
-// (//hotpath:padded structs stay cache-line aligned) — and the static
-// race-freedom proofs: shareiso (//hotpath:isolated state is written
-// only by its owning goroutine, cross-goroutine reads need a proven
-// happens-before edge), atomicdiscipline (a word accessed via
-// sync/atomic anywhere is accessed atomically everywhere; typed atomics
-// are never copied) and ctxcancel (blocking operations on HTTP request
-// paths select on ctx.Done() or a deadline). See internal/lint.
+// syntactic guardedby and floateq checks and the interprocedural
+// clocktaint, maporder, lockset, goleak (every go statement needs a
+// completion edge) and ctxcancel (blocking operations on HTTP request
+// paths select on ctx.Done() or a deadline) checks built on the
+// internal/lint/dataflow summary engine. See internal/lint.
 //
 // Usage:
 //
-//	execlint [-json] [-analyzer allocfree,goleak,...] [-stale-suppressions] [packages]
+//	execlint [-json] [-analyzer goleak,ctxcancel,...] [-stale-suppressions] [packages]
 //
 // Package patterns are directories relative to the working directory,
 // with "./..." expanding recursively (default).

@@ -8,9 +8,7 @@ import "execmodels/internal/linalg"
 // the steady-state Fock build performs zero heap allocations per task.
 //
 // A scratch is not safe for concurrent use; each worker goroutine owns
-// its own (see core.wallRunJK) — the shareiso check proves no scratch
-// crosses a goroutine boundary without a happens-before edge. The zero
-// value works and grows on demand, but NewERIScratch pre-sizes
+// its own (see core.wallRunJK). The zero value works and grows on demand, but NewERIScratch pre-sizes
 // everything so even the first task is allocation-free.
 //
 // A scratch also carries the budget by which ERIBlockPairInto may let
@@ -19,8 +17,6 @@ import "execmodels/internal/linalg"
 // Fock element's terms. Only FockWorkload.NewScratch sets one; the zero
 // value and NewERIScratch are exact, which Schwarz factors and the
 // kernel's oracle tests rely on.
-//
-//hotpath:isolated
 type ERIScratch struct {
 	blk []float64 // ERI shell-quartet block buffer
 	acc []float64 // ERIBlockPairInto's T[cd][tuv] accumulator
@@ -106,8 +102,6 @@ func (w *FockWorkload) NewJKAccum(spin bool) *JKAccum {
 // the unrestricted one (dj = total density, dkA/dkB the per-spin
 // exchange densities). It is the single entry point the wall-clock
 // worker loop uses for both spin shapes.
-//
-//hotpath:allocfree
 func (w *FockWorkload) ExecuteTaskAccum(t *FockTask, dj, dkA, dkB *linalg.Matrix, a *JKAccum) int {
 	s := a.Scratch
 	if a.KB == nil {

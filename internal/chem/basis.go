@@ -52,7 +52,6 @@ func makeComponents(L int) []CartComponent {
 	var out []CartComponent
 	for lx := L; lx >= 0; lx-- {
 		for ly := L - lx; ly >= 0; ly-- {
-			//lint:ignore allocfree cold fallback: only reachable for L > maxCachedL, beyond any basis set shipped here
 			out = append(out, CartComponent{lx, ly, L - lx - ly})
 		}
 	}
@@ -92,7 +91,7 @@ func ComponentNorms(L int) []float64 {
 
 func makeComponentNorms(L int) []float64 {
 	comps := Components(L)
-	out := make([]float64, len(comps)) //lint:ignore allocfree cold fallback: only reachable for L > maxCachedL, beyond any basis set shipped here
+	out := make([]float64, len(comps))
 	for i, c := range comps {
 		out[i] = math.Sqrt(doubleFactorial(2*L-1) /
 			(doubleFactorial(2*c.Lx-1) * doubleFactorial(2*c.Ly-1) * doubleFactorial(2*c.Lz-1)))

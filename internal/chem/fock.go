@@ -124,8 +124,6 @@ func digestUniqueQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells 
 // for every exchange density DK and its K. These are the terms of
 // digestUniqueQuartet's permuted views, summed in a different order; no
 // density is assumed symmetric.
-//
-//hotpath:allocfree
 func digestQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
 	a, b, c, d := &shells[ia], &shells[ib], &shells[ic], &shells[id]
 	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
@@ -394,9 +392,7 @@ func (w *FockWorkload) Stats() WorkloadStats {
 // on a Fock build's (NewScratch) those of them the density rule of
 // executeTask does not skip. With a warmed-up arena the
 // steady state performs zero heap allocations per task (enforced by a
-// testing.AllocsPerRun gate and proved by the allocfree check).
-//
-//hotpath:allocfree
+// testing.AllocsPerRun gate).
 func (w *FockWorkload) ExecuteTaskScratch(t *FockTask, d, j, k *linalg.Matrix, s *ERIScratch) int {
 	s.ks[0], s.dks[0] = k, d
 	return w.executeTask(t, d, s.ks[:1], s.dks[:1], j, s)
@@ -405,8 +401,6 @@ func (w *FockWorkload) ExecuteTaskScratch(t *FockTask, d, j, k *linalg.Matrix, s
 // ExecuteTaskSpinScratch is the unrestricted (UHF) variant: J contracts
 // the total density while separate exchange matrices contract the α and
 // β densities.
-//
-//hotpath:allocfree
 func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, kB *linalg.Matrix, s *ERIScratch) int {
 	s.ks[0], s.ks[1] = kA, kB
 	s.dks[0], s.dks[1] = dA, dB
@@ -424,8 +418,6 @@ func (w *FockWorkload) ExecuteTaskSpinScratch(t *FockTask, dTot, dA, dB, j, kA, 
 // element by more than δ·w: the quartet is skipped when Q_ab·Q_cd·w falls
 // below the scratch's budget, and the kernel otherwise gets the budget
 // divided by w for its primitive quartets. A zero budget is exact.
-//
-//hotpath:allocfree
 func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*linalg.Matrix, j *linalg.Matrix, s *ERIScratch) int {
 	shells := w.Basis.Shells
 	ns := len(shells)
@@ -466,8 +458,6 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 
 // blockMaxAbs raises m[a·len(shells)+b] to max |d| over the shell block
 // (a, b), for every pair of shells.
-//
-//hotpath:allocfree
 func blockMaxAbs(m []float64, shells []Shell, d *linalg.Matrix) {
 	ns := len(shells)
 	for a := range shells {

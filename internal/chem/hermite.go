@@ -108,10 +108,10 @@ type hermiteRWork struct {
 func (w *hermiteRWork) grow(tmax int) {
 	n1 := tmax + 1
 	if cap(w.boys) < n1 {
-		w.boys = make([]float64, n1) //lint:ignore allocfree cold start: Boys workspace grows to the basis's max total angular momentum once, then is reused
+		w.boys = make([]float64, n1)
 	}
 	if cap(w.cube) < 2*n1*n1*n1 {
-		w.cube = make([]float64, 2*n1*n1*n1) //lint:ignore allocfree cold start: the two R-recursion cubes are sized by the max total angular momentum once, then reused
+		w.cube = make([]float64, 2*n1*n1*n1)
 	}
 }
 

@@ -57,7 +57,7 @@ func hermiteOffsets(dst []int32, l, n int) []int32 {
 	for t := 0; t <= l; t++ {
 		for u := 0; u <= l-t; u++ {
 			for v := 0; v <= l-t-u; v++ {
-				dst = append(dst, int32((t*n+u)*n+v)) //lint:ignore allocfree cold start: NewERIScratch pre-sizes the offset buffers for the basis's largest class
+				dst = append(dst, int32((t*n+u)*n+v))
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 	a, b, c, d := bra.A, bra.B, ket.A, ket.B
 	nab, ncd := len(bra.start)-1, len(ket.start)-1
 	if cap(s.blk) < nab*ncd {
-		s.blk = make([]float64, nab*ncd) //lint:ignore allocfree cold start: blk grows to the largest quartet block once, then every call reuses it
+		s.blk = make([]float64, nab*ncd)
 	}
 	blk := s.blk[:nab*ncd]
 	cut := primCut(bra, ket, budget)
@@ -307,7 +307,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 	n1 := ltot + 1
 	nh := numHermite(lbra)
 	if cap(s.acc) < nk*nh {
-		s.acc = make([]float64, nk*nh) //lint:ignore allocfree cold start: the T accumulator grows to the largest class once, then every call reuses it
+		s.acc = make([]float64, nk*nh)
 	}
 	acc := s.acc[:nk*nh]
 	s.braOff = hermiteOffsets(s.braOff[:0], lbra, n1)

@@ -3,11 +3,12 @@ package core
 import "time"
 
 // stopwatch is the single sanctioned access to the wall clock inside the
-// simulation packages. The execlint determinism check allowlists
-// startStopwatch/elapsed and flags every other time.Now/time.Since call,
-// keeping the boundary auditable: wall-clock executors and schedule-cost
-// accounting *measure* real time through it, but scheduling decisions may
-// never consult it — simulated results must replay exactly from a seed.
+// simulation packages, keeping the boundary auditable: wall-clock
+// executors and schedule-cost accounting *measure* real time through it,
+// but scheduling decisions may never consult it — simulated results must
+// replay exactly from a seed. execlint's clocktaint check traces its
+// values so none reaches a Result field, a registry charge or an
+// exporter.
 type stopwatch struct{ t0 time.Time }
 
 // startStopwatch begins timing.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWorkStealingDeterministic is the regression test behind the
-// execlint determinism policy: with the same seed and an identically
+// determinism policy: with the same seed and an identically
 // configured machine, two work-stealing runs must agree bit-for-bit —
 // same makespan, same per-rank task counts, same steal statistics. If
 // this breaks, someone reintroduced a global RNG or a wall-clock

@@ -148,12 +148,6 @@ type FeedbackScheduler interface {
 // ---------------------------------------------------------------------
 // Cost model
 
-// costEntry is one task's history in a CostModel.
-type costEntry struct {
-	est  float64 // seed estimate recorded at first observation
-	cost float64 // EWMA-blended measured cost
-}
-
 // CostModel is the measured-cost store behind the feedback schedulers:
 // per-task EWMA over iterations, keyed by task identity and seeded from
 // the scheduler-visible estimate. The first measurement for a key
@@ -166,8 +160,8 @@ type costEntry struct {
 // run owns its own.
 type CostModel struct {
 	alpha float64
-	m     map[uint64]costEntry
-	calib float64 // Σmeasured/Σest of the latest observation, 0 until then
+	m     map[uint64]float64 // task key → EWMA-blended measured cost
+	calib float64            // Σmeasured/Σest of the latest observation, 0 until then
 }
 
 // NewCostModel returns an empty cost model with the given EWMA weight
@@ -177,7 +171,7 @@ func NewCostModel(alpha float64) *CostModel {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 1
 	}
-	return &CostModel{alpha: alpha, m: map[uint64]costEntry{}}
+	return &CostModel{alpha: alpha, m: map[uint64]float64{}}
 }
 
 // Observe folds one iteration's measured per-task costs into the model.
@@ -186,11 +180,11 @@ func NewCostModel(alpha float64) *CostModel {
 func (c *CostModel) Observe(keys []uint64, est, measured []float64) {
 	var sumEst, sumMeas float64
 	for i, k := range keys {
-		e := costEntry{est: est[i], cost: measured[i]}
+		cost := measured[i]
 		if old, ok := c.m[k]; ok {
-			e.cost = c.alpha*measured[i] + (1-c.alpha)*old.cost
+			cost = c.alpha*measured[i] + (1-c.alpha)*old
 		}
-		c.m[k] = e
+		c.m[k] = cost
 		sumEst += est[i]
 		sumMeas += measured[i]
 	}
@@ -206,8 +200,8 @@ func (c *CostModel) Observe(keys []uint64, est, measured []float64) {
 func (c *CostModel) Costs(keys []uint64, est []float64) (costs []float64, known int) {
 	costs = make([]float64, len(keys))
 	for i, k := range keys {
-		if e, ok := c.m[k]; ok {
-			costs[i] = e.cost
+		if cost, ok := c.m[k]; ok {
+			costs[i] = cost
 			known++
 			continue
 		}

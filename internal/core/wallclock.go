@@ -80,13 +80,8 @@ func (p *WorkerPanic) Error() string {
 // stopwatch the worker bumps after every task. Workers write only their
 // own slot, but slots are adjacent in one slice, so each is padded to a
 // cache line — otherwise every busy update would false-share with the
-// neighbouring workers' slots. The shareiso check proves the ownership
-// half of that sentence: each slot is touched only through its owning
-// worker's index, and the spawner reads the slots back only after
-// wg.Wait.
-//
-//hotpath:padded
-//hotpath:isolated
+// neighbouring workers' slots. The spawner reads the slots back only
+// after wg.Wait.
 type wallAccum struct {
 	acc  *chem.JKAccum
 	busy time.Duration
@@ -125,7 +120,7 @@ type wallAccum struct {
 func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 	workers int, sched wallSched, taskSeconds []float64) *WallResult {
 	// Cold start: worker accumulators and scratch arenas are allocated
-	// before the clock starts, outside the proved-allocation-free loop.
+	// before the clock starts, outside the allocation-free loop.
 	slots := make([]wallAccum, workers)
 	for wk := range slots {
 		slots[wk].acc = fw.NewJKAccum(spin)
@@ -183,16 +178,13 @@ func wallRunJK(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix, spin bool,
 // account the busy time. This is the loop the paper's execution-model
 // comparison times, so it must not allocate — the arena-backed
 // accumulator makes the digestion allocation-free after warm-up, and the
-// allocfree check proves it for every schedule implementation. Schwarz
+// ZeroAlloc tests gate it and every schedule's next. Schwarz
 // screening never appears here: the task's quartets were resolved into
 // Kets lists at generation time, and the density rule that skips some of
 // them in each build runs inside ExecuteTaskAccum.
-//
-//hotpath:allocfree
 func wallWorkerLoop(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix,
 	slot *wallAccum, wk int, nextTask func(worker int) (int, bool)) {
 	for {
-		//lint:ignore allocfree indirect dispatch: every nextTask implementation (wallAssignSched, wallDynSched, wallStealSched .next) is itself an annotated allocfree root
 		id, ok := nextTask(wk)
 		if !ok {
 			return
@@ -211,21 +203,15 @@ func wallWorkerLoop(fw *chem.FockWorkload, dj, dkA, dkB *linalg.Matrix,
 // adjacent workers' hot scheduling words must not share a line, or every
 // cursor bump invalidates the neighbours' caches (false sharing). Each
 // cell is read and written only by its owning worker goroutine, so no
-// atomics are needed — an invariant the shareiso check enforces.
-//
-//hotpath:padded
-//hotpath:isolated
+// atomics are needed.
 type padCell struct {
 	n int64
 	_ [56]byte
 }
 
 // dynSpan is the per-worker [next, hi) range of a block fetched from the
-// shared counter plus the worker's count of its own fetches, padded like
-// padCell and goroutine-owned like padCell (shareiso-checked).
-//
-//hotpath:padded
-//hotpath:isolated
+// shared counter plus the worker's count of its own fetches, padded and
+// goroutine-owned like padCell.
 type dynSpan struct {
 	next, hi, fetches int64
 	_                 [40]byte
@@ -235,8 +221,6 @@ type dynSpan struct {
 // the genuinely shared counters: remaining tasks and steal stats, which
 // sit next to each other in wallStealSched, and the NXTVAL counter of
 // wallDynSched.
-//
-//hotpath:padded
 type atomicInt64Pad struct {
 	atomic.Int64
 	_ [56]byte
@@ -258,8 +242,6 @@ func newWallDynSched(n, workers, block int) *wallDynSched {
 }
 
 // next implements the dynamic-counter schedule for worker wk.
-//
-//hotpath:allocfree
 func (s *wallDynSched) next(wk int) (int, bool) {
 	sp := &s.spans[wk]
 	if sp.next < sp.hi {
@@ -334,8 +316,6 @@ func newWallStealSched(n, workers int, seed int64) *wallStealSched {
 }
 
 // next implements the work-stealing schedule for worker wk.
-//
-//hotpath:allocfree
 func (s *wallStealSched) next(wk int) (int, bool) {
 	failed := 0
 	for {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"execmodels/internal/chem"
 	"execmodels/internal/linalg"
@@ -272,11 +273,29 @@ func TestWallStealingTailBackoff(t *testing.T) {
 	}
 }
 
-// The former TestWallPerWorkerStatePadded (unsafe.Sizeof checks on
-// padCell/dynSpan/atomicInt64Pad) is superseded by the padcheck
-// analyzer: the //hotpath:padded annotations on those types make
-// execlint verify cache-line sizing and atomic-field isolation on the
-// gc/amd64 layout.
+// The per-worker and shared scheduling words sit side by side in slices
+// and structs, so each type must fill whole 64-byte cache lines, or one
+// worker's updates false-share with its neighbours'.
+func TestWallPerWorkerStatePadded(t *testing.T) {
+	var (
+		cell  padCell
+		span  dynSpan
+		ctr   atomicInt64Pad
+		accum wallAccum
+	)
+	for _, c := range []struct {
+		name string
+		size uintptr
+	}{{"padCell", unsafe.Sizeof(cell)}, {"dynSpan", unsafe.Sizeof(span)},
+		{"atomicInt64Pad", unsafe.Sizeof(ctr)}, {"wallAccum", unsafe.Sizeof(accum)}} {
+		if c.size%64 != 0 {
+			t.Errorf("%s is %d bytes, want a multiple of 64", c.name, c.size)
+		}
+	}
+	if off := unsafe.Offsetof(ctr.Int64); off != 0 {
+		t.Errorf("atomicInt64Pad.Int64 sits at offset %d, want 0", off)
+	}
+}
 
 // workers < 1 is refused where a build is set up — NewWallScheduler's
 // error — so no build can reach the worker spawn loop without a worker.

@@ -254,8 +254,7 @@ func TestWallUHFSCFEnergyMatch(t *testing.T) {
 
 // The wall-clock worker loop — scheduler dispatch, accumulator digest,
 // busy accounting — must be allocation-free in steady state for both spin
-// shapes. This is the testing.AllocsPerRun gate behind the
-// //hotpath:allocfree proof on wallWorkerLoop.
+// shapes.
 func TestWallWorkerLoopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; gate runs in the non-race pass")

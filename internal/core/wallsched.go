@@ -78,8 +78,6 @@ func newWallAssignSched(assign []int, workers int) *wallAssignSched {
 }
 
 // next implements the fixed-assignment schedule for worker wk.
-//
-//hotpath:allocfree
 func (s *wallAssignSched) next(wk int) (int, bool) {
 	c := int(s.cursors[wk].n)
 	if c >= len(s.lists[wk]) {

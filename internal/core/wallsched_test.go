@@ -168,6 +168,54 @@ func TestWallAssignSchedNextZeroAlloc(t *testing.T) {
 	}
 }
 
+// The dynamic schedule's next must not allocate, neither when it hands
+// out the next task of its span nor when it fetches a new block.
+func TestWallDynSchedNextZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	for _, c := range []struct {
+		name  string
+		block int
+	}{{"refill", 1}, {"in-span", 1 << 20}} {
+		s := newWallDynSched(1<<20, 2, c.block)
+		if avg := testing.AllocsPerRun(1000, func() { s.next(0) }); avg != 0 {
+			t.Errorf("%s: next allocates %.1f/op, want 0", c.name, avg)
+		}
+	}
+}
+
+// The stealing schedule's next must not allocate on the pop path, and at
+// most once per successful steal (StealHalf's transfer buffer) once the
+// thief's deque has the capacity to take the loot.
+func TestWallStealSchedNextZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	s := newWallStealSched(2048, 2, 7) // 1024 tasks in each worker's deque
+	if avg := testing.AllocsPerRun(100, func() { s.next(1) }); avg != 0 {
+		t.Errorf("pop path allocates %.1f/op, want 0", avg)
+	}
+	drain := func() {
+		for _, ok := s.deques[1].Pop(); ok; _, ok = s.deques[1].Pop() {
+		}
+	}
+	drain()
+	// Each run steals half of worker 0's deque, takes one task of the
+	// loot and drops the rest, so that the next run steals again.
+	steals := s.steals.Load()
+	avg := testing.AllocsPerRun(8, func() {
+		s.next(1)
+		drain()
+	})
+	if got := s.steals.Load() - steals; got != 9 {
+		t.Fatalf("%d steals in 9 runs, want one per run", got)
+	}
+	if avg > 1 {
+		t.Errorf("steal path allocates %.1f times per steal, want at most 1", avg)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Differential matrix on the wall backend
 
@@ -256,9 +304,9 @@ func TestWallSchedulerFeedbackObserves(t *testing.T) {
 	if len(cm.m) != len(fw.Tasks) {
 		t.Fatalf("cost model has %d tasks, want %d", len(cm.m), len(fw.Tasks))
 	}
-	for k, e := range cm.m {
-		if e.cost <= 0 || e.est <= 0 {
-			t.Fatalf("task %x: non-positive cost %+v", k, e)
+	for k, cost := range cm.m {
+		if cost <= 0 {
+			t.Fatalf("task %x: non-positive cost %g", k, cost)
 		}
 	}
 

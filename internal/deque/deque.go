@@ -32,7 +32,7 @@ func (d *Deque) Push(id int) {
 // PushBatch adds several tasks at the bottom in order.
 func (d *Deque) PushBatch(ids []int) {
 	d.mu.Lock()
-	d.items = append(d.items, ids...) //lint:ignore allocfree deque growth is amortized: the backing array doubles a bounded number of times per build, not per task
+	d.items = append(d.items, ids...)
 	d.mu.Unlock()
 }
 
@@ -60,7 +60,7 @@ func (d *Deque) StealHalf() []int {
 		return nil
 	}
 	take := (n + 1) / 2
-	out := make([]int, take) //lint:ignore allocfree steal-transfer buffer: one allocation per successful steal, amortized over the half-deque of tasks it moves
+	out := make([]int, take)
 	copy(out, d.items[d.head:d.head+take])
 	d.head += take
 	d.maybeCompact()
@@ -70,7 +70,7 @@ func (d *Deque) StealHalf() []int {
 // maybeCompact reclaims consumed prefix space; called with mu held.
 func (d *Deque) maybeCompact() {
 	if d.head > 64 && d.head*2 >= len(d.items) {
-		d.items = append(d.items[:0], d.items[d.head:]...) //lint:ignore allocfree compaction appends into items[:0], whose capacity always suffices — no growth happens
+		d.items = append(d.items[:0], d.items[d.head:]...)
 		d.head = 0
 	}
 }

@@ -4,18 +4,18 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"execmodels/internal/lint/dataflow"
 )
 
-// ClockTaint is the interprocedural companion to the syntactic
-// determinism check. Determinism forbids *calling* time.Now or the
-// global math/rand functions in simulation packages but allowlists the
-// stopwatch wrappers, because the paper reports real partitioner cost.
-// That allowlist opens a hole: nothing syntactic stops a wall-clock
-// value from flowing out of a wrapper, through any number of helpers,
-// into state the byte-identical guarantee covers. ClockTaint closes the
-// hole with taint tracking: values produced by time.Now/Since/Until,
+// ClockTaint keeps wall-clock and global-rand values out of the state
+// the byte-identical guarantee covers. The simulation packages may read
+// the clock through the stopwatch wrappers, because the paper reports
+// real partitioner cost, and nothing syntactic stops such a value from
+// flowing out of a wrapper, through any number of helpers, into a
+// deterministic output. ClockTaint tracks it: values produced by
+// time.Now/Since/Until,
 // the global math/rand functions, or any //lint:source-annotated
 // function are traced through assignments, returns and calls (via
 // function summaries), and reported when they reach
@@ -88,6 +88,22 @@ func (c *ClockTaint) RunProgram(pkgs []*Package) []Finding {
 	return out
 }
 
+// globalRandFuncs are the math/rand (and math/rand/v2) package-level
+// functions that consume the shared global source. Constructors like
+// rand.New and rand.NewSource are fine — they are how seeded streams are
+// built.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "IntN": true, "Int31": true, "Int31n": true,
+	"Int32": true, "Int32N": true, "Int63": true, "Int63n": true,
+	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
+	"Uint32": true, "Uint32N": true, "Uint64": true, "Uint64N": true,
+	"Float32": true, "Float64": true, "NormFloat64": true,
+	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true, "N": true,
+}
+
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
+
 // source classifies intrinsic taint sources: the wall clock and the
 // global math/rand convenience functions. Methods on a seeded *rand.Rand
 // are deterministic and deliberately not sources.
@@ -155,7 +171,7 @@ func (c *ClockTaint) sinkArg(_ *dataflow.Pkg, _ *ast.CallExpr, fn *types.Func, _
 
 // shortPkg returns the last path element of an import path.
 func shortPkg(path string) string {
-	if i := lastSlash(path); i >= 0 {
+	if i := strings.LastIndexByte(path, '/'); i >= 0 {
 		return path[i+1:]
 	}
 	return path

@@ -196,3 +196,14 @@ func isWaitGroupMethod(fn *types.Func) bool {
 	}
 	return named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
+
+// typeOf returns the type of an expression, or nil without type info.
+func typeOf(pkg *Pkg, e ast.Expr) types.Type {
+	if pkg.Info == nil {
+		return nil
+	}
+	if tv, ok := pkg.Info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}

@@ -178,13 +178,6 @@ func New(pkgs []*Pkg) *Engine {
 	return e
 }
 
-// Each calls fn for every indexed function in sorted-ID order.
-func (e *Engine) Each(fn func(*Func)) {
-	for _, id := range e.ids {
-		fn(e.funcs[id])
-	}
-}
-
 // ExtendPath is the exported form of extend: it returns p with s
 // appended, respecting the path-length cap, without mutating p.
 func ExtendPath(p Path, s Step) Path { return extend(p, s) }

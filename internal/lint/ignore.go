@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"regexp"
 	"strings"
@@ -38,44 +37,11 @@ func parseIgnore(text string) (check, reason string, ok, malformed bool) {
 	return m[2], strings.TrimSpace(m[4]), true, false
 }
 
-// hotpathKinds are the valid //hotpath: annotation kinds:
-//
-//	//hotpath:allocfree — on a function: the allocfree check proves
-//	  every call chain from it allocation-free;
-//	//hotpath:padded — on a struct type: the padcheck check proves its
-//	  size is a cache-line multiple and its atomics are isolated;
-//	//hotpath:isolated — on a struct type: the shareiso check proves
-//	  values of it are written only by their owning goroutine, with
-//	  cross-goroutine reads ordered by a proven happens-before edge.
-var hotpathKinds = map[string]bool{"allocfree": true, "padded": true, "isolated": true}
-
-// parseHotpath parses one comment's text as a //hotpath:<kind> directive
-// (optional trailing free-form note allowed). ok is false when the
-// comment is not a hotpath directive; malformed is true when the kind is
-// missing or unknown — a misspelled annotation would otherwise silently
-// unprotect a hot path. Pure, for fuzzing.
-func parseHotpath(text string) (kind string, ok, malformed bool) {
-	text = strings.TrimSpace(text)
-	if !strings.HasPrefix(text, "//hotpath:") {
-		return "", false, false
-	}
-	rest := strings.TrimPrefix(text, "//hotpath:")
-	kind = rest
-	if i := strings.IndexFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' }); i >= 0 {
-		kind = rest[:i]
-	}
-	if !hotpathKinds[kind] {
-		return kind, false, true
-	}
-	return kind, true, false
-}
-
 // collectIgnores scans every comment in the package for //lint:ignore
-// and //hotpath: directives. Malformed directives (missing check name,
-// missing reason, unknown hotpath kind) are returned as findings
-// themselves: a suppression or annotation with a typo is exactly the
-// silent exception this suite exists to prevent. all lists each
-// well-formed ignore directive once, for stale-suppression reporting.
+// directives. Malformed directives (missing check name or reason) are
+// returned as findings themselves: a suppression with a typo is exactly
+// the silent exception this suite exists to prevent. all lists each
+// well-formed directive once, for stale-suppression reporting.
 func collectIgnores(pkg *Package) (idx ignoreIndex, all []*ignoreDirective, malformed []Finding) {
 	idx = ignoreIndex{}
 	for _, file := range pkg.Files {
@@ -83,16 +49,6 @@ func collectIgnores(pkg *Package) (idx ignoreIndex, all []*ignoreDirective, malf
 			for _, c := range cg.List {
 				text := strings.TrimSpace(c.Text)
 				pos := pkg.Fset.Position(c.Pos())
-				if kind, ok, bad := parseHotpath(text); bad {
-					malformed = append(malformed, Finding{
-						Pos:     pos,
-						Check:   "hotpath",
-						Message: "malformed //hotpath: directive (kind " + strings.TrimSpace(kind) + "): want //hotpath:allocfree, //hotpath:padded or //hotpath:isolated",
-					})
-					continue
-				} else if ok {
-					continue
-				}
 				check, reason, ok, bad := parseIgnore(text)
 				if bad {
 					malformed = append(malformed, Finding{
@@ -134,18 +90,4 @@ func (idx ignoreIndex) suppresses(f Finding) bool {
 		}
 	}
 	return hit
-}
-
-// hasHotpathDoc reports whether a doc comment group carries a
-// //hotpath:<kind> directive.
-func hasHotpathDoc(doc *ast.CommentGroup, kind string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if k, ok, _ := parseHotpath(strings.TrimSpace(c.Text)); ok && k == kind {
-			return true
-		}
-	}
-	return false
 }

@@ -10,9 +10,8 @@ import (
 // checks are left alone (that run never gave them a chance to fire).
 func TestStaleSuppressions(t *testing.T) {
 	pkg := loadFixture(t, "staleignore")
-	det := NewDeterminism()
-	det.Packages = []string{"fixture/staleignore"}
-	findings, stale := RunWithStale([]*Package{pkg}, []Analyzer{det})
+	fe := &FloatEq{Packages: []string{"fixture/staleignore"}}
+	findings, stale := RunWithStale([]*Package{pkg}, []Analyzer{fe})
 	if len(findings) != 0 {
 		for _, f := range findings {
 			t.Logf("finding: %s", f)
@@ -29,12 +28,12 @@ func TestStaleSuppressions(t *testing.T) {
 	if f.Check != "staleignore" {
 		t.Errorf("stale check = %q, want staleignore", f.Check)
 	}
-	if !strings.Contains(f.Message, "//lint:ignore determinism suppresses nothing") {
+	if !strings.Contains(f.Message, "//lint:ignore floateq suppresses nothing") {
 		t.Errorf("stale message = %q, want the suppresses-nothing wording naming the check", f.Message)
 	}
 }
 
-// FuzzDirectiveParse hammers the pure directive parsers: arbitrary
+// FuzzDirectiveParse hammers the pure directive parser: arbitrary
 // comment text must classify cleanly (directive, malformed, or not ours)
 // and never panic — execlint parses every comment in the repository.
 func FuzzDirectiveParse(f *testing.F) {
@@ -45,18 +44,18 @@ func FuzzDirectiveParse(f *testing.F) {
 		"//lint:ignore  spaced   out  reason here",
 		"//lint:ignoreallocfree glued",
 		"// a regular comment",
-		"//hotpath:allocfree",
-		"//hotpath:padded trailing note",
-		"//hotpath:isolated",
-		"//hotpath:isolated per-worker accumulator",
-		"//hotpath:isolate",
-		"//hotpath:isolatedd",
-		"//hotpath:fast",
-		"//hotpath:",
-		"//hotpath: allocfree",
-		"//hotpath:\tallocfree",
+		"//lint:ignore floateq exact by construction",
+		"//lint:ignore maporder keys sorted below: trailing note",
+		"//lint:ignore goleak",
+		"//lint:ignore lockset per-worker accumulator",
+		"//lint:ignor floateq misspelled prefix",
+		"//lint:ignoree floateq misspelled prefix",
+		"//lint:fast",
+		"//lint:",
+		"//lint: ignore floateq spaced prefix",
+		"//lint:ignore\tfloateq\ttabbed reason",
 		"//lint:ignore \x00 binary",
-		"//hotpath:allocfree\r\n",
+		"//lint:ignore floateq reason\r\n",
 	} {
 		f.Add(seed)
 	}
@@ -70,16 +69,6 @@ func FuzzDirectiveParse(f *testing.F) {
 		}
 		if !ok && !malformed && strings.HasPrefix(strings.TrimSpace(text), "//lint:ignore") {
 			t.Fatalf("parseIgnore(%q): directive prefix classified as not-a-directive", text)
-		}
-		kind, ok2, malformed2 := parseHotpath(text)
-		if ok2 && malformed2 {
-			t.Fatalf("parseHotpath(%q): ok and malformed at once", text)
-		}
-		if ok2 && !hotpathKinds[kind] {
-			t.Fatalf("parseHotpath(%q): accepted unknown kind %q", text, kind)
-		}
-		if !ok2 && !malformed2 && strings.HasPrefix(strings.TrimSpace(text), "//hotpath:") {
-			t.Fatalf("parseHotpath(%q): directive prefix classified as not-a-directive", text)
 		}
 	})
 }

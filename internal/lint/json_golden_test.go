@@ -77,14 +77,6 @@ func checkGolden(t *testing.T, a Analyzer, fixture string) {
 	}
 }
 
-func TestShareIsoGolden(t *testing.T) { checkGolden(t, NewShareIso(), "shareiso") }
-
-func TestAtomicDisciplineGolden(t *testing.T) {
-	a := NewAtomicDiscipline()
-	a.Packages = []string{"fixture/atomicdiscipline"}
-	checkGolden(t, a, "atomicdiscipline")
-}
-
 func TestCtxCancelGolden(t *testing.T) {
 	c := NewCtxCancel()
 	c.Packages = []string{"fixture/ctxcancel"}

@@ -1,63 +1,33 @@
 // Package lint implements execlint, the repository's static-analysis
-// suite. It enforces the invariants the execution-model comparison relies
-// on but which ordinary tests cannot see:
+// suite. Each of its seven analyzers is the only gate that catches its
+// bug class: go vet, the -race runs, the AllocsPerRun gates and the
+// determinism and golden tests catch the rest (DESIGN.md keeps the
+// seeded-bug matrix that decided which analyzers stay).
 //
-//   - determinism: the simulation packages must not consult the global
-//     math/rand source or the wall clock — every schedule must be
-//     reproducible from a seed (the paper's model comparisons are
-//     meaningless if a work-stealing run cannot be replayed).
+// Two checks are syntactic:
+//
 //   - guardedby: struct fields annotated "// guarded by <mutex>" must only
-//     be touched by methods that actually lock that mutex.
-//   - lockbalance: a method that calls mu.Lock() without defer yet has
-//     multiple return paths is one early return away from a deadlock.
+//     be touched by methods that actually lock that mutex;
 //   - floateq: energies and matrix elements in the chemistry and linear
 //     algebra kernels must be compared with tolerances, never ==/!=.
 //
-// Three further checks are interprocedural, built on the
-// function-summary dataflow engine in the dataflow sub-package:
+// Five are interprocedural, built on the function-summary dataflow
+// engine in the dataflow sub-package:
 //
 //   - clocktaint: wall-clock / global-rand values traced through helper
 //     calls must not reach Result fields, obs registry charges or
-//     exporters — the hole the syntactic determinism allowlist leaves
-//     open;
+//     exporters;
 //   - maporder: a range over a map whose body (directly or via calls)
 //     appends to an outliving slice, writes an io.Writer, charges the
 //     registry, or accumulates a float, makes map iteration order
 //     observable and breaks byte-identical output;
 //   - lockset: references to "// guarded by" fields must not escape
 //     their critical section (return, global store, channel send,
-//     goroutine capture).
-//
-// Three more turn the zero-alloc arena invariant and the executor
-// lifecycle rules into compile-time proofs:
-//
-//   - allocfree: every call chain from a function annotated
-//     //hotpath:allocfree is proved free of heap allocation — make/new,
-//     composite literals, append growth, string building, interface
-//     boxing, escaping closures, variadic packing and map writes are all
-//     reported with a rendered root→call-chain→site path;
-//   - goleak: every go statement in the executor packages must have a
-//     statically visible completion edge (wg.Add/Done pairing, channel
-//     close/send/receive, or context cancellation) so workers cannot
-//     leak past wg.Wait;
-//   - padcheck: struct types annotated //hotpath:padded must stay
-//     cache-line-sized (a multiple of 64 bytes on gc/amd64) and keep
-//     their atomics away from unrelated mutable fields (false sharing).
-//
-// Three more are static race-freedom proofs, built on the engine's
-// goroutine-spawn and happens-before summaries (a go statement creates
-// an ownership domain; wg.Wait, channel receive and mutex release create
-// ordering edges):
-//
-//   - shareiso: values of types annotated //hotpath:isolated (per-worker
-//     accumulator slots, scratch arenas, scheduler cursors) are written
-//     only by their owning goroutine; spawner-side access after a
-//     capturing go statement requires a proven happens-before edge, such
-//     as the post-wg.Wait merge in the wall-clock executor;
-//   - atomicdiscipline: a word accessed via sync/atomic anywhere must be
-//     accessed atomically everywhere (pre-publication plain writes on
-//     local state exempt), and typed atomics must never be copied as
-//     values;
+//     goroutine capture);
+//   - goleak: every go statement in the executor and serving packages
+//     must have a statically visible completion edge (wg.Add/Done
+//     pairing, channel close/send/receive, or context cancellation) so
+//     workers cannot leak past wg.Wait;
 //   - ctxcancel: blocking operations reachable from the serving layer's
 //     HTTP handlers must select on ctx.Done() or carry a deadline; bare
 //     sends/receives and time.Sleep on request paths are findings.
@@ -84,7 +54,7 @@ import (
 // A Finding is one diagnostic produced by an analyzer.
 type Finding struct {
 	Pos     token.Position
-	Check   string // analyzer name, e.g. "determinism"
+	Check   string // analyzer name, e.g. "floateq"
 	Message string
 
 	// Path is the rendered dataflow chain (source → call chain → sink)
@@ -117,18 +87,12 @@ type Analyzer interface {
 // All returns the full analyzer suite in stable order.
 func All() []Analyzer {
 	return []Analyzer{
-		NewDeterminism(),
 		NewGuardedBy(),
-		NewLockBalance(),
 		NewFloatEq(),
 		NewClockTaint(),
 		NewMapOrder(),
 		NewLockset(),
-		NewAllocFree(),
 		NewGoleak(),
-		NewPadCheck(),
-		NewShareIso(),
-		NewAtomicDiscipline(),
 		NewCtxCancel(),
 	}
 }

@@ -2,30 +2,10 @@ package lint
 
 import (
 	"fmt"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
-
-// loadFixture loads one testdata package and fails the test on parse or
-// type-check problems — fixtures must be valid Go so the analyzers see
-// the same shape of input they see on the real tree.
-func loadFixture(t *testing.T, name string) *Package {
-	t.Helper()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir(filepath.Join("testdata", name), "fixture/"+name)
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", name, err)
-	}
-	for _, e := range pkg.TypeErrors {
-		t.Errorf("fixture %s does not type-check: %v", name, e)
-	}
-	return pkg
-}
 
 var wantRe = regexp.MustCompile("want\\s+((`[^`]*`\\s*)+)")
 
@@ -93,44 +73,31 @@ func checkFixture(t *testing.T, a Analyzer, fixture string) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T) { checkFixture(t, NewDeterminism(), "determinism") }
-func TestGuardedByFixture(t *testing.T)   { checkFixture(t, NewGuardedBy(), "guardedby") }
-func TestLockBalanceFixture(t *testing.T) { checkFixture(t, NewLockBalance(), "lockbalance") }
-func TestFloatEqFixture(t *testing.T)     { checkFixture(t, NewFloatEq(), "floateq") }
+func TestGuardedByFixture(t *testing.T) { checkFixture(t, NewGuardedBy(), "guardedby") }
+func TestFloatEqFixture(t *testing.T)   { checkFixture(t, NewFloatEq(), "floateq") }
 
 // TestSuppression exercises the //lint:ignore path end to end through the
 // driver: justified suppressions silence findings, mismatched checks do
 // not, and a directive without a reason is itself reported.
 func TestSuppression(t *testing.T) {
 	pkg := loadFixture(t, "ignore")
-	det := NewDeterminism()
-	det.Packages = []string{"fixture/ignore"} // scope the check onto the fixture
-	findings := Run([]*Package{pkg}, []Analyzer{det})
+	fe := &FloatEq{Packages: []string{"fixture/ignore"}}
+	findings := Run([]*Package{pkg}, []Analyzer{fe})
 
-	var got []string
-	for _, f := range findings {
-		got = append(got, fmt.Sprintf("%s:%s", f.Check, filepath.Base(f.Pos.Filename)))
-	}
-	// Expect exactly, in file order: rand.Intn in loud, rand.NormFloat64
+	// Expect exactly, in file order: the comparison in loud, the one
 	// under the wrong-check directive, and the malformed reason-less
-	// directive itself.
-	if len(findings) != 3 {
-		t.Fatalf("got %d findings, want 3: %v", len(findings), got)
+	// directive itself. The two suppressed comparisons must not appear.
+	want := []string{"floateq", "floateq", "ignore"}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d: %v", len(findings), len(want), findings)
 	}
-	wantSubstrings := []string{
-		"rand.Intn",
-		"rand.NormFloat64",
-		"malformed directive",
-	}
-	for i, sub := range wantSubstrings {
-		if !strings.Contains(findings[i].Message, sub) {
-			t.Errorf("finding %d = %q, want substring %q", i, findings[i].Message, sub)
+	for i, check := range want {
+		if findings[i].Check != check {
+			t.Errorf("finding %d = %s, want check %s", i, findings[i], check)
 		}
 	}
-	for _, f := range findings {
-		if strings.Contains(f.Message, "rand.Float64") || strings.Contains(f.Message, "rand.Int ") {
-			t.Errorf("suppressed finding leaked: %s", f)
-		}
+	if !strings.Contains(findings[2].Message, "malformed directive") {
+		t.Errorf("finding 2 = %q, want the malformed-directive report", findings[2].Message)
 	}
 }
 
@@ -141,24 +108,15 @@ func TestAppliesTo(t *testing.T) {
 		path string
 		want bool
 	}{
-		{NewDeterminism(), "execmodels/internal/core", true},
-		{NewDeterminism(), "execmodels/internal/deque", true},
-		{NewDeterminism(), "execmodels/internal/serve", true},
-		{NewDeterminism(), "execmodels/internal/chem", false},
-		{NewDeterminism(), "execmodels/internal/corelib", false},
 		{NewGoleak(), "execmodels/internal/serve", true},
+		{NewGoleak(), "execmodels/internal/corelib", false},
 		{NewGoleak(), "execmodels/internal/chem", false},
 		{NewFloatEq(), "execmodels/internal/chem", true},
 		{NewFloatEq(), "execmodels/internal/linalg", true},
 		{NewFloatEq(), "execmodels/internal/core", false},
-		{NewShareIso(), "anything/at/all", true},
-		{NewAtomicDiscipline(), "execmodels/internal/core", true},
-		{NewAtomicDiscipline(), "execmodels/internal/deque", true},
-		{NewAtomicDiscipline(), "execmodels/internal/chem", false},
 		{NewCtxCancel(), "execmodels/internal/serve", true},
 		{NewCtxCancel(), "execmodels/internal/core", false},
 		{NewGuardedBy(), "anything/at/all", true},
-		{NewLockBalance(), "anything/at/all", true},
 	}
 	for _, c := range cases {
 		if got := c.a.AppliesTo(c.path); got != c.want {
@@ -172,21 +130,8 @@ func TestAppliesTo(t *testing.T) {
 // type-check without errors, or floateq silently loses its type
 // information.
 func TestLoaderOnRealTree(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	if mod := sharedLoader(t).ModPath; mod != "execmodels" {
+		t.Fatalf("module path = %q, want execmodels", mod)
 	}
-	if loader.ModPath != "execmodels" {
-		t.Fatalf("module path = %q, want execmodels", loader.ModPath)
-	}
-	for _, rel := range []string{"internal/chem", "internal/core", "internal/linalg"} {
-		dir := filepath.Join(loader.ModRoot, rel)
-		pkg, err := loader.LoadDir(dir, "execmodels/"+rel)
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", rel, err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			t.Errorf("%s: %d type errors, first: %v", rel, len(pkg.TypeErrors), pkg.TypeErrors[0])
-		}
-	}
+	loadReal(t, realTreeRels...) // fails the test on any type error
 }

@@ -1,36 +1,34 @@
 package ignore
 
-import "math/rand"
-
-// jitter demonstrates a sanctioned suppression: directive above the line.
-func jitter() float64 {
-	//lint:ignore determinism fixture demonstrating a justified suppression
-	return rand.Float64()
+// above demonstrates a sanctioned suppression: directive above the line.
+func above(a, b float64) bool {
+	//lint:ignore floateq fixture demonstrating a justified suppression
+	return a == b
 }
 
 // inline demonstrates the end-of-line form.
-func inline() int {
-	return rand.Int() //lint:ignore determinism fixture inline suppression
+func inline(a, b float64) bool {
+	return a != b //lint:ignore floateq fixture inline suppression
 }
 
 // loud stays flagged: no directive.
-func loud() int {
-	return rand.Intn(10)
+func loud(a, b float64) bool {
+	return a == b
 }
 
-// wrongCheck suppresses a different check, so determinism still fires.
-func wrongCheck() float64 {
-	//lint:ignore floateq reason that does not match the finding's check
-	return rand.NormFloat64()
+// wrongCheck suppresses a different check, so floateq still fires.
+func wrongCheck(a, b float64) bool {
+	//lint:ignore maporder reason that does not match the finding's check
+	return a == b
 }
 
-//lint:ignore determinism
+//lint:ignore floateq
 var missingReason = 0
 
 func use() {
-	_ = jitter()
-	_ = inline()
-	_ = loud()
-	_ = wrongCheck()
+	_ = above(1, 2)
+	_ = inline(1, 2)
+	_ = loud(1, 2)
+	_ = wrongCheck(1, 2)
 	_ = missingReason
 }

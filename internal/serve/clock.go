@@ -18,9 +18,7 @@
 //     obs.WriteOpenMetrics.
 //
 // Unlike the simulator packages, serve runs on the real clock by design:
-// the sanctioned wall-clock reads are concentrated in this file and
-// individually justified to the determinism check, which covers this
-// package precisely so that any new bare clock read must be argued for.
+// the sanctioned wall-clock reads are concentrated in this file.
 package serve
 
 import "time"
@@ -30,7 +28,6 @@ import "time"
 // Retry-After drain estimates — derives from this function, keeping the
 // "measures real time" surface auditable exactly like core's stopwatch.
 func now() time.Time {
-	//lint:ignore determinism the serving layer runs on the real clock: job timestamps, latency histograms and Retry-After hints measure live traffic; they never feed the deterministic simulator outputs
 	return time.Now()
 }
 
