@@ -2,7 +2,9 @@ package execmodels
 
 // One sub-benchmark of BenchmarkExperiments per registered table and
 // figure (see DESIGN.md's per-experiment index), plus kernel
-// micro-benchmarks. Run everything with:
+// micro-benchmarks; the chemistry kernel's before/after pairs, whose
+// "before" sides are test oracles, are in internal/chem/bench_test.go.
+// Run everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -67,69 +69,11 @@ func BenchmarkBoys(b *testing.B) {
 	}
 }
 
-func BenchmarkERIBlockSSSS(b *testing.B) {
-	_, bs := waterBasis(b, 1, "sto-3g")
-	var s *chem.Shell
-	for i := range bs.Shells {
-		if bs.Shells[i].L == 0 {
-			s = &bs.Shells[i]
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chem.ERIBlock(s, s, s, s)
-	}
-}
-
-func BenchmarkERIBlockPPPP(b *testing.B) {
-	_, bs := waterBasis(b, 1, "sto-3g")
-	var p *chem.Shell
-	for i := range bs.Shells {
-		if bs.Shells[i].L == 1 {
-			p = &bs.Shells[i]
-			break
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chem.ERIBlock(p, p, p, p)
-	}
-}
-
-// The pair-data cache vs recomputing Hermite tables per quartet.
-func BenchmarkERIBlockPairCached(b *testing.B) {
-	_, bs := waterBasis(b, 1, "sto-3g")
-	var p *chem.Shell
-	for i := range bs.Shells {
-		if bs.Shells[i].L == 1 {
-			p = &bs.Shells[i]
-			break
-		}
-	}
-	pd := chem.NewPairData(p, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chem.ERIBlockPairInto(pd, pd, &chem.ERIScratch{})
-	}
-}
-
 func BenchmarkSchwarzBounds(b *testing.B) {
 	_, bs := waterBasis(b, 2, "sto-3g")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chem.SchwarzBounds(bs)
-	}
-}
-
-func BenchmarkFockBuildSerial(b *testing.B) {
-	mol, bs := waterBasis(b, 1, "sto-3g")
-	w := chem.BuildFockWorkload(bs, 1e-9, 4)
-	h := chem.CoreHamiltonian(bs, mol)
-	d := convergedDensity(b, mol, bs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.BuildFock(h, d)
 	}
 }
 
@@ -215,84 +159,23 @@ func BenchmarkSimDynamicCounter(b *testing.B) {
 	}
 }
 
-// convergedDensity returns the converged RHF density of mol, computed
-// before any timer starts. The Fock executor skips quartets by the
-// density they contract, so the identity density would time the
-// executor's skip rule, not its kernel.
-func convergedDensity(b *testing.B, mol *chem.Molecule, bs *chem.BasisSet) *linalg.Matrix {
-	b.Helper()
-	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{UseDIIS: true}, nil)
-	if err != nil || !res.Converged {
-		b.Fatalf("RunSCF: converged %v, %v", res != nil && res.Converged, err)
-	}
-	return res.D
-}
-
-// Before/after pair for the worker scratch arena: the baseline path
-// allocates its ERI block, Hermite tables and Boys workspace per
-// quartet; the arena path reuses one scratch across the whole sweep.
-// Both run at a converged density.
-func BenchmarkExecuteTaskBaseline(b *testing.B) {
-	mol, bs := waterBasis(b, 1, "sto-3g")
-	w := chem.BuildFockWorkload(bs, 1e-9, 4)
-	d := convergedDensity(b, mol, bs)
-	j := linalg.NewMatrix(bs.NBF, bs.NBF)
-	k := linalg.NewMatrix(bs.NBF, bs.NBF)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.ExecuteTaskBaseline(&w.Tasks[i%len(w.Tasks)], d, j, k)
-	}
-}
-
-func BenchmarkExecuteTaskArena(b *testing.B) {
-	mol, bs := waterBasis(b, 1, "sto-3g")
-	w := chem.BuildFockWorkload(bs, 1e-9, 4)
-	d := convergedDensity(b, mol, bs)
-	j := linalg.NewMatrix(bs.NBF, bs.NBF)
-	k := linalg.NewMatrix(bs.NBF, bs.NBF)
-	scratch := w.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.ExecuteTaskScratch(&w.Tasks[i%len(w.Tasks)], d, j, k, scratch)
-	}
-}
-
-// The unrestricted digest beside BenchmarkExecuteTaskArena: (H2O)2/6-31G
-// tasks through ExecuteTaskSpinScratch at a converged UHF density, so J
-// contracts the total density and two exchange matrices the α and β
-// densities.
-func BenchmarkExecuteTaskSpinArena(b *testing.B) {
-	mol, bs := waterBasis(b, 2, "6-31g")
-	res, err := chem.RunUHF(mol, bs, chem.UHFOptions{UseDIIS: true})
-	if err != nil || !res.Converged {
-		b.Fatalf("RunUHF: converged %v, %v", res != nil && res.Converged, err)
-	}
-	w := res.Workload
-	dTot := res.DA.Clone().AddScaled(1, res.DB)
-	n := bs.NBF
-	j, kA, kB := linalg.NewMatrix(n, n), linalg.NewMatrix(n, n), linalg.NewMatrix(n, n)
-	scratch := w.NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.ExecuteTaskSpinScratch(&w.Tasks[i%len(w.Tasks)], dTot, res.DA, res.DB, j, kA, kB, scratch)
-	}
-}
-
 func BenchmarkWallStealingFock(b *testing.B) {
 	mol, bs := waterBasis(b, 2, "sto-3g")
 	w := chem.BuildFockWorkload(bs, 1e-9, 4)
 	h := chem.CoreHamiltonian(bs, mol)
-	d := convergedDensity(b, mol, bs)
+	// A converged density: the executor skips quartets by the density
+	// they contract, so the identity would time its skip rule.
+	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{UseDIIS: true}, nil)
+	if err != nil || !res.Converged {
+		b.Fatalf("RunSCF: converged %v, %v", res != nil && res.Converged, err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ws, err := core.NewWallScheduler("stealing", 4, core.WallOptions{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ws.Build(w, h, d); err != nil {
+		if _, err := ws.Build(w, h, res.D); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,12 +13,10 @@ import (
 // uncalledAllowed names the declarations, as dir.Recv.Name or dir.Name,
 // that are meant to have no caller in non-test code.
 var uncalledAllowed = map[string]string{
-	"internal/core.rankHeap.Less":                        "called by container/heap through heap.Interface",
-	"internal/core.rankHeap.Swap":                        "called by container/heap through heap.Interface",
-	"internal/serve.jobHeap.Less":                        "called by container/heap through heap.Interface",
-	"internal/serve.jobHeap.Swap":                        "called by container/heap through heap.Interface",
-	"internal/chem.FockWorkload.ExecuteTaskSpinBaseline": "the UHF executor's test oracle, kept until the baselines move into tests",
-	"internal/chem.FockWorkload.BuildFockBaseline":       "the Fock builder's test oracle, kept until the baselines move into tests",
+	"internal/core.rankHeap.Less": "called by container/heap through heap.Interface",
+	"internal/core.rankHeap.Swap": "called by container/heap through heap.Interface",
+	"internal/serve.jobHeap.Less": "called by container/heap through heap.Interface",
+	"internal/serve.jobHeap.Swap": "called by container/heap through heap.Interface",
 }
 
 // TestNoUncalledFunctions keeps production code from regrowing helpers

@@ -8,106 +8,8 @@ import (
 	"execmodels/internal/linalg"
 )
 
-// eriGetter returns the integral (ab|cd) for function offsets within a
-// permuted view of a shell-quartet block.
-type eriGetter func(fa, fb, fc, fd int) float64
-
-// digestJK scatters one ordered shell-quartet block into the Coulomb (J)
-// and exchange (K) accumulators:
-//
-//	J[μν] += DJ[λσ]·(μν|λσ)      K_i[μλ] += DK_i[νσ]·(μν|λσ)
-//
-// with μ∈a, ν∈b, λ∈c, σ∈d. The Coulomb and exchange terms may contract
-// different densities (RHF uses the same one; UHF contracts the total
-// density for J and the per-spin densities for the two Ks). Callers are
-// responsible for enumerating every distinct shell-index permutation of a
-// unique quartet exactly once, which together reproduces the full
-// unrestricted contraction.
-func digestJK(j *linalg.Matrix, dj *linalg.Matrix, ks, dks []*linalg.Matrix, a, b, c, dd *Shell, get eriGetter) {
-	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), dd.NumFuncs()
-	kAcc := make([]float64, len(ks))
-	for fa := 0; fa < na; fa++ {
-		mu := a.Start + fa
-		for fb := 0; fb < nb; fb++ {
-			nu := b.Start + fb
-			var jAcc float64
-			for fc := 0; fc < nc; fc++ {
-				lam := c.Start + fc
-				for i := range kAcc {
-					kAcc[i] = 0
-				}
-				for fd := 0; fd < nd; fd++ {
-					sig := dd.Start + fd
-					v := get(fa, fb, fc, fd)
-					jAcc += dj.At(lam, sig) * v
-					for i, dk := range dks {
-						kAcc[i] += dk.At(nu, sig) * v
-					}
-				}
-				for i, k := range ks {
-					k.Add(mu, lam, kAcc[i])
-				}
-			}
-			j.Add(mu, nu, jAcc)
-		}
-	}
-}
-
-// quartetPermutations enumerates the distinct shell-index permutations of
-// the unique quartet (a,b,c,d) under the 8-fold integral symmetry
-// (ab|cd) = (ba|cd) = (ab|dc) = (ba|dc) = (cd|ab) = (dc|ab) = (cd|ba) = (dc|ba).
-// Each permutation is returned as the four original-block roles for the
-// (bra1, bra2, ket1, ket2) positions: e.g. [1 0 2 3] means the permuted
-// view is (ba|cd) and its (fa,fb,fc,fd) element reads the original block
-// at (fb,fa,fc,fd).
-func quartetPermutations(a, b, c, d int) [][4]int {
-	all := [][4]int{
-		{0, 1, 2, 3}, {1, 0, 2, 3}, {0, 1, 3, 2}, {1, 0, 3, 2},
-		{2, 3, 0, 1}, {3, 2, 0, 1}, {2, 3, 1, 0}, {3, 2, 1, 0},
-	}
-	ids := [4]int{a, b, c, d}
-	seen := make(map[[4]int]bool, 8)
-	var out [][4]int
-	for _, p := range all {
-		key := [4]int{ids[p[0]], ids[p[1]], ids[p[2]], ids[p[3]]}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// digestUniqueQuartet digests the precomputed ERI block of the unique
-// quartet, scattering every distinct permutation into J and the K
-// accumulators. shells is the full shell list; ia..id index into it; blk
-// is laid out as ERIBlock(ia, ib, ic, id).
-//
-// This closure-based form, one pass per permutation, allocates per call;
-// it survives as ExecuteTaskBaseline's path and as the oracle of the hot
-// path's one-pass digestQuartet.
-func digestUniqueQuartet(j, dj *linalg.Matrix, ks, dks []*linalg.Matrix, shells []Shell, ia, ib, ic, id int, blk []float64) {
-	sh := [4]*Shell{&shells[ia], &shells[ib], &shells[ic], &shells[id]}
-	nb, nc, nd := sh[1].NumFuncs(), sh[2].NumFuncs(), sh[3].NumFuncs()
-	orig := func(fa, fb, fc, fd int) float64 {
-		return blk[((fa*nb+fb)*nc+fc)*nd+fd]
-	}
-	for _, p := range quartetPermutations(ia, ib, ic, id) {
-		p := p
-		get := func(fa, fb, fc, fd int) float64 {
-			f := [4]int{fa, fb, fc, fd}
-			// Position i of the permuted view holds original role p[i]; to
-			// read the original block we place each permuted index back
-			// into its original role.
-			var g [4]int
-			g[p[0]], g[p[1]], g[p[2]], g[p[3]] = f[0], f[1], f[2], f[3]
-			return orig(g[0], g[1], g[2], g[3])
-		}
-		digestJK(j, dj, ks, dks, sh[p[0]], sh[p[1]], sh[p[2]], sh[p[3]], get)
-	}
-}
-
-// digestQuartet is digestUniqueQuartet in one pass over the block. With
+// digestQuartet is the test oracle digestUniqueQuartet (oracle_test.go),
+// which walks the block once per permutation, in one pass. With
 // a ≤ b and c ≤ d, as every shell pair is stored, the distinct
 // permutations of the quartet are exactly the products of three flags,
 // fab: a≠b, fcd: c≠d and fbk: (a,b)≠(c,d). Taken as 0/1 weights, they
@@ -437,12 +339,19 @@ func (w *FockWorkload) executeTask(t *FockTask, dj *linalg.Matrix, ks, dks []*li
 	var done int
 	for bi, bra := range t.BraPairs {
 		braPD := w.pairData[t.PairOffset+bi]
+		// The bra's terms of the weight: its J block and its rows of mk.
+		var jab float64
+		var ra, rb []float64
+		if s.budget > 0 {
+			a, b := bra.I, bra.J
+			jab, ra, rb = 2*mj[a*ns+b], mk[a*ns:(a+1)*ns], mk[b*ns:(b+1)*ns]
+		}
 		for _, ki := range t.Kets[bi] {
 			ket := &w.Pairs[ki]
 			budget := s.budget
 			if budget > 0 {
-				a, b, c, d := bra.I, bra.J, ket.I, ket.J
-				wt := 2 * max(2*mj[a*ns+b], 2*mj[c*ns+d], mk[a*ns+c], mk[a*ns+d], mk[b*ns+c], mk[b*ns+d])
+				c, d := ket.I, ket.J
+				wt := 2 * max(jab, 2*mj[c*ns+d], ra[c], ra[d], rb[c], rb[d])
 				if bra.Bound*ket.Bound*wt < budget {
 					continue
 				}

@@ -35,14 +35,6 @@ func makeHermiteE(imax, jmax int) *hermiteE {
 	}
 }
 
-// newHermiteE builds the E table for exponents a, b and center separation
-// ab = A - B along one dimension, for angular momenta up to imax, jmax.
-func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
-	e := makeHermiteE(imax, jmax)
-	e.fill(a, b, ab)
-	return e
-}
-
 // fill (re)computes the table in place, so one table serves every
 // primitive pair of a shell pair. Every in-band entry is written before it
 // is read and at never reads outside the band, so nothing of the previous
@@ -113,15 +105,6 @@ func (w *hermiteRWork) grow(tmax int) {
 	if cap(w.cube) < 2*n1*n1*n1 {
 		w.cube = make([]float64, 2*n1*n1*n1)
 	}
-}
-
-// newHermiteR computes R^0_{tuv} for all t+u+v <= tmax, with Gaussian
-// exponent p and separation pc = P - C. A fresh workspace per call: the
-// result owns its data. Hot paths use hermiteRWork.compute directly to
-// amortize the allocations away.
-func newHermiteR(tmax int, p float64, pc Vec3) *hermiteR {
-	var w hermiteRWork
-	return &hermiteR{tmax: tmax, data: w.compute(tmax, p, pc, 1)}
 }
 
 // compute fills a cube of stride tmax+1 with scale·R^0_{tuv} for all

@@ -236,7 +236,8 @@ func primQuartetsKept(bra, ket *PairData, budget float64) int {
 
 // ERIBlockPairInto computes the (bra|ket) shell-quartet block from two
 // precomputed pair datasets into the scratch arena s. The result layout
-// matches ERIBlock(bra.A, bra.B, ket.A, ket.B). The returned slice aliases
+// matches the test oracle ERIBlock(bra.A, bra.B, ket.A, ket.B), in
+// oracle_test.go. The returned slice aliases
 // s and stays valid only until the next call using s. With a warmed-up
 // scratch the steady-state computation performs zero heap allocations.
 //

@@ -39,9 +39,8 @@ func SchwarzBounds(bs *BasisSet) []ShellPair {
 // ket clears the Schwarz bound: |(ij|kl)| <= Q_ij Q_kl, so the quartet
 // is negligible when the product of pair bounds falls below threshold.
 // This is the single Schwarz predicate of the Fock build — it runs at
-// task-generation time (FockWorkload.blockTasks) and in the retained
-// baseline executor, never in the arena-path workers, which test only
-// the density a listed quartet contracts.
+// task-generation time (FockWorkload.blockTasks), never in the workers,
+// which test only the density a listed quartet contracts.
 func quartetSurvives(bra, ket *ShellPair, threshold float64) bool {
 	return bra.Bound*ket.Bound >= threshold
 }

@@ -9,12 +9,13 @@ import (
 )
 
 // The differential equivalence matrix: every wall-clock executor, at
-// every worker count and task granularity, must reproduce the retained
-// serial baseline's Fock matrix to fockDiffTol. The baseline
-// (chem.BuildFockBaseline) still screens inside the worker loop, so the
-// comparison also pins generation-time screening (FockTask.Kets) against
-// the original in-loop bound test on real molecules.
-const fockDiffTol = 1e-11
+// every worker count and task granularity, must reproduce the serial
+// Fock build (chem's BuildFock and its spin sweep) to fockDiffTol.
+// chem's TestBuildFockMatchesBaseline holds that serial build to the
+// exact test-oracle executor, which screens inside its loop, at the
+// same 5e-12 on the same molecules, so every cell stays within 1e-11 of
+// the oracle.
+const fockDiffTol = 5e-12
 
 // wallDiffExecs is the executor × granularity axis of the matrix.
 type wallDiffExec struct {
@@ -56,29 +57,83 @@ func serialSpinJK(fw *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB
 	return j, kA, kB
 }
 
+// spinDelta is the density change one UHF build contracts: the total
+// for J and the α and β changes for the two exchange matrices.
+type spinDelta struct{ tot, a, b *linalg.Matrix }
+
+// recordDeltas runs one RHF SCF on mol, and one UHF SCF on its ion of
+// charge uhfCharge, through recording builders and returns the density
+// changes ΔD = D_k − D_{k−1} that build 2 and the last build contracted:
+// every build after a run's first is incremental, with a zero H (chem's
+// scfLoop). A closed-shell UHF run is not made: on (H2O)4 it repeats the
+// RHF run's 11 builds with Dα = Dβ and ΔDα + ΔDβ within 3e-12 of the RHF
+// ΔD, so its changes are taken as the RHF ones, halved for each spin.
+func recordDeltas(t *testing.T, mol *chem.Molecule, bs *chem.BasisSet, threshold float64, uhfCharge int) ([]*linalg.Matrix, []spinDelta) {
+	t.Helper()
+	var rhf []*linalg.Matrix
+	res, err := chem.RunSCF(mol, bs, chem.SCFOptions{UseDIIS: true, Screening: threshold},
+		func(w *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+			rhf = append(rhf, d.Clone())
+			return w.BuildFock(h, d)
+		})
+	if err != nil || !res.Converged || len(rhf) < 3 {
+		t.Fatalf("RHF: converged %v after %d builds, %v", res != nil && res.Converged, len(rhf), err)
+	}
+	rhf = []*linalg.Matrix{rhf[1], rhf[len(rhf)-1]}
+	var uhf []spinDelta
+	if uhfCharge == 0 {
+		for _, d := range rhf {
+			half := d.Clone()
+			half.Scale(0.5)
+			uhf = append(uhf, spinDelta{d, half, half})
+		}
+		return rhf, uhf
+	}
+	ion := *mol
+	ion.Charge = uhfCharge
+	ures, err := chem.RunUHF(&ion, bs, chem.UHFOptions{UseDIIS: true, Screening: threshold,
+		Builder: func(w *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix) {
+			uhf = append(uhf, spinDelta{dTot.Clone(), dA.Clone(), dB.Clone()})
+			return serialSpinJK(w, dTot, dA, dB)
+		}})
+	if err != nil || !ures.Converged || len(uhf) < 3 {
+		t.Fatalf("UHF: converged %v after %d builds, %v", ures != nil && ures.Converged, len(uhf), err)
+	}
+	return rhf, []spinDelta{uhf[1], uhf[len(uhf)-1]}
+}
+
 // TestWallDifferentialMatrix sweeps {molecule} × {RHF, UHF} × {executor ×
-// granularity} × {workers} and holds every cell to the serial baseline at
-// fockDiffTol. Screening thresholds are chosen per molecule so the large
-// systems stay affordable while still pruning aggressively — the pruning
-// itself is what the baseline comparison validates. Expensive cells
-// shrink under -race (instrumentation is ~10× on this compute) and
-// -short drops the largest molecule.
+// granularity} × {workers} and holds every cell to the serial build at
+// fockDiffTol: at a core-guess density (split ~55/45 into spins for
+// UHF), and on water and (H2O)4 also at the density changes of build 2
+// and of the last build of an SCF run (recordDeltas), where the
+// executor's density rule skips the most. Screening thresholds are
+// chosen per molecule so the large systems stay affordable while still
+// pruning aggressively. Expensive cells shrink under -race
+// (instrumentation is ~10× on this compute) and -short drops the
+// largest molecule. The molecules share nothing and every check is
+// numeric, which no interleaving of their workers can change beyond
+// the summation order the tolerance covers, so they run in parallel.
 func TestWallDifferentialMatrix(t *testing.T) {
 	type molCase struct {
 		name      string
 		waters    int
 		threshold float64
+		uhfCharge int // of recordDeltas' UHF run
 	}
 	mols := []molCase{
-		{"water", 1, 1e-10},
-		{"waters4", 4, 1e-8},
-		{"waters8", 8, 1e-4},
+		// The water cation's α and β changes differ; open-shell (H2O)4
+		// does not converge in 100 UHF iterations.
+		{"water", 1, 1e-10, 1},
+		{"waters4", 4, 1e-8, 0},
+		{"waters8", 8, 1e-4, 0},
 	}
 	for _, mc := range mols {
 		t.Run(mc.name, func(t *testing.T) {
 			if mc.waters >= 8 && (testing.Short() || raceEnabled) {
 				t.Skip("large molecule: skipped under -short and -race")
 			}
+			t.Parallel()
 			reduced := raceEnabled && mc.waters >= 4
 			mol := chem.WaterCluster(mc.waters, 11)
 			bs, err := chem.NewBasis("sto-3g", mol)
@@ -88,7 +143,6 @@ func TestWallDifferentialMatrix(t *testing.T) {
 			fw := chem.BuildFockWorkload(bs, mc.threshold, 4)
 			h := chem.CoreHamiltonian(bs, mol)
 			d := wallDensity(fw, mol, h)
-			refF := fw.BuildFockBaseline(h, d)
 
 			// Unrestricted densities with genuinely split spins.
 			dA := d.Clone()
@@ -97,7 +151,30 @@ func TestWallDifferentialMatrix(t *testing.T) {
 			dB.Scale(0.45)
 			dTot := dA.Clone()
 			dTot.AddScaled(1, dB)
-			refJ, refKA, refKB := serialSpinJK(fw, dTot, dA, dB)
+
+			// The cells' inputs: the full builds, then the incremental
+			// ones, each with its serial reference; rhf[i] names spin[i].
+			type rhfCase struct {
+				name string
+				h, d *linalg.Matrix
+			}
+			rhf := []rhfCase{{"full", h, d}}
+			spin := []spinDelta{{dTot, dA, dB}}
+			if mc.waters <= 4 {
+				zero := linalg.NewMatrix(bs.NBF, bs.NBF)
+				dr, du := recordDeltas(t, mol, bs, mc.threshold, mc.uhfCharge)
+				rhf = append(rhf, rhfCase{"ΔD build 2", zero, dr[0]}, rhfCase{"ΔD last build", zero, dr[1]})
+				spin = append(spin, du...)
+			}
+			refF := make([]*linalg.Matrix, len(rhf))
+			for i, c := range rhf {
+				refF[i] = fw.BuildFock(c.h, c.d)
+			}
+			refJK := make([][3]*linalg.Matrix, len(spin))
+			for i, c := range spin {
+				j, kA, kB := serialSpinJK(fw, c.tot, c.a, c.b)
+				refJK[i] = [3]*linalg.Matrix{j, kA, kB}
+			}
 
 			execs := wallDiffExecs()
 			workers := wallDiffWorkers()
@@ -107,9 +184,11 @@ func TestWallDifferentialMatrix(t *testing.T) {
 			}
 			for _, ex := range execs {
 				for _, wk := range workers {
-					res := wallBuild(t, ex.mode, fw, h, d, wk, ex.opt)
-					if diff := res.F.MaxAbsDiff(refF); diff > fockDiffTol {
-						t.Errorf("RHF %s workers=%d: Fock differs from baseline by %g", ex.name, wk, diff)
+					for i, c := range rhf {
+						res := wallBuild(t, ex.mode, fw, c.h, c.d, wk, ex.opt)
+						if diff := res.F.MaxAbsDiff(refF[i]); diff > fockDiffTol {
+							t.Errorf("RHF %s %s workers=%d: Fock differs from serial by %g", c.name, ex.name, wk, diff)
+						}
 					}
 
 					// UHF on the largest molecule only at one worker count:
@@ -118,15 +197,14 @@ func TestWallDifferentialMatrix(t *testing.T) {
 					if mc.waters >= 8 && wk != 3 {
 						continue
 					}
-					spin := wallBuildUHF(t, ex.mode, fw, dTot, dA, dB, wk, ex.opt)
-					if diff := spin.J.MaxAbsDiff(refJ); diff > fockDiffTol {
-						t.Errorf("UHF %s workers=%d: J differs by %g", ex.name, wk, diff)
-					}
-					if diff := spin.KA.MaxAbsDiff(refKA); diff > fockDiffTol {
-						t.Errorf("UHF %s workers=%d: Kα differs by %g", ex.name, wk, diff)
-					}
-					if diff := spin.KB.MaxAbsDiff(refKB); diff > fockDiffTol {
-						t.Errorf("UHF %s workers=%d: Kβ differs by %g", ex.name, wk, diff)
+					for i, c := range spin {
+						res := wallBuildUHF(t, ex.mode, fw, c.tot, c.a, c.b, wk, ex.opt)
+						for m, got := range [3]*linalg.Matrix{res.J, res.KA, res.KB} {
+							if diff := got.MaxAbsDiff(refJK[i][m]); diff > fockDiffTol {
+								t.Errorf("UHF %s %s workers=%d: %s differs from serial by %g",
+									rhf[i].name, ex.name, wk, [3]string{"J", "Kα", "Kβ"}[m], diff)
+							}
+						}
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -166,6 +167,30 @@ func TestAnalyzeBlame(t *testing.T) {
 	order := ComponentOrder()
 	if order[0] != "compute" || order[len(order)-1] != "idle" {
 		t.Errorf("ComponentOrder = %v", order)
+	}
+}
+
+// The critical rank's segments are gathered in a map and must leave it
+// in sorted order: with five activity keys, map order differs between
+// calls on the same trace often enough that 64 calls would show it.
+func TestAnalyzeBlameSegmentsDeterministic(t *testing.T) {
+	r, tr, makespan := blameFixture()
+	for i, act := range []string{"steal", "counter", "comm", "idle"} {
+		s := 0.1 * float64(i)
+		tr.Record(Span{Rank: 0, Start: s, End: s + 0.05, TaskID: -1, Activity: act})
+	}
+	first := AnalyzeBlame(r, tr, "unit", 2, makespan)
+	if len(first.CriticalSegments) != 5 {
+		t.Fatalf("%d critical segments, want 5", len(first.CriticalSegments))
+	}
+	for i := 1; i < 64; i++ {
+		b := AnalyzeBlame(r, tr, "unit", 2, makespan)
+		if !reflect.DeepEqual(b.CriticalSegments, first.CriticalSegments) {
+			t.Fatalf("call %d: critical segments %v, first call %v", i, b.CriticalSegments, first.CriticalSegments)
+		}
+		if b.Table() != first.Table() {
+			t.Fatalf("call %d: Table() differs from the first call's:\n%s\n%s", i, b.Table(), first.Table())
+		}
 	}
 }
 
