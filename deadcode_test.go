@@ -30,21 +30,7 @@ func TestNoUncalledFunctions(t *testing.T) {
 	type decl struct{ key, use, pos string }
 	var decls []decl
 	used := map[string]bool{} // exported names bare, unexported as pkg.name
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	eachNonTestFile(t, func(fset *token.FileSet, path string, f *ast.File) {
 		pkg := filepath.ToSlash(filepath.Dir(path))
 		declared := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
@@ -74,14 +60,35 @@ func TestNoUncalledFunctions(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, d := range decls {
 		if !used[d.use] && uncalledAllowed[d.key] == "" {
 			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a _test.go file", d.pos, d.key)
 		}
+	}
+}
+
+// eachNonTestFile parses every non-test Go file of the module, outside
+// testdata and hidden directories, and hands it to fn.
+func eachNonTestFile(t *testing.T, fn func(fset *token.FileSet, path string, f *ast.File)) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			fn(fset, path, f)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -127,6 +127,13 @@ type FockBuilder func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix
 // mol in basis bs. If build is nil the serial reference Fock builder is
 // used. A negative MaxIter, BlockSize or Screening is an error, as is a
 // charge that leaves no electrons.
+//
+// A fresh run of a neutral molecule of two or more bonded fragments,
+// each of an even electron count, starts from the fragment guess: the
+// block-diagonal density of the fragments' own converged RHF runs, made
+// with the serial builder and never with build. Any other run, or one
+// whose fragment runs fail or do not converge, starts from the core
+// guess; a resumed run starts from its checkpoint.
 func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*SCFResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -153,7 +160,11 @@ func RunSCF(mol *Molecule, bs *BasisSet, opts SCFOptions, build FockBuilder) (*S
 		}
 	}
 
-	st, err := scfLoop(mol, bs, restricted(nocc, build), opts)
+	var start []*linalg.Matrix
+	if d := fragmentGuess(mol, bs, opts); d != nil {
+		start = []*linalg.Matrix{d}
+	}
+	st, err := scfLoop(mol, bs, restricted(nocc, build), opts, start)
 	return &SCFResult{
 		Energy: st.energy, Electronic: st.electronic, Nuclear: st.nuclear,
 		Iterations: st.iter, Converged: st.converged, NOcc: nocc,
@@ -201,21 +212,23 @@ type scfState struct {
 
 // scfLoop is the one SCF iteration every calculation in the repository
 // runs through; opts arrives with the entry point's defaults applied.
-// Without Resume it starts from the core guess, one per density, where a
-// later density of different occupation gets H[0,0] += 1e-3 so that open
-// shells can separate. Each iteration builds one Fock matrix
-// per iterated density Dσ, takes E = ½ Σσ Dσ·(H + Fσ), optionally
-// DIIS-extrapolates each Fσ — one subspace per density, each on its own
-// residual Fσ·Dσ·S − S·Dσ·Fσ — diagonalizes, damps the new densities from
-// iteration 2 on, reports to OnIteration (D is the first density) and
-// tests convergence: iter > 1, |ΔE| < ConvEnergy and the RMS change of
-// every iterated density below ConvDensity.
+// With Resume it starts from the checkpointed density, else from start
+// (RunSCF's fragment guess; RunUHF passes nil), else from the core
+// guess, one per density, where a later density of different occupation
+// gets H[0,0] += 1e-3 so that open shells can separate. Each iteration
+// builds one Fock matrix per iterated density Dσ, takes
+// E = ½ Σσ Dσ·(H + Fσ), optionally DIIS-extrapolates each Fσ — one
+// subspace per density, each on its own residual Fσ·Dσ·S − S·Dσ·Fσ —
+// diagonalizes, damps the new densities from iteration 2 on, reports to
+// OnIteration (D is the first density) and tests convergence: iter > 1,
+// |ΔE| < ConvEnergy and the RMS change of every iterated density below
+// ConvDensity.
 //
 // The iterated density is D in a restricted run and Dσ in an
 // unrestricted one, and Dσ = D/2 for a closed shell, so the same
 // ConvDensity is half as strict through RunUHF: (H2O)2/6-31G at damping
 // 0.3 takes 32 iterations restricted and 30 unrestricted.
-func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions) (*scfState, error) {
+func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions, start []*linalg.Matrix) (*scfState, error) {
 	s := Overlap(bs)
 	h := CoreHamiltonian(bs, mol)
 	x := linalg.InvSqrtSym(s, 1e-10)
@@ -228,12 +241,12 @@ func scfLoop(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions) (
 		ds: make([]*linalg.Matrix, n), fs: make([]*linalg.Matrix, n), cs: make([]*linalg.Matrix, n),
 		orbE: make([][]float64, n),
 	}
-	var ds []*linalg.Matrix
+	ds := start
 	var ePrev float64
 	if r := opts.Resume; r != nil {
 		ds = []*linalg.Matrix{r.D.Clone()}
 		st.iter, ePrev = r.Iteration, r.Energy
-	} else {
+	} else if ds == nil {
 		ds = make([]*linalg.Matrix, n)
 		for i, nocc := range spin.nocc {
 			hGuess := h

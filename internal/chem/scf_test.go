@@ -2,6 +2,7 @@ package chem
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -218,21 +219,65 @@ func TestSCFDampingSameFixedPoint(t *testing.T) {
 	}
 }
 
-// A custom FockBuilder must be invoked and its result used.
+// A custom FockBuilder must be invoked and its result used, once per
+// iteration. On two waters the run starts from the fragment guess, whose
+// SCFs never reach the caller's builder: its first density holds N_e
+// electrons and couples no two fragments.
 func TestSCFCustomBuilder(t *testing.T) {
-	mol := H2(1.4)
-	bs := mustBasis(t, "sto-3g", mol)
-	calls := 0
-	builder := func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
-		calls++
-		return w.BuildFock(h, d)
-	}
-	res, err := RunSCF(mol, bs, SCFOptions{}, builder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != res.Iterations {
-		t.Errorf("builder called %d times over %d iterations", calls, res.Iterations)
+	for _, tc := range []struct {
+		name string
+		mol  *Molecule
+		opts SCFOptions
+	}{
+		{"H2", H2(1.4), SCFOptions{}},
+		{"waters2", WaterCluster(2, 7), SCFOptions{UseDIIS: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs := mustBasis(t, "sto-3g", tc.mol)
+			calls := 0
+			var first *linalg.Matrix
+			builder := func(w *FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+				if calls++; calls == 1 {
+					first = d.Clone()
+				}
+				return w.BuildFock(h, d)
+			}
+			res, err := RunSCF(tc.mol, bs, tc.opts, builder)
+			if err != nil || !res.Converged {
+				t.Fatalf("RunSCF: converged %v, %v", res != nil && res.Converged, err)
+			}
+			if calls != res.Iterations {
+				t.Errorf("builder called %d times over %d iterations", calls, res.Iterations)
+			}
+			if first.Rows != bs.NBF {
+				t.Fatalf("first density is %d×%d, want %d×%d", first.Rows, first.Cols, bs.NBF, bs.NBF)
+			}
+			ds := linalg.MatMul(first, Overlap(bs))
+			var ne float64
+			for i := 0; i < ds.Rows; i++ {
+				ne += ds.At(i, i)
+			}
+			if math.Abs(ne-float64(tc.mol.NumElectrons())) > 1e-10 {
+				t.Errorf("first density: tr(D·S) = %.12f, want %d", ne, tc.mol.NumElectrons())
+			}
+			frag := make([]int, bs.NBF) // the fragment a basis function sits on
+			for k, f := range fragments(tc.mol) {
+				for _, sh := range bs.Shells {
+					if slices.Contains(f, sh.Atom) {
+						for i := range sh.NumFuncs() {
+							frag[sh.Start+i] = k
+						}
+					}
+				}
+			}
+			for i := range bs.NBF {
+				for j := range bs.NBF {
+					if frag[i] != frag[j] && first.At(i, j) != 0 {
+						t.Fatalf("first density couples two fragments: D[%d,%d] = %g", i, j, first.At(i, j))
+					}
+				}
+			}
+		})
 	}
 }
 
