@@ -61,8 +61,10 @@ wall-smoke:
 	go run ./cmd/hfscf -molecule waters:2 -sched persistence-feedback -workers 2
 	go run ./cmd/hfscf -molecule water -uhf -sched stealing -workers 2
 	go run ./cmd/hfscf -molecule water -charge 1 -uhf
+	go run ./cmd/hfscf -molecule waters:2 -basis 6-31g -uhf -maxiter 20
 	! go run ./cmd/hfscf -sched bogus
 	! go run ./cmd/hfscf -multiplicity 3
+	! go run ./cmd/hfscf -uhf -diis=false
 	! go run ./cmd/hfscf -block -1
 	! go run ./cmd/hfscf -screen -1
 

@@ -38,7 +38,7 @@ func main() {
 		orbitals = flag.Bool("orbitals", false, "print orbital energies")
 		seed     = flag.Int64("seed", 7, "seed for generated geometries and the work-stealing scheduler")
 		dynblock = flag.Int("dynblock", 1, "tasks fetched per shared-counter op in -sched dynamic")
-		diis     = flag.Bool("diis", true, "DIIS convergence acceleration (RHF; -uhf runs damped)")
+		diis     = flag.Bool("diis", true, "DIIS convergence acceleration (RHF; -uhf always runs DIIS after a damped start)")
 		uhf      = flag.Bool("uhf", false, "unrestricted Hartree-Fock")
 		mult     = flag.Int("multiplicity", 0, "spin multiplicity 2S+1 for -uhf (0 = lowest)")
 		charge   = flag.Int("charge", 0, "net molecular charge")
@@ -47,7 +47,7 @@ func main() {
 	if err := checkSizes(*maxIter, *block, *dynblock, *screen); err != nil {
 		log.Fatal(err)
 	}
-	if err := checkSpin(*uhf, *mult); err != nil {
+	if err := checkSpin(*uhf, *mult, *diis); err != nil {
 		log.Fatal(err)
 	}
 
@@ -169,11 +169,16 @@ func checkSizes(maxIter, block, dynblock int, screen float64) error {
 	return nil
 }
 
-// checkSpin refuses -multiplicity without -uhf: the restricted loop runs
-// a closed-shell singlet and would otherwise ignore the flag.
-func checkSpin(uhf bool, mult int) error {
-	if mult != 0 && !uhf {
+// checkSpin refuses -multiplicity without -uhf, where the restricted
+// loop runs a closed-shell singlet, and -diis=false with -uhf, where the
+// loop always hands a damped start off to DIIS: either flag would
+// otherwise be ignored.
+func checkSpin(uhf bool, mult int, diis bool) error {
+	switch {
+	case mult != 0 && !uhf:
 		return fmt.Errorf("-multiplicity %d: needs -uhf (RHF is a closed-shell singlet)", mult)
+	case uhf && !diis:
+		return fmt.Errorf("-diis=false: -uhf has no DIIS switch (it always hands a damped start off to DIIS)")
 	}
 	return nil
 }

@@ -102,22 +102,26 @@ func TestCheckSizes(t *testing.T) {
 }
 
 // -multiplicity is a -uhf flag: without -uhf the restricted loop used to
-// run a closed-shell singlet and ignore it.
+// run a closed-shell singlet and ignore it. -diis=false is an RHF flag:
+// -uhf always hands its damped start off to DIIS.
 func TestCheckSpin(t *testing.T) {
 	for _, c := range []struct {
 		uhf  bool
 		mult int
-		ok   bool
+		diis bool
+		flag string // the refused flag; "" when accepted
 	}{
-		{false, 0, true}, {true, 0, true}, {true, 3, true},
-		{false, 3, false}, {false, 1, false},
+		{false, 0, true, ""}, {true, 0, true, ""}, {true, 3, true, ""},
+		{false, 0, false, ""},
+		{false, 3, true, "-multiplicity"}, {false, 1, true, "-multiplicity"},
+		{true, 0, false, "-diis"}, {true, 3, false, "-diis"},
 	} {
-		err := checkSpin(c.uhf, c.mult)
-		if (err == nil) != c.ok {
-			t.Errorf("checkSpin(%v, %d) = %v, want ok=%v", c.uhf, c.mult, err, c.ok)
+		err := checkSpin(c.uhf, c.mult, c.diis)
+		if (err == nil) != (c.flag == "") {
+			t.Errorf("checkSpin(%v, %d, %v) = %v, want ok=%v", c.uhf, c.mult, c.diis, err, c.flag == "")
 		}
-		if err != nil && !strings.HasPrefix(err.Error(), "-multiplicity") {
-			t.Errorf("checkSpin(%v, %d) = %v, want a -multiplicity error", c.uhf, c.mult, err)
+		if err != nil && !strings.HasPrefix(err.Error(), c.flag) {
+			t.Errorf("checkSpin(%v, %d, %v) = %v, want a %s error", c.uhf, c.mult, c.diis, err, c.flag)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func BenchmarkExecuteTaskArena(b *testing.B) {
 func BenchmarkExecuteTaskSpinArena(b *testing.B) {
 	mol := WaterCluster(2, 1)
 	bs := mustBasis(b, "6-31g", mol)
-	res, err := RunUHF(mol, bs, UHFOptions{UseDIIS: true})
+	res, err := RunUHF(mol, bs, UHFOptions{})
 	if err != nil || !res.Converged {
 		b.Fatalf("RunUHF: converged %v, %v", res != nil && res.Converged, err)
 	}

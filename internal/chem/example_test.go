@@ -67,7 +67,7 @@ func ExampleRunUHF() {
 	fmt.Printf("E = %.6f hartree\n", res.Energy)
 	fmt.Printf("<S²> = %.4f\n", res.S2)
 	// Output:
-	// converged: true in 28 iterations
+	// converged: true in 15 iterations
 	// occupation: 9α / 7β
 	// E = -147.378491 hartree
 	// <S²> = 2.0127

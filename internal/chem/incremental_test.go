@@ -87,7 +87,7 @@ func recordFock(mol *Molecule, bs *BasisSet, spin spinTreatment, opts SCFOptions
 // exact build at every iteration's input density, and of
 // BuildFockBaseline at the last: what the density rule skips does not
 // add up over a run. (H2O)4 RHF stays within 2.1e-12, (H2O)2/6-31G UHF
-// within 6.8e-12.
+// within 3.4e-12.
 func TestIncrementalFockTracksExact(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -186,8 +186,11 @@ func exactFock(w *FockWorkload, h *linalg.Matrix, ds []*linalg.Matrix, baseline 
 // Stats().PrimSurviving, the counts at unit density weight. (H2O)4
 // RHF, 9 iterations from the fragment guess, keeps 0.740 of its quartets
 // and 0.684 of its primitive quartets (11 iterations, 0.808 and 0.756
-// from the core guess); (H2O)2/6-31G UHF keeps 0.902 and 0.808 from the
-// core guess. Full builds every iteration keep 1 of both; a density
+// from the core guess); (H2O)2/6-31G UHF, 16 iterations from the core
+// guess, keeps 0.922 and 0.844 (0.902 and 0.808 over the 30 iterations
+// it took damped, before the DIIS hand-off: the late builds it no longer
+// makes contracted the smallest ΔD, so the shares rose with the same
+// band widths). Full builds every iteration keep 1 of both; a density
 // weight that ignores the density keeps all quartets, and one that
 // skips too much moves the pinned energies.
 func TestIncrementalQuartetCounts(t *testing.T) {
@@ -238,7 +241,7 @@ func TestIncrementalQuartetCounts(t *testing.T) {
 		primMin, primMax   float64
 	}{
 		{"rhf/(H2O)4/sto-3g", WaterCluster(4, 7), "sto-3g", rhf, 9, 0.71, 0.77, 0.65, 0.72},
-		{"uhf/(H2O)2/6-31g", WaterCluster(2, 7), "6-31g", uhf, 30, 0.86, 0.92, 0.76, 0.83},
+		{"uhf/(H2O)2/6-31g", WaterCluster(2, 7), "6-31g", uhf, 16, 0.89, 0.95, 0.81, 0.88},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			bs := mustBasis(t, c.basis, c.mol)

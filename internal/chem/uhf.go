@@ -17,9 +17,12 @@ type UHFOptions struct {
 	ConvEnergy  float64 // default 1e-9
 	Screening   float64 // default 1e-10
 	BlockSize   int     // default 4
-	Damping     float64 // density damping in [0,1); default 0.3 without DIIS (UHF is twitchy), 0 with it
-	UseDIIS     bool    // Pulay DIIS, one subspace per spin, each on its own residual Fσ·Dσ·S − S·Dσ·Fσ
-	DIISVectors int     // subspace size (default 6)
+	// Damping is the density damping of the damped start, in [0,1)
+	// (default 0.3): UHF runs Pulay DIIS, one subspace per spin, each on
+	// its own residual Fσ·Dσ·S − S·Dσ·Fσ, and damps until that residual
+	// is small enough to hand off to it (scfLoop).
+	Damping     float64
+	DIISVectors int // subspace size (default 6)
 
 	// Builder, if non-nil, computes each iteration's J/Kα/Kβ matrices in
 	// place of the serial task loop — the hook the wall-clock backend
@@ -38,20 +41,20 @@ type UHFOptions struct {
 // previous Fock matrices.
 type UHFFockBuilder func(w *FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix)
 
-// loopOptions are the options as scfLoop reads them, with the two
-// defaults that differ from RunSCF's applied.
+// loopOptions are the options as scfLoop reads them, with DIIS on and
+// the two defaults that differ from RunSCF's applied.
 func (o UHFOptions) loopOptions() SCFOptions {
 	l := SCFOptions{
 		MaxIter: o.MaxIter, ConvDensity: o.ConvDensity, ConvEnergy: o.ConvEnergy,
 		Screening: o.Screening, BlockSize: o.BlockSize,
-		Damping: o.Damping, UseDIIS: o.UseDIIS, DIISVectors: o.DIISVectors,
+		Damping: o.Damping, UseDIIS: true, DIISVectors: o.DIISVectors,
 	}
 	if l.MaxIter == 0 {
 		l.MaxIter = 100
 	}
-	if l.Damping == 0 && !l.UseDIIS {
-		// Plain UHF iteration oscillates easily; default to damping
-		// unless DIIS is handling convergence.
+	if l.Damping == 0 {
+		// Undamped DIIS from the core guess can settle an open shell on
+		// a higher state (diisHandoff); start damped.
 		l.Damping = 0.3
 	}
 	l.setDefaults()

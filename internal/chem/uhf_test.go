@@ -113,8 +113,9 @@ func TestUHFO2HundsRule(t *testing.T) {
 	}
 }
 
-// UHF-DIIS must reach the same fixed point as damped UHF, in no more
-// iterations.
+// RunUHF's damped start handed off to DIIS must reach the same fixed
+// point as damping alone, which scfLoop still runs with DIIS off, in no
+// more iterations.
 func TestUHFDIIS(t *testing.T) {
 	const r = 1.2074 * angstrom
 	mol := &Molecule{
@@ -122,23 +123,69 @@ func TestUHFDIIS(t *testing.T) {
 		Atoms: []Atom{{Z: 8}, {Z: 8, Pos: Vec3{0, 0, r}}},
 	}
 	bs := mustBasis(t, "sto-3g", mol)
-	damped, err := RunUHF(mol, bs, UHFOptions{Multiplicity: 3, MaxIter: 200})
+	opts := UHFOptions{Multiplicity: 3, MaxIter: 200}
+	lo := opts.loopOptions()
+	lo.UseDIIS = false
+	damped, err := scfLoop(mol, bs, unrestricted(9, 7, nil), lo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diis, err := RunUHF(mol, bs, UHFOptions{Multiplicity: 3, MaxIter: 200, UseDIIS: true})
+	diis, err := RunUHF(mol, bs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !damped.Converged || !diis.Converged {
+	if !damped.converged || !diis.Converged {
 		t.Fatalf("convergence: damped=%v diis=%v (%d/%d iters)",
-			damped.Converged, diis.Converged, damped.Iterations, diis.Iterations)
+			damped.converged, diis.Converged, damped.iter, diis.Iterations)
 	}
-	if math.Abs(damped.Energy-diis.Energy) > 1e-6 {
-		t.Errorf("energies differ: %v vs %v", damped.Energy, diis.Energy)
+	if math.Abs(damped.energy-diis.Energy) > 1e-6 {
+		t.Errorf("energies differ: %v vs %v", damped.energy, diis.Energy)
 	}
-	if diis.Iterations > damped.Iterations {
-		t.Errorf("DIIS took %d iterations vs damped %d", diis.Iterations, damped.Iterations)
+	if diis.Iterations > damped.iter {
+		t.Errorf("DIIS took %d iterations vs damped %d", diis.Iterations, damped.iter)
+	}
+}
+
+// TestUHFDefaultReachesLowestState guards the damped start: with default
+// options every case converges, and where damping alone converges (all
+// but (H2O)2⁺, which it does not in 100 iterations) to the same state.
+// Extrapolating from iteration 2 instead settles water⁺/6-31G on a state
+// 0.072 hartree higher (E = −75.5085192498, ⟨S²⟩ 0.7518).
+func TestUHFDefaultReachesLowestState(t *testing.T) {
+	const r = 1.2074 * angstrom
+	o2 := &Molecule{Name: "O2", Atoms: []Atom{{Z: 8}, {Z: 8, Pos: Vec3{0, 0, r}}}}
+	cation := Water()
+	cation.Charge = 1
+	dimer := WaterCluster(2, 7)
+	dimer.Charge = 1
+	for _, tc := range []struct {
+		name   string
+		mol    *Molecule
+		basis  string
+		mult   int
+		energy float64
+		s2     float64
+	}{
+		{"water+/sto-3g", cation, "sto-3g", 0, -74.6559067222, 0.7552},
+		{"water+/6-31g", cation, "6-31g", 0, -75.5805510531, 0.7553},
+		{"waters2+/sto-3g", dimer, "sto-3g", 0, -149.6332317407, 0.7552},
+		{"o2-triplet/sto-3g", o2, "sto-3g", 3, -147.3784905236, 2.0127},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunUHF(tc.mol, mustBasis(t, tc.basis, tc.mol), UHFOptions{Multiplicity: tc.mult})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("not converged in %d iterations", res.Iterations)
+			}
+			if math.Abs(res.Energy-tc.energy) > 1e-9 {
+				t.Errorf("E = %.10f, want %.10f", res.Energy, tc.energy)
+			}
+			if math.Abs(res.S2-tc.s2) > 1e-4 {
+				t.Errorf("⟨S²⟩ = %.6f, want %.4f", res.S2, tc.s2)
+			}
+		})
 	}
 }
 

@@ -91,7 +91,7 @@ func recordDeltas(t *testing.T, mol *chem.Molecule, bs *chem.BasisSet, threshold
 	}
 	ion := *mol
 	ion.Charge = uhfCharge
-	ures, err := chem.RunUHF(&ion, bs, chem.UHFOptions{UseDIIS: true, Screening: threshold,
+	ures, err := chem.RunUHF(&ion, bs, chem.UHFOptions{Screening: threshold,
 		Builder: func(w *chem.FockWorkload, dTot, dA, dB *linalg.Matrix) (j, kA, kB *linalg.Matrix) {
 			uhf = append(uhf, spinDelta{dTot.Clone(), dA.Clone(), dB.Clone()})
 			return serialSpinJK(w, dTot, dA, dB)
