@@ -14,29 +14,28 @@ test:
 race:
 	go test -race ./...
 
-# Repo-specific static analysis, all seven checks: the syntactic
-# guardedby and floateq, and the interprocedural clocktaint, maporder,
-# lockset, goleak and ctxcancel (see internal/lint,
-# internal/lint/dataflow and cmd/execlint). -stale-suppressions also
-# fails the run on any //lint:ignore directive that no longer
-# suppresses anything.
+# Repo-specific static analysis, all five checks: the syntactic
+# guardedby and floateq, and the interprocedural maporder, goleak and
+# ctxcancel (see internal/lint, internal/lint/dataflow and
+# cmd/execlint). -stale-suppressions also fails the run on any
+# //lint:ignore directive that no longer suppresses anything.
 lint:
 	go run ./cmd/execlint -stale-suppressions ./...
 
 # The linter's own determinism: diagnostics must be sorted, never
-# map-ordered, so two consecutive runs are byte-identical — for the full
-# suite and for every analyzer selected explicitly by name (their
-# call-graph walks must not leak map order either).
-# `|| true` keeps a findings-bearing tree comparable; lint-determinism
-# checks stability, `lint` checks cleanliness.
+# map-ordered, so two consecutive runs are byte-identical. The binary is
+# built once because `go run` reports execlint's exit status 2 as 1.
+# Status 1 (findings) keeps a findings-bearing tree comparable; status 2
+# (usage or load error) fails, since two empty outputs would diff equal.
+# lint-determinism checks stability, `lint` checks cleanliness.
 lint-determinism:
-	go run ./cmd/execlint -json ./... > execlint_run1.json || true
-	go run ./cmd/execlint -json ./... > execlint_run2.json || true
+	go build -o execlint ./cmd/execlint
+	for run in 1 2; do \
+		status=0; ./execlint -json ./... > execlint_run$$run.json || status=$$?; \
+		if [ $$status -gt 1 ]; then echo "execlint exited $$status" >&2; exit 1; fi; \
+	done
 	diff execlint_run1.json execlint_run2.json
-	go run ./cmd/execlint -json -analyzer guardedby,floateq,clocktaint,maporder,lockset,goleak,ctxcancel ./... > execlint_run1.json || true
-	go run ./cmd/execlint -json -analyzer guardedby,floateq,clocktaint,maporder,lockset,goleak,ctxcancel ./... > execlint_run2.json || true
-	diff execlint_run1.json execlint_run2.json
-	rm -f execlint_run1.json execlint_run2.json
+	rm -f execlint execlint_run1.json execlint_run2.json
 
 # Fuzz the execlint directive parser: arbitrary comment text must never
 # panic the linter.

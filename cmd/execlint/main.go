@@ -1,9 +1,9 @@
 // Command execlint runs the repository's static-analysis suite: the
 // syntactic guardedby and floateq checks and the interprocedural
-// clocktaint, maporder, lockset, goleak (every go statement needs a
-// completion edge) and ctxcancel (blocking operations on HTTP request
-// paths select on ctx.Done() or a deadline) checks built on the
-// internal/lint/dataflow summary engine. See internal/lint.
+// maporder, goleak (every go statement needs a completion edge) and
+// ctxcancel (blocking operations on HTTP request paths select on
+// ctx.Done() or a deadline) checks built on the internal/lint/dataflow
+// summary engine. See internal/lint.
 //
 // Usage:
 //
@@ -19,9 +19,9 @@
 //	2  usage error, unknown analyzer name, or package load failure
 //
 // With -json each finding is one NDJSON line (check, position, message,
-// and the source→call-chain→sink taint path for interprocedural
-// findings), ordered deterministically — two runs over the same tree are
-// byte-identical. Per-line suppression, reason mandatory:
+// and the call chain for interprocedural findings), ordered
+// deterministically — two runs over the same tree are byte-identical.
+// Per-line suppression, reason mandatory:
 //
 //	//lint:ignore <check> <reason>
 //
@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -45,12 +46,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("execlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit one NDJSON finding per line (check, position, message, taint path)")
+	jsonOut := fs.Bool("json", false, "emit one NDJSON finding per line (check, position, message, call chain)")
 	analyzer := fs.String("analyzer", "", "comma-separated subset of analyzers to run (default: all; see -list)")
-	checks := fs.String("checks", "", "alias for -analyzer (kept for compatibility)")
 	list := fs.Bool("list", false, "list available analyzers and exit")
 	stale := fs.Bool("stale-suppressions", false, "also report //lint:ignore directives that no longer suppress any finding")
 	fs.Usage = func() {
@@ -69,11 +69,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		return 0
 	}
-	selection := *analyzer
-	if selection == "" {
-		selection = *checks
-	}
-	if selection != "" {
+	if *analyzer != "" {
 		// Validate every requested name up front (the way benchsuite
 		// validates -exp IDs): report all unknown names at once with the
 		// valid vocabulary, rather than failing on the first.
@@ -86,7 +82,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		sort.Strings(valid)
 		var picked []lint.Analyzer
 		var unknown []string
-		for _, name := range strings.Split(selection, ",") {
+		for _, name := range strings.Split(*analyzer, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue

@@ -33,8 +33,8 @@ type Result struct {
 	// the assignment — the partitioner cost experiment (T4) compares this
 	// between semi-matching and hypergraph partitioning. It is the one
 	// nondeterministic quantity in a Result and deliberately never enters
-	// the registry or any obs export.
-	ScheduleCost float64
+	// the registry or any obs export: its WallSeconds type keeps it out.
+	ScheduleCost WallSeconds
 
 	// Runtime overheads, simulated.
 	CounterOps   int64

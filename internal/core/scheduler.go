@@ -122,7 +122,7 @@ type Plan struct {
 	// PlanCost is the real (wall-clock) time in seconds spent computing
 	// the plan — the partitioner-cost quantity experiment T4 compares.
 	// Zero for the cheap policies.
-	PlanCost float64
+	PlanCost WallSeconds
 }
 
 // Scheduler is the single interface every balancing policy implements:

@@ -19,7 +19,7 @@ func blockOwner(b, ranks int) int { return b % ranks }
 // by task index — the measurement side of the persistence/feedback loop.
 // Each call describes one fresh iteration starting at virtual time zero,
 // so callers iterating must Reset the machine trace between calls.
-func runAssignment(model string, w *Workload, m *cluster.Machine, assign []int, scheduleCost float64, measured []float64) *Result {
+func runAssignment(model string, w *Workload, m *cluster.Machine, assign []int, scheduleCost WallSeconds, measured []float64) *Result {
 	res := newResult(model, m.P)
 	res.ScheduleCost = scheduleCost
 	seen := make([]map[int]bool, m.P)

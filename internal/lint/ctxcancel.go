@@ -184,13 +184,13 @@ func classifySelects(pkg *dataflow.Pkg, body ast.Node) (commOps map[ast.Node]boo
 			case *ast.SendStmt:
 				commOps[stmt] = true
 			case *ast.ExprStmt:
-				if ue, isRecv := unparenExpr(stmt.X).(*ast.UnaryExpr); isRecv && ue.Op == token.ARROW {
+				if ue, isRecv := ast.Unparen(stmt.X).(*ast.UnaryExpr); isRecv && ue.Op == token.ARROW {
 					commOps[ue] = true
 					recvSrc = ue.X
 				}
 			case *ast.AssignStmt:
 				if len(stmt.Rhs) == 1 {
-					if ue, isRecv := unparenExpr(stmt.Rhs[0]).(*ast.UnaryExpr); isRecv && ue.Op == token.ARROW {
+					if ue, isRecv := ast.Unparen(stmt.Rhs[0]).(*ast.UnaryExpr); isRecv && ue.Op == token.ARROW {
 						commOps[ue] = true
 						recvSrc = ue.X
 					}
@@ -212,11 +212,11 @@ func classifySelects(pkg *dataflow.Pkg, body ast.Node) (commOps map[ast.Node]boo
 // channel: ctx.Done() for any context.Context-shaped ctx (including
 // r.Context().Done()).
 func isCancelWait(pkg *dataflow.Pkg, src ast.Expr) bool {
-	call, ok := unparenExpr(src).(*ast.CallExpr)
+	call, ok := ast.Unparen(src).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -230,9 +230,9 @@ func isCancelWait(pkg *dataflow.Pkg, src ast.Expr) bool {
 // isDeadlineSource reports whether a receive source bounds the wait in
 // time: time.After(d), or the C channel of a time.Timer/Ticker.
 func isDeadlineSource(pkg *dataflow.Pkg, src ast.Expr) bool {
-	switch x := unparenExpr(src).(type) {
+	switch x := ast.Unparen(src).(type) {
 	case *ast.CallExpr:
-		sel, ok := unparenExpr(x.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return false
 		}

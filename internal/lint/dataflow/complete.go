@@ -53,7 +53,7 @@ func (e *Engine) Completions() map[string][]Completion {
 		changed := false
 		for _, id := range e.ids {
 			f := e.funcs[id]
-			params, _, _ := paramObjects(f.Pkg, f.Decl)
+			params := ParamsOf(f.Pkg, f.Decl)
 			var next []Completion
 			seen := map[string]bool{}
 			for _, sc := range e.BodyCompletions(f.Pkg, params, f.Decl.Body, sums) {
@@ -79,14 +79,6 @@ func (e *Engine) Completions() map[string][]Completion {
 		}
 	}
 	return sums
-}
-
-// ParamsOf exposes the parameter-object map for a declaration so
-// analyzers can call BodyCompletions on sub-bodies (goroutine literals)
-// of a function.
-func ParamsOf(pkg *Pkg, fd *ast.FuncDecl) map[types.Object]int {
-	params, _, _ := paramObjects(pkg, fd)
-	return params
 }
 
 // BodyCompletions returns the completion edges of one statement subtree,
@@ -134,7 +126,7 @@ func (e *Engine) BodyCompletions(pkg *Pkg, params map[types.Object]int, body ast
 // callCompletions classifies one call: close(ch), wg.Done(), or a call
 // into a summarized function whose edges re-root at the arguments.
 func (e *Engine) callCompletions(pkg *Pkg, params map[types.Object]int, call *ast.CallExpr, sums map[string][]Completion, add func(token.Position, CompletionKind, string, ast.Expr)) {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
 		if obj := pkg.Info.Uses[id]; obj != nil {
 			if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
 				add(pkg.Fset.Position(call.Pos()), CompleteClose, "closes "+exprString(call.Args[0]), call.Args[0])

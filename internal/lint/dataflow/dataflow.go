@@ -1,32 +1,29 @@
 // Package dataflow is the function-summary-based interprocedural engine
-// under execlint's clocktaint, maporder and lockset analyzers. It is
-// built purely on go/ast + go/types (no x/tools dependency): the loader
-// hands it parsed, type-checked packages; the engine indexes every
-// function declaration under a stable symbolic ID, resolves static call
-// edges through type information, and computes per-function transfer
-// summaries by a bottom-up fixpoint over the call graph:
+// under execlint's maporder, goleak and ctxcancel analyzers. It is built
+// purely on go/ast + go/types (no x/tools dependency): the loader hands
+// it parsed, type-checked packages; the engine indexes every function
+// declaration under a stable symbolic ID, resolves static call edges
+// through type information, and computes per-function summaries by a
+// bottom-up fixpoint over the call graph:
 //
-//   - taint summaries (taint.go): which results a function taints
-//     unconditionally (it launders a source), which parameters flow into
-//     which results, and which parameters reach a sink inside the
-//     function — with a rendered source→call-chain→sink path on every
-//     fact, so a diagnostic can show *how* a wall-clock value reached a
-//     Result field three helpers away;
 //   - order-effect summaries (effects.go): whether calling a function
 //     from inside a map iteration makes the iteration order observable
 //     (it appends to caller-visible slices, writes an io.Writer, or
-//     charges the metric registry).
+//     charges the metric registry), with a rendered call chain on every
+//     effect;
+//   - completion summaries (complete.go): which goroutine-completion
+//     edges (wg.Done, channel close/send/receive) a function performs,
+//     re-rooted at its caller's arguments.
 //
-// The fixpoint is monotone over finite lattices (sets of parameter and
-// result indices), so it terminates on any call graph including
+// The fixpoint is monotone over finite lattices (sets of effect and
+// completion sites), so it terminates on any call graph including
 // recursive and mutually recursive ones; iteration order is the sorted
 // function-ID order, making summaries — and therefore every rendered
 // path — deterministic.
 //
 // Known, deliberate precision limits: calls through function values and
-// interface methods are treated as opaque (taint propagates
-// conservatively from arguments to results but does not enter the
-// callee), and function literals are analyzed as part of their enclosing
+// interface methods are treated as opaque (the callee is not entered),
+// and function literals are analyzed as part of their enclosing
 // function (sharing its environment) rather than as separate frames.
 package dataflow
 
@@ -55,9 +52,8 @@ type Step struct {
 	Desc string
 }
 
-// Path is a source-first chain of steps: the first step names the
-// source, the last the sink (or the current frontier while a fact is
-// still being propagated).
+// Path is a root-first chain of steps: the first step names where the
+// walk started (a handler, a call site), the last the offending site.
 type Path []Step
 
 // String renders the path as "desc (file:line) -> desc (file:line)".
@@ -76,7 +72,7 @@ func (p Path) String() string {
 }
 
 // maxPathSteps caps rendered paths. When a chain exceeds the cap the
-// middle hop is dropped, keeping the source end and the sink frontier —
+// middle hop is dropped, keeping the root end and the offending site —
 // the two ends are what a human needs to triage.
 const maxPathSteps = 16
 
@@ -110,12 +106,6 @@ type Func struct {
 	Pkg  *Pkg
 	Decl *ast.FuncDecl
 	Obj  *types.Func // nil when type checking failed for the declaration
-
-	// Source is set when the declaration carries a //lint:source
-	// annotation in its doc comment: its results are treated as tainted
-	// at every call site.
-	Source     bool
-	SourceDesc string
 }
 
 // name returns the function's display name ("pkg.Fn" or "pkg.(T).M"),
@@ -133,19 +123,16 @@ func (f *Func) name() string {
 	return short + "." + f.Decl.Name.Name
 }
 
-// Engine holds the indexed program and caches summaries.
+// Engine holds the indexed program.
 type Engine struct {
-	pkgs  []*Pkg
 	funcs map[string]*Func
 	ids   []string // sorted, the deterministic iteration order
-
-	flows map[string]map[int]map[int]bool // ParamFlows cache
 }
 
 // New indexes the given packages. Packages with partial type information
 // are accepted; unresolved calls degrade to conservative propagation.
 func New(pkgs []*Pkg) *Engine {
-	e := &Engine{pkgs: pkgs, funcs: map[string]*Func{}}
+	e := &Engine{funcs: map[string]*Func{}}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -164,9 +151,7 @@ func New(pkgs []*Pkg) *Engine {
 				if id == "" {
 					id = pkg.Path + "." + astFuncID(fd)
 				}
-				f := &Func{ID: id, Pkg: pkg, Decl: fd, Obj: obj}
-				f.Source, f.SourceDesc = sourceAnnotation(fd, f)
-				e.funcs[id] = f
+				e.funcs[id] = &Func{ID: id, Pkg: pkg, Decl: fd, Obj: obj}
 			}
 		}
 	}
@@ -245,21 +230,6 @@ func recvTypeName(expr ast.Expr) string {
 	return ""
 }
 
-// sourceAnnotation reports whether the declaration's doc comment carries
-// a //lint:source directive.
-func sourceAnnotation(fd *ast.FuncDecl, f *Func) (bool, string) {
-	if fd.Doc == nil {
-		return false, ""
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == "//lint:source" || strings.HasPrefix(text, "//lint:source ") {
-			return true, f.name() + " (annotated //lint:source)"
-		}
-	}
-	return false, ""
-}
-
 // Callee statically resolves the callee of call. obj is the resolved
 // function or method (nil for function values, interface dynamic
 // dispatch with no type info, conversions and builtins); fn is the
@@ -269,7 +239,7 @@ func (e *Engine) Callee(pkg *Pkg, call *ast.CallExpr) (obj *types.Func, fn *Func
 	if pkg.Info == nil {
 		return nil, nil, nil
 	}
-	switch f := unparen(call.Fun).(type) {
+	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj, _ = pkg.Info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
@@ -288,24 +258,13 @@ func (e *Engine) Callee(pkg *Pkg, call *ast.CallExpr) (obj *types.Func, fn *Func
 	return obj, fn, recv
 }
 
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// paramObjects maps each parameter (and receiver) object of fn to its
-// index. It also returns the named-result objects keyed to result
-// indices.
-func paramObjects(pkg *Pkg, fd *ast.FuncDecl) (params map[types.Object]int, results map[types.Object]int, nResults int) {
-	params = map[types.Object]int{}
-	results = map[types.Object]int{}
+// ParamsOf maps each parameter (and receiver) object of a declaration
+// to its index, so analyzers can call BodyCompletions on sub-bodies
+// (goroutine literals) of a function.
+func ParamsOf(pkg *Pkg, fd *ast.FuncDecl) map[types.Object]int {
+	params := map[types.Object]int{}
 	if pkg.Info == nil {
-		return params, results, 0
+		return params
 	}
 	def := func(id *ast.Ident) types.Object {
 		if id == nil || id.Name == "_" {
@@ -331,23 +290,7 @@ func paramObjects(pkg *Pkg, fd *ast.FuncDecl) (params map[types.Object]int, resu
 			i++
 		}
 	}
-	if fd.Type.Results != nil {
-		j := 0
-		for _, field := range fd.Type.Results.List {
-			if len(field.Names) == 0 {
-				j++
-				continue
-			}
-			for _, name := range field.Names {
-				if obj := def(name); obj != nil {
-					results[obj] = j
-				}
-				j++
-			}
-		}
-		nResults = j
-	}
-	return params, results, nResults
+	return params
 }
 
 // rootOf walks an expression to the base identifier carrying its state

@@ -30,17 +30,10 @@ func loadSrc(t *testing.T, src string) *Pkg {
 	return &Pkg{Path: "p", Fset: fset, Files: []*ast.File{file}, Info: info}
 }
 
+// recursiveSrc has a self-recursive function and a mutually recursive
+// pair, the call-graph shapes on which IDs must still be stable.
 const recursiveSrc = `package p
 
-//lint:source synthetic entropy
-func entropy() float64 { return 1 }
-
-func passthru(x float64) float64 { return x }
-
-func launder(x float64) float64 { return passthru(x) }
-
-// descend recurses; its second parameter flows to its result both
-// directly (base case) and through the recursive call.
 func descend(n int, acc float64) float64 {
 	if n == 0 {
 		return acc
@@ -48,8 +41,6 @@ func descend(n int, acc float64) float64 {
 	return descend(n-1, acc)
 }
 
-// even/odd are mutually recursive with no parameter-to-result flow —
-// every return path ends in a constant.
 func even(n int) bool {
 	if n == 0 {
 		return true
@@ -63,100 +54,7 @@ func odd(n int) bool {
 	}
 	return even(n - 1)
 }
-
-type Res struct{ V float64 }
-
-func store(r *Res) {
-	r.V = descend(3, launder(entropy()))
-}
-
-func storeClean(r *Res) {
-	r.V = descend(3, 1.5)
-}
 `
-
-func TestParamFlowsOnRecursion(t *testing.T) {
-	eng := New([]*Pkg{loadSrc(t, recursiveSrc)})
-	flows := eng.ParamFlows()
-
-	if !flows["p.descend"][1][0] {
-		t.Errorf("descend: acc (param 1) should flow to result 0; got %v", flows["p.descend"])
-	}
-	if len(flows["p.descend"][0]) != 0 {
-		t.Errorf("descend: n (param 0) should not flow to the result; got %v", flows["p.descend"][0])
-	}
-	if !flows["p.launder"][0][0] {
-		t.Errorf("launder: param 0 should flow to result 0 through passthru; got %v", flows["p.launder"])
-	}
-	// The mutually recursive pair must terminate with empty flows: every
-	// return path bottoms out in a constant.
-	for _, id := range []string{"p.even", "p.odd"} {
-		for p, rs := range flows[id] {
-			if len(rs) > 0 {
-				t.Errorf("%s: unexpected flow from param %d: %v", id, p, rs)
-			}
-		}
-	}
-}
-
-func TestTaintThroughRecursiveChain(t *testing.T) {
-	eng := New([]*Pkg{loadSrc(t, recursiveSrc)})
-	spec := TaintSpec{
-		SinkStore: func(pkg *Pkg, lhs ast.Expr) (string, bool) {
-			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "V" {
-				return "", false
-			}
-			return "Res.V", true
-		},
-	}
-	findings := eng.Taint(spec)
-	if len(findings) != 1 {
-		t.Fatalf("got %d findings, want 1 (store, not storeClean): %+v", len(findings), findings)
-	}
-	f := findings[0]
-	if f.Sink != "Res.V" {
-		t.Errorf("sink = %q, want Res.V", f.Sink)
-	}
-	rendered := f.Path.String()
-	for _, sub := range []string{"//lint:source", "p.launder", "p.descend", "stored to Res.V"} {
-		if !strings.Contains(rendered, sub) {
-			t.Errorf("path missing %q: %s", sub, rendered)
-		}
-	}
-	// Source first, sink last.
-	if !strings.HasPrefix(f.Path[0].Desc, "p.entropy") {
-		t.Errorf("path should start at the source, got %q", f.Path[0].Desc)
-	}
-	if got := f.Path[len(f.Path)-1].Desc; got != "stored to Res.V" {
-		t.Errorf("path should end at the sink, got %q", got)
-	}
-}
-
-func TestTaintDeterministicAcrossRuns(t *testing.T) {
-	render := func() string {
-		eng := New([]*Pkg{loadSrc(t, recursiveSrc)})
-		spec := TaintSpec{
-			SinkStore: func(pkg *Pkg, lhs ast.Expr) (string, bool) {
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "V" {
-					return "Res.V", true
-				}
-				return "", false
-			},
-		}
-		var b strings.Builder
-		for _, f := range eng.Taint(spec) {
-			b.WriteString(f.Pos.String() + " " + f.Sink + " " + f.Path.String() + "\n")
-		}
-		return b.String()
-	}
-	first := render()
-	for i := 0; i < 5; i++ {
-		if got := render(); got != first {
-			t.Fatalf("run %d differs:\n%s\nvs\n%s", i, got, first)
-		}
-	}
-}
 
 const effectSrc = `package p
 

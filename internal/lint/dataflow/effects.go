@@ -76,7 +76,7 @@ func effectKey(ef Effect) string {
 // analyzeEffects collects one function's caller-visible effects given
 // current callee summaries.
 func (e *Engine) analyzeEffects(f *Func, spec EffectSpec, sums map[string][]Effect) []Effect {
-	params, _, _ := paramObjects(f.Pkg, f.Decl)
+	params := ParamsOf(f.Pkg, f.Decl)
 	var out []Effect
 	seen := map[string]bool{}
 	add := func(ef Effect) {
@@ -86,7 +86,7 @@ func (e *Engine) analyzeEffects(f *Func, spec EffectSpec, sums map[string][]Effe
 			out = append(out, ef)
 		}
 	}
-	for _, ef := range e.directEffects(f.Pkg, params, f.Decl.Body, spec, sums, nil) {
+	for _, ef := range e.directEffects(f.Pkg, params, f.Decl.Body, spec, sums) {
 		if ef.Root != localRoot {
 			add(ef)
 		}
@@ -102,7 +102,7 @@ func (e *Engine) analyzeEffects(f *Func, spec EffectSpec, sums map[string][]Effe
 // whether a local outlives the loop. summaries may be nil for purely
 // syntactic use.
 func (e *Engine) DirectEffects(pkg *Pkg, fd *ast.FuncDecl, body ast.Node, spec EffectSpec, summaries map[string][]Effect) []SiteEffect {
-	params, _, _ := paramObjects(pkg, fd)
+	params := ParamsOf(pkg, fd)
 	var out []SiteEffect
 	e.directEffectsInto(pkg, params, body, spec, summaries, &out)
 	return out
@@ -115,7 +115,7 @@ type SiteEffect struct {
 	RootObj types.Object
 }
 
-func (e *Engine) directEffects(pkg *Pkg, params map[types.Object]int, body ast.Node, spec EffectSpec, sums map[string][]Effect, _ []Effect) []Effect {
+func (e *Engine) directEffects(pkg *Pkg, params map[types.Object]int, body ast.Node, spec EffectSpec, sums map[string][]Effect) []Effect {
 	var sites []SiteEffect
 	e.directEffectsInto(pkg, params, body, spec, sums, &sites)
 	out := make([]Effect, 0, len(sites))
@@ -135,7 +135,7 @@ func (e *Engine) directEffectsInto(pkg *Pkg, params map[types.Object]int, body a
 		case *ast.AssignStmt:
 			// x = append(x, ...) and other append-shaped stores.
 			for i, rhs := range s.Rhs {
-				call, ok := unparen(rhs).(*ast.CallExpr)
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 				if !ok || !isBuiltinAppend(pkg, call) || i >= len(s.Lhs) {
 					continue
 				}
@@ -262,7 +262,7 @@ func (e *Engine) callEffects(pkg *Pkg, params map[types.Object]int, call *ast.Ca
 
 // isBuiltinAppend reports whether the call is the append builtin.
 func isBuiltinAppend(pkg *Pkg, call *ast.CallExpr) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
 	}
@@ -274,11 +274,6 @@ func isBuiltinAppend(pkg *Pkg, call *ast.CallExpr) bool {
 	}
 	return true
 }
-
-// WriterParam returns the index of the first parameter whose type is an
-// interface with a Write method — how analyzers recognize exporter-shaped
-// functions.
-func WriterParam(fn *types.Func) (int, bool) { return writerParam(fn) }
 
 // writerParam returns the index of the first parameter whose type is an
 // interface with a Write method (io.Writer and friends).
@@ -348,6 +343,20 @@ func exprString(e ast.Expr) string {
 		return exprString(x.Fun) + "(...)"
 	}
 	return "expr"
+}
+
+// callDesc renders a call's callee for diagnostics.
+func callDesc(call *ast.CallExpr) string {
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return f.Name
+	case *ast.SelectorExpr:
+		if id, ok := f.X.(*ast.Ident); ok {
+			return id.Name + "." + f.Sel.Name
+		}
+		return f.Sel.Name
+	}
+	return "call"
 }
 
 // IsLocalRoot reports whether a root index means function-local state.

@@ -92,7 +92,7 @@ func (g *Goleak) checkGo(eng *dataflow.Engine, pkg *dataflow.Pkg, fd *ast.FuncDe
 	}
 
 	var comps []dataflow.SiteCompletion
-	if lit, ok := unparenExpr(gs.Call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		comps = eng.BodyCompletions(pkg, params, lit.Body, sums)
 	} else {
 		obj, callee, _ := eng.Callee(pkg, gs.Call)
@@ -160,7 +160,7 @@ func addBefore(pkg *dataflow.Pkg, fd *ast.FuncDecl, obj types.Object, pos token.
 		if !ok || call.Pos() >= pos {
 			return true
 		}
-		sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}

@@ -1,8 +1,9 @@
 // Package lint implements execlint, the repository's static-analysis
-// suite. Each of its seven analyzers is the only gate that catches its
-// bug class: go vet, the -race runs, the AllocsPerRun gates and the
-// determinism and golden tests catch the rest (DESIGN.md keeps the
-// seeded-bug matrix that decided which analyzers stay).
+// suite. Each of its five analyzers is the only gate that catches its
+// bug class: go vet, the -race runs, the AllocsPerRun gates, the
+// determinism and golden tests and the compiler (wall time is typed
+// core.WallSeconds) catch the rest (DESIGN.md keeps the seeded-bug
+// matrix that decided which analyzers stay).
 //
 // Two checks are syntactic:
 //
@@ -11,19 +12,13 @@
 //   - floateq: energies and matrix elements in the chemistry and linear
 //     algebra kernels must be compared with tolerances, never ==/!=.
 //
-// Five are interprocedural, built on the function-summary dataflow
+// Three are interprocedural, built on the function-summary dataflow
 // engine in the dataflow sub-package:
 //
-//   - clocktaint: wall-clock / global-rand values traced through helper
-//     calls must not reach Result fields, obs registry charges or
-//     exporters;
 //   - maporder: a range over a map whose body (directly or via calls)
 //     appends to an outliving slice, writes an io.Writer, charges the
 //     registry, or accumulates a float, makes map iteration order
 //     observable and breaks byte-identical output;
-//   - lockset: references to "// guarded by" fields must not escape
-//     their critical section (return, global store, channel send,
-//     goroutine capture);
 //   - goleak: every go statement in the executor and serving packages
 //     must have a statically visible completion edge (wg.Add/Done
 //     pairing, channel close/send/receive, or context cancellation) so
@@ -57,7 +52,7 @@ type Finding struct {
 	Check   string // analyzer name, e.g. "floateq"
 	Message string
 
-	// Path is the rendered dataflow chain (source → call chain → sink)
+	// Path is the rendered call chain (root → calls → offending site)
 	// for findings from the interprocedural analyzers; nil for the
 	// syntactic checks. The driver and -json output surface it so a
 	// multi-hop flow can be triaged without re-deriving the call chain.
@@ -89,9 +84,7 @@ func All() []Analyzer {
 	return []Analyzer{
 		NewGuardedBy(),
 		NewFloatEq(),
-		NewClockTaint(),
 		NewMapOrder(),
-		NewLockset(),
 		NewGoleak(),
 		NewCtxCancel(),
 	}

@@ -238,9 +238,11 @@ func (l *Loader) check(importPath string, files []*ast.File) (*types.Info, []err
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	// The returned error duplicates the last collected one; Check still
-	// fills info for everything it managed to resolve.
+	// fills info for everything it managed to resolve. A package already
+	// imported keeps its cached copy: replacing it would give later
+	// importers two distinct types for one declaration.
 	pkg, _ := conf.Check(importPath, l.Fset, files, info)
-	if pkg != nil && !l.building[importPath] {
+	if _, cached := l.cache[importPath]; pkg != nil && !cached && !l.building[importPath] {
 		l.cache[importPath] = pkg
 	}
 	return info, errs

@@ -9,7 +9,7 @@ import (
 // A ProgramAnalyzer is an analyzer that needs the whole loaded program at
 // once — the interprocedural checks built on internal/lint/dataflow
 // compute call-graph-wide function summaries, so running them one package
-// at a time would miss taint laundered through helpers in another
+// at a time would miss effects reached through helpers in another
 // package. The driver calls RunProgram exactly once with every loaded
 // package; Run (from Analyzer) remains usable on a single package, which
 // is how fixture tests exercise these analyzers.
@@ -58,18 +58,4 @@ func isRegistryCharge(fn *types.Func) bool {
 		return false
 	}
 	return named.Obj().Pkg() != nil && hasSuffixPath(named.Obj().Pkg().Path(), "internal/obs")
-}
-
-// simPackages is the default scope of the interprocedural checks: every
-// package whose state feeds the deterministic, byte-identical outputs.
-func simPackages() []string {
-	return []string{
-		"internal/core",
-		"internal/deque",
-		"internal/hypergraph",
-		"internal/semimatching",
-		"internal/obs",
-		"internal/cluster",
-		"internal/bench",
-	}
 }

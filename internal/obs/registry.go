@@ -8,7 +8,8 @@
 // Everything in this package is fed from the executors' virtual clocks,
 // so every exported artifact is a pure function of (workload, machine,
 // seed) — two runs of the same configuration produce byte-identical
-// dumps. Real wall-clock quantities (Result.ScheduleCost) deliberately
+// dumps. Real wall-clock quantities (Result.ScheduleCost) are typed
+// core.WallSeconds, which the float64 charges here do not accept, so they
 // never enter the registry.
 package obs
 
