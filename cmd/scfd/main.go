@@ -1,18 +1,27 @@
 // Command scfd is the multi-tenant SCF job server: an HTTP daemon that
 // admits JSON job specs, schedules them through a per-tenant weighted
 // fair queue onto a bounded worker pool running the wall-clock Fock
-// backend, checkpoints every committed iteration into a spool directory,
-// and — killed or gracefully drained — resumes incomplete jobs from that
-// spool on the next start.
+// backend, checkpoints running jobs into a spool directory, and — killed
+// or gracefully drained — resumes incomplete jobs from that spool on the
+// next start.
+//
+// A job checkpoints once the SCF time since its last durable write
+// reaches about ten measured spool writes, so checkpoints cost about a
+// tenth of its run time and short jobs write none: their spec (fsynced
+// at admission) and their result are all they put on disk. A kill -9
+// loses at most one iteration plus that much work per running job. Files
+// are fsynced but their directory is not, so power loss may lose a
+// renamed file. A job is reported done just before its result.json is
+// on disk; a crash in between re-runs it.
 //
 // Usage:
 //
 //	scfd -addr :8080 -spool ./spool -workers 4
 //	scfd -spool ./spool -weights acme=3,guest=1 -max-depth 256
 //
-// SIGINT/SIGTERM triggers a graceful drain: running jobs stop at their
-// next iteration boundary (checkpoint already on disk), queued jobs stay
-// in the spool, and the process exits cleanly.
+// SIGINT/SIGTERM triggers a graceful drain: running jobs checkpoint at
+// their next iteration boundary, whatever the pacing says, and stop;
+// queued jobs stay in the spool, and the process exits cleanly.
 package main
 
 import (
@@ -45,7 +54,6 @@ func main() {
 		maxDepth    = flag.Int("max-depth", 512, "admission bound on queued jobs (-1 disables)")
 		maxFlops    = flag.Float64("max-queued-flops", 1e9, "admission bound on queued work, NBF^4 units (-1 disables)")
 		weightSpec  = flag.String("weights", "", "tenant fair-share weights, e.g. acme=3,guest=1")
-		ckptEvery   = flag.Int("checkpoint-every", 1, "checkpoint every k-th SCF iteration")
 		maxIter     = flag.Int("default-max-iter", 100, "SCF iteration cap for specs that leave maxIter unset")
 	)
 	flag.Parse()
@@ -55,17 +63,16 @@ func main() {
 		log.Fatalf("scfd: %v", err)
 	}
 	s, err := serve.New(serve.Config{
-		Workers:         *workers,
-		Sched:           *sched,
-		FockWorkers:     *fockWorkers,
-		DynBlock:        *dynBlock,
-		Seed:            *seed,
-		SpoolDir:        *spool,
-		MaxDepth:        *maxDepth,
-		MaxQueuedFlops:  *maxFlops,
-		TenantWeights:   weights,
-		CheckpointEvery: *ckptEvery,
-		DefaultMaxIter:  *maxIter,
+		Workers:        *workers,
+		Sched:          *sched,
+		FockWorkers:    *fockWorkers,
+		DynBlock:       *dynBlock,
+		Seed:           *seed,
+		SpoolDir:       *spool,
+		MaxDepth:       *maxDepth,
+		MaxQueuedFlops: *maxFlops,
+		TenantWeights:  weights,
+		DefaultMaxIter: *maxIter,
 	})
 	if err != nil {
 		log.Fatalf("scfd: %v", err)
@@ -86,7 +93,7 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	log.Printf("scfd: draining (running jobs stop at the next checkpointed iteration)")
+	log.Printf("scfd: draining (running jobs checkpoint and stop at the next iteration)")
 	s.Drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

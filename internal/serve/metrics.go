@@ -19,6 +19,7 @@ const (
 	CJobsRejected  = "serve_jobs_rejected_total"
 	CJobsResumed   = "serve_jobs_resumed_total"
 	CIterations    = "serve_scf_iterations_total"
+	CCheckpoints   = "serve_checkpoints_total"
 	GFlopsServed   = "serve_flops_served"
 	HJobLatency    = "serve_job_latency_seconds"
 	HQueueWait     = "serve_queue_wait_seconds"

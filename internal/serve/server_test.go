@@ -8,7 +8,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -255,12 +257,85 @@ func TestServerMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	// A water job may or may not outlast ten spool writes per iteration,
+	// so the count is bounded, not pinned.
+	iters := metricValue(t, body, `execmodels_serve_scf_iterations_total{tenant="alice",rank="0"}`)
+	ckpts := metricValue(t, body, `execmodels_serve_checkpoints_total{tenant="alice",rank="0"}`)
+	if iters < 1 || ckpts < 0 || ckpts > iters {
+		t.Errorf("%v checkpoints over %v iterations", ckpts, iters)
+	}
 	if !strings.HasSuffix(body, "# EOF\n") {
 		t.Errorf("metrics not terminated with # EOF")
 	}
 	if n := strings.Count(body, "# EOF"); n != 1 {
 		t.Errorf("metrics has %d EOF terminators, want 1", n)
 	}
+}
+
+// metricValue returns the value of the exposition line that starts with
+// series.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metrics missing %s", series)
+	return 0
+}
+
+// The checkpoint rule on injected durations, with one spool write
+// costing 100 µs.
+func TestCheckpointDue(t *testing.T) {
+	const write = 100 * time.Microsecond
+	for _, tc := range []struct {
+		name            string
+		work, writeCost time.Duration
+		draining        bool
+		want            bool
+	}{
+		{"unknown write cost", time.Microsecond, 0, false, true},
+		{"fast job", 50 * time.Microsecond, write, false, false},
+		{"just short of the ratio", ckptWorkRatio*write - 1, write, false, false},
+		{"at the ratio", ckptWorkRatio * write, write, false, true},
+		{"slow job", time.Second, write, false, true},
+		{"draining", time.Microsecond, write, true, true},
+	} {
+		if got := checkpointDue(tc.work, tc.writeCost, tc.draining); got != tc.want {
+			t.Errorf("%s: checkpointDue(%v, %v, %v) = %v, want %v",
+				tc.name, tc.work, tc.writeCost, tc.draining, got, tc.want)
+		}
+	}
+
+	// A failed write is not a measurement: the cost stays unknown.
+	var s Server
+	full := errors.New("no space left on device")
+	if err := s.spoolWrite(func() error { return full }); err != full {
+		t.Fatalf("spoolWrite returned %v, want %v", err, full)
+	}
+	if c := s.spoolWriteCost(); c != 0 {
+		t.Fatalf("write cost %v after a failed write, want 0", c)
+	}
+
+	// Admission and every worker write to the spool at once; -race
+	// checks that the estimate is shared safely.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				s.spoolWrite(func() error { return nil })
+				checkpointDue(time.Millisecond, s.spoolWriteCost(), false)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestServerRestartResumesFromSpool is the kill/restart path in miniature:
@@ -473,29 +548,45 @@ func TestNewRejectsUnrunnableSched(t *testing.T) {
 }
 
 // TestServerDrainPreservesQueuedWork verifies graceful drain: with one
-// worker and two jobs, draining mid-first-job leaves the untouched second
-// job (and, when the first was interrupted, its checkpoint) in the spool,
-// and a successor server completes everything.
+// worker and two jobs, draining during the first job's third Fock build
+// leaves the untouched second job and the first job's checkpoint, at its
+// last published iteration, in the spool, and a successor server resumes
+// the first job from exactly there and completes both. The write-cost
+// estimate is set so high that the pacing never makes a checkpoint due:
+// the only one the spool can hold is the one the drain forces.
 func TestServerDrainPreservesQueuedWork(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := testServer(t, Config{Workers: 1, SpoolDir: dir})
-	s.Start()
+	building, release := make(chan struct{}), make(chan struct{})
+	builds := 0
+	s.newBuilder = func() (chem.FockBuilder, error) {
+		return func(w *chem.FockWorkload, h, d *linalg.Matrix) *linalg.Matrix {
+			if builds++; builds == 3 {
+				close(building)
+				<-release
+			}
+			return w.BuildFock(h, d)
+		}, nil
+	}
+	s.wmu.Lock()
+	s.writeCost = time.Hour
+	s.wmu.Unlock()
 
 	idA, _ := submit(t, ts, `{"tenant":"acme","molecule":"waters:3","basis":"sto-3g"}`)
 	idB, _ := submit(t, ts, `{"tenant":"acme","molecule":"water","basis":"sto-3g"}`)
-
-	// Wait until job A reports progress, then drain mid-run.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if st := getStatus(t, ts, idA); st.Iter >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job A never progressed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	s.Start()
+	select {
+	case <-building:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job A never reached its third build")
 	}
-	s.Drain()
+	drained := make(chan struct{})
+	go func() { s.Drain(); close(drained) }()
+	for !s.drainingNow() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-drained
 
 	resB, err := s.store.LoadResult(idB)
 	if err != nil {
@@ -504,14 +595,22 @@ func TestServerDrainPreservesQueuedWork(t *testing.T) {
 	if resB != nil {
 		t.Fatalf("job B ran on a draining single-worker server: %+v", resB)
 	}
+	published := s.getJob(idA).Status().Iter
+	ck, err := s.store.LoadCheckpoint(idA)
+	if err != nil || ck == nil {
+		t.Fatalf("job A left no checkpoint: %v", err)
+	}
+	if published < 1 || ck.Iteration != published {
+		t.Fatalf("job A checkpointed iteration %d, published %d", ck.Iteration, published)
+	}
 
 	// Successor process over the same spool.
 	s2, err := New(Config{SpoolDir: dir, Workers: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if s2.Recovered() < 1 {
-		t.Fatalf("Recovered() = %d, want >= 1", s2.Recovered())
+	if s2.Recovered() != 2 {
+		t.Fatalf("Recovered() = %d, want 2", s2.Recovered())
 	}
 	s2.Start()
 	finalA := waitResult(t, s2.store, idA, 60*time.Second)
@@ -520,6 +619,13 @@ func TestServerDrainPreservesQueuedWork(t *testing.T) {
 
 	if !finalA.Converged || !finalB.Converged {
 		t.Fatalf("post-restart results not converged: A=%+v B=%+v", finalA, finalB)
+	}
+	if finalA.ResumedFrom != ck.Iteration {
+		t.Fatalf("A resumed from iteration %d, checkpointed %d", finalA.ResumedFrom, ck.Iteration)
+	}
+	wantA := referenceEnergy(t, &JobSpec{Tenant: "acme", Molecule: "waters:3", Basis: "sto-3g"})
+	if math.Abs(finalA.Energy-wantA) > 1e-8 {
+		t.Fatalf("A energy %.12f, reference %.12f", finalA.Energy, wantA)
 	}
 	wantB := referenceEnergy(t, &JobSpec{Tenant: "acme", Molecule: "water", Basis: "sto-3g"})
 	if math.Abs(finalB.Energy-wantB) > 1e-8 {

@@ -112,6 +112,18 @@ for id in "${BURST_IDS[@]}"; do
 done
 echo "burst: all ${#BURST_IDS[@]} jobs done and converged"
 
+# Checkpoints are paced by measured cost: the burst's H2 jobs finish
+# before their SCF time reaches ten spool writes, so over all tenants
+# fewer checkpoints are written than iterations run.
+metric_sum() { # metric_sum <file> <name>: the series summed over tenants
+    awk -v m="execmodels_$2{" 'index($0, m) == 1 { s += $NF } END { print s + 0 }' "$1"
+}
+curl -fs "$BASE/metrics" >"$WORK/metrics" || { echo "serve_smoke: GET /metrics failed" >&2; exit 1; }
+CKPTS="$(metric_sum "$WORK/metrics" serve_checkpoints_total)"
+ITERS="$(metric_sum "$WORK/metrics" serve_scf_iterations_total)"
+[ "$CKPTS" -lt "$ITERS" ] || { echo "serve_smoke: $CKPTS checkpoints for $ITERS iterations; cheap iterations were not skipped" >&2; exit 1; }
+echo "metrics: $CKPTS checkpoints over $ITERS SCF iterations"
+
 # The killed job must finish too — resumed from its checkpoint.
 for _ in $(seq 1 600); do
     [ -f "$SPOOL/$LONG_ID/result.json" ] && break
