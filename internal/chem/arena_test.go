@@ -67,12 +67,18 @@ func TestExecuteTaskScratchMatchesBaseline(t *testing.T) {
 func TestBuildFockMatchesBaseline(t *testing.T) {
 	for _, mc := range []struct {
 		name      string
+		basis     string
 		waters    int
 		threshold float64
 	}{
-		{"water", 1, 1e-10},
-		{"waters4", 4, 1e-8},
-		{"waters8", 8, 1e-4},
+		{"water", "sto-3g", 1, 1e-10},
+		{"waters4", "sto-3g", 4, 1e-8},
+		{"waters8", "sto-3g", 8, 1e-4},
+		// Two merged sp shells per oxygen; 6-31G* puts an unmerged d
+		// shell beside them, so each component norm pass walks a
+		// merged component list.
+		{"waters2/6-31g", "6-31g", 2, 1e-10},
+		{"water/6-31g*", "6-31g*", 1, 1e-10},
 	} {
 		t.Run(mc.name, func(t *testing.T) {
 			if mc.waters >= 8 && (testing.Short() || raceEnabled) {
@@ -80,7 +86,7 @@ func TestBuildFockMatchesBaseline(t *testing.T) {
 			}
 			t.Parallel()
 			mol := WaterCluster(mc.waters, 11)
-			bs := mustBasis(t, "sto-3g", mol)
+			bs := mustBasis(t, mc.basis, mol)
 			w := BuildFockWorkload(bs, mc.threshold, 4)
 			h := CoreHamiltonian(bs, mol)
 			x := linalg.InvSqrtSym(Overlap(bs), 1e-10)

@@ -3,23 +3,68 @@ package chem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // Shell is a contracted Cartesian Gaussian shell: a set of primitives
 // sharing a center and total angular momentum L, expanded over all
 // (L+1)(L+2)/2 Cartesian components.
+//
+// A merged sp shell (SCoefs set) is a Pople s and p shell pair over the
+// same exponents on one atom, as NWChem's and GAMESS's "SP" shells: L is
+// 1, Coefs is the p contraction and SCoefs the s one, and its four
+// functions are s, px, py, pz from Start. The two-electron kernel
+// evaluates it as one shell, so the Boys values and R cubes its parts
+// share are computed once; everything else walks its parts.
 type Shell struct {
 	Atom   int  // index into Molecule.Atoms
 	Center Vec3 // copy of the atom position
 	L      int  // total angular momentum: 0=s, 1=p, 2=d, ...
 	Exps   []float64
 	Coefs  []float64 // contraction coefficients including primitive norms
+	SCoefs []float64 // merged sp shell: the s part's coefficients; nil otherwise
 	Start  int       // first basis-function index of this shell
 }
 
-// NumFuncs returns the number of Cartesian components of the shell.
-func (s *Shell) NumFuncs() int { return (s.L + 1) * (s.L + 2) / 2 }
+// NumFuncs returns the number of Cartesian components of the shell,
+// those of both parts for a merged sp shell.
+func (s *Shell) NumFuncs() int {
+	n := numCart(s.L)
+	if s.SCoefs != nil {
+		n++
+	}
+	return n
+}
+
+// numCart returns the number of Cartesian components of angular
+// momentum L, (L+1)(L+2)/2.
+func numCart(L int) int { return (L + 1) * (L + 2) / 2 }
+
+// shellPart is one single-L part of a shell: its angular momentum and
+// the offset of its first function from the shell's Start.
+type shellPart struct{ L, Off int }
+
+// parts lists the shell's single-L parts in basis-function order:
+// ps[:n] is the shell's own L, or for a merged sp shell its s part and
+// then its p part. It is the one place that takes a merged shell apart;
+// returning a small array keeps it free of allocation.
+func (s *Shell) parts() (ps [2]shellPart, n int) {
+	if s.SCoefs == nil {
+		return [2]shellPart{{L: s.L}}, 1
+	}
+	return [2]shellPart{{L: 0}, {L: 1, Off: 1}}, 2
+}
+
+// part returns part p of s as a plain shell: the s part of a merged sp
+// shell carries SCoefs.
+func (s *Shell) part(p shellPart) Shell {
+	sh := Shell{Atom: s.Atom, Center: s.Center, L: p.L, Exps: s.Exps, Coefs: s.Coefs, Start: s.Start + p.Off}
+	if s.SCoefs != nil && p.L == 0 {
+		sh.Coefs = s.SCoefs
+	}
+	return sh
+}
 
 // MinExp returns the smallest primitive exponent, which controls the
 // shell's spatial extent and hence its screening behaviour.
@@ -223,6 +268,11 @@ func BasisNames() []string {
 
 // NewBasis builds the basis set named name for molecule mol. It returns an
 // error if the basis set or any element is unsupported.
+//
+// An s shell followed directly by a p shell with the same exponents is
+// stored as one merged sp shell (see Shell): the basis-function order
+// and NBF are those of the two shells apart. d shells, and s shells
+// whose exponents differ from the next p shell's, stay as they are.
 func NewBasis(name string, mol *Molecule) (*BasisSet, error) {
 	lib, ok := basisLibrary[name]
 	if !ok {
@@ -234,7 +284,7 @@ func NewBasis(name string, mol *Molecule) (*BasisSet, error) {
 		if !ok {
 			return nil, fmt.Errorf("chem: basis %q has no element Z=%d", name, atom.Z)
 		}
-		for _, sp := range specs {
+		for i, sp := range specs {
 			sh := Shell{
 				Atom:   ai,
 				Center: atom.Pos,
@@ -244,6 +294,13 @@ func NewBasis(name string, mol *Molecule) (*BasisSet, error) {
 				Start:  bs.NBF,
 			}
 			normalizeShell(&sh)
+			if i > 0 && sp.l == 1 {
+				if prev := &bs.Shells[len(bs.Shells)-1]; prev.L == 0 && slices.Equal(prev.Exps, sh.Exps) {
+					prev.L, prev.Coefs, prev.SCoefs = 1, sh.Coefs, prev.Coefs
+					bs.NBF += 3
+					continue
+				}
+			}
 			bs.Shells = append(bs.Shells, sh)
 			bs.NBF += sh.NumFuncs()
 		}

@@ -37,7 +37,7 @@ func ExampleBuildFockWorkload() {
 	fmt.Println("tasks:", len(w.Tasks))
 	fmt.Println("irregular:", w.CostImbalance() > 1.5)
 	// Output:
-	// tasks: 8
+	// tasks: 5
 	// irregular: true
 }
 

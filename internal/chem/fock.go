@@ -115,7 +115,7 @@ type FockTask struct {
 	ID         int
 	BraPairs   []ShellPair // the bra pairs owned by this task
 	PairOffset int         // index of BraPairs[0] within the workload's Pairs
-	EstFlops   float64     // cost-model estimate (ERIBlockFlops sum, post-screening)
+	EstFlops   float64     // cost-model estimate (eriBlockFlops sum, post-screening)
 	NumQuarts  int         // surviving quartets (post-screening)
 
 	// Kets[i] lists, in ascending order, the workload pair indices of the
@@ -200,6 +200,10 @@ func BuildFockWorkloadFromPairs(bs *BasisSet, allPairs []ShellPair, threshold fl
 // only the density rule on top (executeTask).
 func (w *FockWorkload) blockTasks(blockSize int) {
 	bs, pairs := w.Basis, w.Pairs
+	flops := make([]pairFlops, len(pairs))
+	for i, p := range pairs {
+		flops[i] = newPairFlops(&bs.Shells[p.I], &bs.Shells[p.J])
+	}
 	w.Tasks = nil
 	for start := 0; start < len(pairs); start += blockSize {
 		end := start + blockSize
@@ -227,9 +231,7 @@ func (w *FockWorkload) blockTasks(blockSize int) {
 					continue
 				}
 				kets = append(kets, int32(ki))
-				t.EstFlops += ERIBlockFlops(
-					&bs.Shells[bra.I], &bs.Shells[bra.J],
-					&bs.Shells[ket.I], &bs.Shells[ket.J])
+				t.EstFlops += eriBlockFlops(&flops[bi], &flops[ki])
 			}
 			t.Kets[bi-start] = kets[row:len(kets):len(kets)]
 		}

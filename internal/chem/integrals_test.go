@@ -168,8 +168,8 @@ func TestHAtomOneElectron(t *testing.T) {
 // ERI 8-fold permutational symmetry on a molecule with p functions.
 func TestERIPermutationSymmetry(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", Water())
-	// Pick shells covering s and p angular momenta.
-	quads := [][4]int{{0, 1, 2, 3}, {2, 2, 3, 4}, {0, 2, 2, 4}}
+	// Pick shells covering s and merged sp shells: O 1s, O 2sp, H, H.
+	quads := [][4]int{{0, 1, 2, 3}, {0, 1, 1, 2}, {1, 1, 2, 3}, {0, 1, 1, 3}}
 	for _, q := range quads {
 		a, b, c, d := &bs.Shells[q[0]], &bs.Shells[q[1]], &bs.Shells[q[2]], &bs.Shells[q[3]]
 		na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
@@ -326,20 +326,37 @@ func TestERIBlockPairMatchesDirect(t *testing.T) {
 	}
 }
 
+// The task cost model charges a positive cost, more to a p quartet than
+// to an s one, and to a merged sp quartet the sum over its sixteen
+// single-L part quartets.
 func TestERIBlockFlopsPositiveAndMonotone(t *testing.T) {
 	bs := mustBasis(t, "sto-3g", Water())
-	var sShell, pShell *Shell
-	for i := range bs.Shells {
-		if bs.Shells[i].L == 0 && sShell == nil {
-			sShell = &bs.Shells[i]
-		}
-		if bs.Shells[i].L == 1 && pShell == nil {
-			pShell = &bs.Shells[i]
-		}
+	s, sp := &bs.Shells[0], &bs.Shells[1] // O 1s and O 2sp
+	flops := func(a, b, c, d *Shell) float64 {
+		bra, ket := newPairFlops(a, b), newPairFlops(c, d)
+		return eriBlockFlops(&bra, &ket)
 	}
-	fs := ERIBlockFlops(sShell, sShell, sShell, sShell)
-	fp := ERIBlockFlops(pShell, pShell, pShell, pShell)
+	ps, n := sp.parts()
+	if sp.SCoefs == nil || n != 2 {
+		t.Fatalf("shell 1 of water/STO-3G is not a merged sp shell: %d parts", n)
+	}
+	parts := []Shell{sp.part(ps[0]), sp.part(ps[1])}
+	p := &parts[1]
+	fs, fp := flops(s, s, s, s), flops(p, p, p, p)
 	if fs <= 0 || fp <= fs {
 		t.Fatalf("flops model: ssss=%v pppp=%v", fs, fp)
+	}
+	var sum float64
+	for a := range parts {
+		for b := range parts {
+			for c := range parts {
+				for d := range parts {
+					sum += flops(&parts[a], &parts[b], &parts[c], &parts[d])
+				}
+			}
+		}
+	}
+	if got := flops(sp, sp, sp, sp); math.Abs(got-sum) > 1e-12*sum {
+		t.Errorf("(sp sp|sp sp) costs %v, its part quartets %v", got, sum)
 	}
 }

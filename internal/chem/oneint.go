@@ -45,12 +45,22 @@ func CoreHamiltonian(bs *BasisSet, mol *Molecule) *linalg.Matrix {
 	return h
 }
 
-// forShellPairs invokes f on each ordered shell pair (a, b) with a <= b;
-// scatterBlock mirrors the block to keep the matrix symmetric.
+// forShellPairs invokes f on each ordered pair (a, b), a <= b, of the
+// basis's single-L shell parts (Shell.parts), so the one-electron
+// integrals never see a merged sp shell; scatterBlock mirrors the block
+// to keep the matrix symmetric.
 func forShellPairs(bs *BasisSet, f func(a, b *Shell)) {
+	var parts []Shell
 	for i := range bs.Shells {
-		for j := i; j < len(bs.Shells); j++ {
-			f(&bs.Shells[i], &bs.Shells[j])
+		sh := &bs.Shells[i]
+		ps, n := sh.parts()
+		for _, p := range ps[:n] {
+			parts = append(parts, sh.part(p))
+		}
+	}
+	for i := range parts {
+		for j := i; j < len(parts); j++ {
+			f(&parts[i], &parts[j])
 		}
 	}
 }

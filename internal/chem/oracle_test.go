@@ -35,10 +35,45 @@ import (
 //
 // The result is laid out as blk[((fa*nb+fb)*nc+fc)*nd+fd].
 //
-// The implementation follows the McMurchie–Davidson scheme: both charge
-// distributions are expanded in Hermite Gaussians, and the interaction
-// reduces to Hermite Coulomb integrals R_{tuv} of combined order.
+// A merged sp shell is taken apart (Shell.parts): each quartet of
+// single-L parts is evaluated on its own by eriPartBlock and written to
+// its functions' place in the block.
 func ERIBlock(a, b, c, d *Shell) []float64 {
+	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
+	blk := make([]float64, na*nb*nc*nd)
+	pa, npa := a.parts()
+	pb, npb := b.parts()
+	pc, npc := c.parts()
+	pd, npd := d.parts()
+	for _, ra := range pa[:npa] {
+		for _, rb := range pb[:npb] {
+			for _, rc := range pc[:npc] {
+				for _, rd := range pd[:npd] {
+					sa, sb, sc, sd := a.part(ra), b.part(rb), c.part(rc), d.part(rd)
+					sub := eriPartBlock(&sa, &sb, &sc, &sd)
+					idx := 0
+					for fa := range sa.NumFuncs() {
+						for fb := range sb.NumFuncs() {
+							for fc := range sc.NumFuncs() {
+								for fd := range sd.NumFuncs() {
+									blk[(((ra.Off+fa)*nb+rb.Off+fb)*nc+rc.Off+fc)*nd+rd.Off+fd] = sub[idx]
+									idx++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return blk
+}
+
+// eriPartBlock is ERIBlock on four single-L shells. The implementation
+// follows the McMurchie–Davidson scheme: both charge distributions are
+// expanded in Hermite Gaussians, and the interaction reduces to Hermite
+// Coulomb integrals R_{tuv} of combined order.
+func eriPartBlock(a, b, c, d *Shell) []float64 {
 	na, nb, nc, nd := a.NumFuncs(), b.NumFuncs(), c.NumFuncs(), d.NumFuncs()
 	blk := make([]float64, na*nb*nc*nd)
 	ca, cb, cc, cd := Components(a.L), Components(b.L), Components(c.L), Components(d.L)

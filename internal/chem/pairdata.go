@@ -39,13 +39,41 @@ type pairPrim struct {
 // Hermite index (t,u,v) of one Cartesian component pair ab = fa·nb+fb,
 // i.e. t <= lx, u <= ly, v <= lz of the component pair's summed angular
 // momenta. The term list is shared by all primitive pairs; each holds one
-// coefficient per term.
+// coefficient per term. A merged sp shell contributes the components of
+// both its parts (shellComps), each pair of them with its own
+// coefficients, so one pair's primitive loop serves all four part pairs.
 type PairData struct {
 	A, B  *Shell
+	lab   int // Hermite order: the highest summed angular momentum of a component pair
 	prims []pairPrim
 	q     []float64 // Cauchy–Schwarz factor of each primitive pair, descending
 	start []int32   // terms of component pair ab are start[ab]:start[ab+1]
-	slot  []int32   // position of each term's (t,u,v) in hermiteOffsets(A.L+B.L)
+	slot  []int32   // position of each term's (t,u,v) in hermiteOffsets(lab)
+	// norm is each component pair's product of ComponentNorms factors;
+	// nil when every one is 1 (no d shell).
+	norm []float64
+}
+
+// shellComp is one Cartesian component of a shell with the contraction
+// coefficients of the part it belongs to and its ComponentNorms factor.
+type shellComp struct {
+	CartComponent
+	coefs []float64
+	norm  float64
+}
+
+// shellComps lists the Cartesian components of every part of sh, in
+// basis-function order.
+func shellComps(sh *Shell) []shellComp {
+	ps, n := sh.parts()
+	out := make([]shellComp, 0, sh.NumFuncs())
+	for _, p := range ps[:n] {
+		coefs, norms := sh.part(p).Coefs, ComponentNorms(p.L)
+		for i, c := range Components(p.L) {
+			out = append(out, shellComp{c, coefs, norms[i]})
+		}
+	}
+	return out
 }
 
 // numHermite returns the number of Hermite indices with t+u+v <= l.
@@ -75,10 +103,10 @@ func NewPairData(a, b *Shell) *PairData {
 // exact (a zero budget). It also returns the shell pair's own
 // Cauchy–Schwarz factor, sqrt(max_ab |(ab|ab)|), exact as well.
 func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
-	ca, cb := Components(a.L), Components(b.L)
+	ca, cb := shellComps(a), shellComps(b)
 	lab := a.L + b.L
 	pd := &PairData{
-		A: a, B: b,
+		A: a, B: b, lab: lab,
 		prims: make([]pairPrim, 0, len(a.Exps)*len(b.Exps)),
 		start: make([]int32, 0, len(ca)*len(cb)+1),
 		// A component pair's terms are a box inside t+u+v <= lab.
@@ -90,8 +118,10 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 	for i, off := range hermiteOffsets(nil, lab, lab+1) {
 		slotOf[off] = int32(i)
 	}
+	norm := make([]float64, 0, len(ca)*len(cb))
 	for _, A := range ca {
 		for _, B := range cb {
+			norm = append(norm, A.norm*B.norm)
 			pd.start = append(pd.start, int32(len(tuv)))
 			for t := 0; t <= A.Lx+B.Lx; t++ {
 				for u := 0; u <= A.Ly+B.Ly; u++ {
@@ -105,6 +135,9 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 	}
 	nt := len(tuv)
 	pd.start = append(pd.start, int32(nt))
+	if a.L >= 2 || b.L >= 2 {
+		pd.norm = norm
+	}
 
 	sep := a.Center.Sub(b.Center)
 	ex, ey, ez := makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L), makeHermiteE(a.L, b.L)
@@ -117,9 +150,9 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 			ez.fill(ea, eb, sep.Z)
 			e, eKet := coefs[:nt:nt], coefs[nt:2*nt:2*nt]
 			coefs = coefs[2*nt:]
-			scale := a.Coefs[pi] * b.Coefs[pj] / p
 			for ab := range pd.start[1:] {
 				A, B := ca[ab/len(cb)], cb[ab%len(cb)]
+				scale := A.coefs[pi] * B.coefs[pj] / p
 				for k := pd.start[ab]; k < pd.start[ab+1]; k++ {
 					t, u, v := tuv[k][0], tuv[k][1], tuv[k][2]
 					e[k] = scale * ex.at(A.Lx, B.Lx, t) * ey.at(A.Ly, B.Ly, u) * ez.at(A.Lz, B.Lz, v)
@@ -265,14 +298,13 @@ func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 // weight of the quartet, so that the budget bounds what the skipped
 // primitive quartets move a Fock element, not an integral.
 func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float64 {
-	a, b, c, d := bra.A, bra.B, ket.A, ket.B
 	nab, ncd := len(bra.start)-1, len(ket.start)-1
 	if cap(s.blk) < nab*ncd {
 		s.blk = make([]float64, nab*ncd)
 	}
 	blk := s.blk[:nab*ncd]
 	cut := primCut(bra, ket, budget)
-	ltot := a.L + b.L + c.L + d.L
+	ltot := bra.lab + ket.lab
 	if ltot == 0 {
 		// (ss|ss): one term a side, R is F_0.
 		var sum float64
@@ -294,17 +326,18 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 		return blk
 	}
 	clear(blk)
+	normAB, normCD := bra.norm, ket.norm
 
 	// T costs (bra Hermite indices) × (ket terms) per primitive quartet and
 	// the final contraction only (bra terms) × (ket components) per bra
 	// primitive, so the pair with the larger angular momentum plays the
 	// bra: (ab|cd) = (cd|ab), written to blk through swapped strides.
 	nb, nk, sb, sk := nab, ncd, ncd, 1
-	if c.L+d.L > a.L+b.L {
+	if ket.lab > bra.lab {
 		bra, ket = ket, bra
 		nb, nk, sb, sk = ncd, nab, 1, ncd
 	}
-	lbra := bra.A.L + bra.B.L
+	lbra := bra.lab
 	n1 := ltot + 1
 	nh := numHermite(lbra)
 	if cap(s.acc) < nk*nh {
@@ -349,18 +382,17 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 			}
 		}
 	}
-	if a.L >= 2 || b.L >= 2 || c.L >= 2 || d.L >= 2 {
-		normA, normB := ComponentNorms(a.L), ComponentNorms(b.L)
-		normC, normD := ComponentNorms(c.L), ComponentNorms(d.L)
-		idx := 0
-		for _, va := range normA {
-			for _, vb := range normB {
-				for _, vc := range normC {
-					for _, vd := range normD {
-						blk[idx] *= va * vb * vc * vd
-						idx++
-					}
+	if normAB != nil || normCD != nil {
+		for ab := 0; ab < nab; ab++ {
+			f := 1.0
+			if normAB != nil {
+				f = normAB[ab]
+			}
+			for cd, v := range blk[ab*ncd : (ab+1)*ncd] {
+				if normCD != nil {
+					v *= normCD[cd]
 				}
+				blk[ab*ncd+cd] = v * f
 			}
 		}
 	}

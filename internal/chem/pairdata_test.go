@@ -37,7 +37,8 @@ func checkAgainstOracle(t *testing.T, a, b, c, d *Shell, s *ERIScratch) {
 
 // The primitive-quartet skip is pinned by its counts, not only by a
 // timing: on (H2O)4/STO-3G at seed 7 it drops about half of the primitive
-// quartets of the surviving quartets (0.487 are kept), on a lone water
+// quartets of the surviving quartets (0.499 are kept with merged sp
+// shells, 0.487 when each s/p pair was two shells), on a lone water
 // almost none. A lost break keeps them all; unsorted primitive pairs stop
 // the loops early and keep 0.28.
 func TestPrimitiveQuartetCounts(t *testing.T) {
@@ -122,18 +123,27 @@ func TestERIBlockPairIntoAllClasses(t *testing.T) {
 
 // randomQuartet draws the four shells of a fuzz quartet: exponents
 // log-uniform in [0.05, 5000], coefficients in [-1, 1], centres within
-// 12 bohr, every class up to (dd|dd), depths 1 to 3, and one time in four
-// each of three patterns of shared centres.
+// 12 bohr, each shell s, p, d or a merged sp shell (its own s
+// coefficients), so every class up to (dd|dd) with and without merged
+// shells, depths 1 to 3, and one time in four each of three patterns of
+// shared centres.
 func randomQuartet(seed int64) [4]*Shell {
 	rng := rand.New(rand.NewSource(seed))
 	var sh [4]*Shell
 	for i := range sh {
 		depth := 1 + rng.Intn(3)
-		s := &Shell{L: rng.Intn(3), Center: Vec3{
+		l := rng.Intn(4) // 3: a merged sp shell
+		s := &Shell{L: l, Center: Vec3{
 			X: 12 * (rng.Float64() - 0.5), Y: 12 * (rng.Float64() - 0.5), Z: 12 * (rng.Float64() - 0.5)}}
+		if l == 3 {
+			s.L = 1
+		}
 		for k := 0; k < depth; k++ {
 			s.Exps = append(s.Exps, 0.05*math.Pow(1e5, rng.Float64()))
 			s.Coefs = append(s.Coefs, 2*rng.Float64()-1)
+			if l == 3 {
+				s.SCoefs = append(s.SCoefs, 2*rng.Float64()-1)
+			}
 		}
 		sh[i] = s
 	}
@@ -155,6 +165,7 @@ func FuzzERIBlockPair(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
 	f.Add(int64(-42))
+	f.Add(int64(16)) // two merged sp shells beside two d shells
 	f.Fuzz(func(t *testing.T, seed int64) {
 		sh := randomQuartet(seed)
 		checkAgainstOracle(t, sh[0], sh[1], sh[2], sh[3], &ERIScratch{})
@@ -171,6 +182,7 @@ func FuzzPrimitiveBound(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
 	f.Add(int64(-42))
+	f.Add(int64(16)) // two merged sp shells beside two d shells
 	f.Fuzz(func(t *testing.T, seed int64) {
 		sh := randomQuartet(seed)
 		bra, ket := NewPairData(sh[0], sh[1]), NewPairData(sh[2], sh[3])
@@ -217,6 +229,7 @@ func FuzzDensityBound(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(7))
 	f.Add(int64(-42))
+	f.Add(int64(16)) // two merged sp shells beside two d shells
 	f.Fuzz(func(t *testing.T, seed int64) {
 		bs := &BasisSet{Name: "fuzz"}
 		for _, sh := range randomQuartet(seed) {

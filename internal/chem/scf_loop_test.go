@@ -99,7 +99,9 @@ func TestSCFLoopSpinTreatmentsAgree(t *testing.T) {
 // guess and hand their damped start off to DIIS (diisHandoff), which
 // took (H2O)2/6-31G from 30 damped iterations to 16 and the doublet from
 // 42 damped and 35 with DIIS from iteration 2 to 29, so its two rows
-// became one.
+// became one. Water in 6-31G*, pinned from the build that stored each
+// Pople s/p pair as two shells, holds the merged sp shells (Shell) to
+// the energy they must not move, beside an unmerged d shell.
 func TestSCFPinnedRuns(t *testing.T) {
 	cation := Water()
 	cation.Charge = 1
@@ -113,6 +115,7 @@ func TestSCFPinnedRuns(t *testing.T) {
 		s2     float64
 	}{
 		{"rhf-diis/waters4/sto-3g", WaterCluster(4, 7), "sto-3g", pinnedRHF(SCFOptions{UseDIIS: true}), -299.8503983135, 9, 0},
+		{"rhf-diis/water/6-31g*", Water(), "6-31g*", pinnedRHF(SCFOptions{UseDIIS: true}), -76.0105039038, 12, 0},
 		{"uhf/waters2/6-31g", WaterCluster(2, 7), "6-31g", pinnedUHF(UHFOptions{MaxIter: 50}), -151.9653353040, 16, 0},
 		{"uhf/water+/sto-3g", cation, "sto-3g", pinnedUHF(UHFOptions{}), -74.6559067222, 29, 0.7552},
 	} {

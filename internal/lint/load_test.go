@@ -7,7 +7,7 @@ import (
 )
 
 // testLoader is the one Loader every test in this binary shares. The
-// stdlib source importer then type-checks net/http and the rest of the
+// stdlib export-data importer then reads net/http and the rest of the
 // standard library once, not once per test.
 var testLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
 

@@ -30,8 +30,10 @@ type Package struct {
 
 // Loader parses and type-checks packages of one module. It resolves
 // module-internal imports by recursive parsing and standard-library
-// imports through the stdlib source importer, so it needs neither
-// pre-compiled export data nor any third-party dependency.
+// imports from the gc compiler's export data, which the go command
+// builds into its cache on first use (go list -export), so it needs no
+// third-party dependency. Type-checking net/http from its source took
+// about ten times as long.
 type Loader struct {
 	Fset    *token.FileSet
 	ModRoot string // directory containing go.mod ("" outside a module)
@@ -55,7 +57,7 @@ func NewLoader(dir string) (*Loader, error) {
 		cache:    map[string]*types.Package{},
 		building: map[string]bool{},
 	}
-	l.stdlib = importer.ForCompiler(l.Fset, "source", nil)
+	l.stdlib = importer.ForCompiler(l.Fset, "gc", nil)
 	root, modPath, err := findModule(abs)
 	if err == nil {
 		l.ModRoot, l.ModPath = root, modPath
@@ -249,8 +251,8 @@ func (l *Loader) check(importPath string, files []*ast.File) (*types.Info, []err
 }
 
 // Import implements types.Importer: module-internal packages are loaded
-// recursively from source; everything else goes to the stdlib source
-// importer.
+// recursively from source; everything else goes to the stdlib
+// export-data importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil

@@ -62,6 +62,7 @@ type Job struct {
 	submitted   time.Time       // guarded by mu
 	started     time.Time       // guarded by mu
 	finished    time.Time       // guarded by mu
+	progress    []Progress      // guarded by mu; every published iteration, at most MaxIter
 	subs        []chan Progress // guarded by mu
 	done        chan struct{}   // closed when the job reaches done/failed
 }
@@ -105,6 +106,7 @@ func (j *Job) publish(p Progress) {
 	defer j.mu.Unlock()
 	j.iter = p.Iter
 	j.energy = p.Energy
+	j.progress = append(j.progress, p)
 	for _, ch := range j.subs {
 		select {
 		case ch <- p:
@@ -150,10 +152,19 @@ func (j *Job) requeue() {
 }
 
 // subscribe registers a progress channel and returns it with an
-// unsubscribe function. The channel is buffered; see publish.
+// unsubscribe function. The channel starts with every iteration
+// published so far, so a client that subscribes late, even after the
+// job has finished, still sees the whole run; it is buffered for 64
+// more, see publish.
 func (j *Job) subscribe() (<-chan Progress, func()) {
-	ch := make(chan Progress, 64)
 	j.mu.Lock()
+	ch := make(chan Progress, len(j.progress)+64)
+	for _, p := range j.progress {
+		select {
+		case ch <- p:
+		default: // never taken: ch has room for every replayed event
+		}
+	}
 	j.subs = append(j.subs, ch)
 	j.mu.Unlock()
 	return ch, func() {

@@ -132,12 +132,26 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	return st
 }
 
+// The stream carries every iteration, 1..n without a gap, then the
+// terminal status at iteration n: whether the client subscribes while
+// the job runs (it may already have published some iterations, which
+// the job replays) or after it is done.
 func TestServerStreamDeliversProgressAndTerminalStatus(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1})
 	s.Start()
 	defer s.Drain()
 
 	id, _ := submit(t, ts, `{"tenant":"alice","molecule":"water","basis":"sto-3g"}`)
+	checkStream(t, ts, id)
+
+	<-s.getJob(id).Done()
+	t.Run("after done", func(t *testing.T) { checkStream(t, ts, id) })
+}
+
+// checkStream reads job id's progress stream to its end and fails unless
+// it holds iterations 1..n in order and then a done status at n.
+func checkStream(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
 	if err != nil {
 		t.Fatalf("GET stream: %v", err)
@@ -148,7 +162,7 @@ func TestServerStreamDeliversProgressAndTerminalStatus(t *testing.T) {
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	progress, lastIter := 0, 0
+	lastIter := 0
 	var terminal *JobStatus
 	for sc.Scan() {
 		var ev streamEvent
@@ -157,9 +171,8 @@ func TestServerStreamDeliversProgressAndTerminalStatus(t *testing.T) {
 		}
 		switch ev.Type {
 		case "progress":
-			progress++
-			if ev.Progress.Iter <= lastIter {
-				t.Fatalf("iterations not increasing: %d after %d", ev.Progress.Iter, lastIter)
+			if ev.Progress.Iter != lastIter+1 {
+				t.Fatalf("iteration %d after %d: the stream skipped or repeated one", ev.Progress.Iter, lastIter)
 			}
 			lastIter = ev.Progress.Iter
 		case "status":
@@ -174,8 +187,8 @@ func TestServerStreamDeliversProgressAndTerminalStatus(t *testing.T) {
 	if terminal == nil || terminal.State != StateDone {
 		t.Fatalf("stream ended without terminal done status: %+v", terminal)
 	}
-	if progress == 0 {
-		t.Fatal("stream delivered no progress events")
+	if lastIter == 0 || lastIter != terminal.Iter {
+		t.Fatalf("stream delivered iterations 1..%d, the job finished at %d", lastIter, terminal.Iter)
 	}
 }
 
