@@ -29,10 +29,6 @@ type ERIScratch struct {
 	// Per task, max |D| over each shell block (a·shells+b) of J's density
 	// and of the exchange densities: the density weight of a quartet.
 	dMaxJ, dMaxK []float64
-
-	// R-cube offsets of the bra's and the ket's Hermite indices, recomputed
-	// per quartet because the cube's stride is ltot+1.
-	braOff, ketOff []int32
 }
 
 // NewERIScratch returns a scratch arena pre-sized for the largest shell
@@ -48,12 +44,10 @@ func NewERIScratch(bs *BasisSet) *ERIScratch {
 		}
 	}
 	s := &ERIScratch{
-		blk:    make([]float64, maxNF*maxNF*maxNF*maxNF),
-		acc:    make([]float64, maxNF*maxNF*numHermite(2*maxL)),
-		braOff: make([]int32, 0, numHermite(2*maxL)),
-		ketOff: make([]int32, 0, numHermite(2*maxL)),
-		dMaxJ:  make([]float64, len(bs.Shells)*len(bs.Shells)),
-		dMaxK:  make([]float64, len(bs.Shells)*len(bs.Shells)),
+		blk:   make([]float64, maxNF*maxNF*maxNF*maxNF),
+		acc:   make([]float64, maxNF*maxNF*numHermite(2*maxL)),
+		dMaxJ: make([]float64, len(bs.Shells)*len(bs.Shells)),
+		dMaxK: make([]float64, len(bs.Shells)*len(bs.Shells)),
 	}
 	s.rw.grow(4 * maxL)
 	return s

@@ -5,8 +5,14 @@ package chem
 // Run them with:
 //
 //	go test -run '^$' -bench 'ERIBlock|ExecuteTask|FockBuild' -benchmem ./internal/chem/
+//
+// BenchmarkERIBlockPairClass times the production kernel alone, one row
+// per (lbra, ltot) class:
+//
+//	go test -run '^$' -bench 'ERIBlockPairClass' -benchmem ./internal/chem/
 
 import (
+	"fmt"
 	"testing"
 
 	"execmodels/internal/linalg"
@@ -45,6 +51,43 @@ func BenchmarkERIBlockPairCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ERIBlockPairInto(pd, pd, &ERIScratch{})
+	}
+}
+
+// blockSink keeps the timed kernel calls observable to the compiler.
+var blockSink float64
+
+// One sub-benchmark per (lbra, ltot) class of ERIBlockPairInto, lbra >=
+// lket (the kernel swaps a pair with the smaller Hermite order into the
+// ket), on a water's STO-3G s (O 1s) and merged sp (O 2sp) shells and
+// its 6-31G* d shell: lab 0 is (s s), 1 (sp s), 2 (sp sp), 3 (d sp) and
+// 4 (d d). Each runs on a warmed NewERIScratch and must allocate nothing.
+func BenchmarkERIBlockPairClass(b *testing.B) {
+	mol := Water()
+	sto := mustBasis(b, "sto-3g", mol)
+	star := mustBasis(b, "6-31g*", mol)
+	s, sp, d := &sto.Shells[0], &sto.Shells[1], firstShell(star, 2)
+	if s.L != 0 || sp.SCoefs == nil || d == nil {
+		b.Fatal("water's STO-3G O 1s, O 2sp or 6-31G* d shell not where expected")
+	}
+	pairs := []*PairData{
+		NewPairData(s, s), NewPairData(sp, s), NewPairData(sp, sp), NewPairData(d, sp), NewPairData(d, d),
+	}
+	scratch := NewERIScratch(star)
+	for lbra, bra := range pairs {
+		for lket, ket := range pairs[:lbra+1] {
+			b.Run(fmt.Sprintf("lbra%d_ltot%d", lbra, lbra+lket), func(b *testing.B) {
+				ERIBlockPairInto(bra, ket, scratch)
+				if n := testing.AllocsPerRun(10, func() { ERIBlockPairInto(bra, ket, scratch) }); n != 0 {
+					b.Fatalf("%g allocations per block", n)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					blockSink += ERIBlockPairInto(bra, ket, scratch)[0]
+				}
+			})
+		}
 	}
 }
 

@@ -71,44 +71,53 @@ func (e *hermiteE) fill(a, b, ab float64) {
 	}
 }
 
+// The R cube has one stride for every order: rStride = boysTableOrder+1,
+// the ltot of (dd|dd), so entry (t,u,v) of any cube sits at
+// (t·rStride+u)·rStride+v and every Hermite offset of a shell class is a
+// constant (hermiteOff). TestBasisLibraryFitsKernelStride holds every
+// shipped basis to it.
+const rStride = boysTableOrder + 1
+
 // hermiteR holds the Hermite Coulomb integrals R^0_{tuv}(p, PC) needed to
-// assemble nuclear-attraction and electron-repulsion integrals.
+// assemble nuclear-attraction and electron-repulsion integrals, in a cube
+// of stride rStride.
 type hermiteR struct {
-	tmax int
-	data []float64 // [(tmax+1)^3], index (t*(tmax+1)+u)*(tmax+1)+v
+	data []float64
 }
 
 func (r *hermiteR) at(t, u, v int) float64 {
-	n := r.tmax + 1
-	return r.data[(t*n+u)*n+v]
+	return r.data[(t*rStride+u)*rStride+v]
 }
+
+// cubeLen is the length of a cube of stride rStride that holds every
+// entry t+u+v <= tmax: the last of them is (tmax,0,0).
+func cubeLen(tmax int) int { return tmax*rStride*rStride + 1 }
 
 // hermiteRWork is a reusable workspace for Hermite Coulomb integral
 // construction: the Boys-function buffer and two R cubes are retained
 // across calls so the steady-state ERI loop performs no heap allocation
 // per primitive quartet. The zero value is ready to use and grows on
-// demand; grow preallocates for a known maximum order.
+// demand; grow preallocates for a known maximum order, so a basis of s
+// shells holds two entries, not two full cubes of 729.
 //
 // compute's result aliases the workspace and is invalidated by the next
 // compute call, so a workspace must not be shared between goroutines.
 type hermiteRWork struct {
-	boys []float64
-	cube []float64 // two (tmax+1)³ cubes: auxiliary orders n+1 and n
+	boys [boysTableOrder + 1]float64
+	cube []float64 // two cubes of equal length: auxiliary orders n+1 and n
 }
 
 // grow preallocates the workspace for orders up to tmax.
 func (w *hermiteRWork) grow(tmax int) {
-	n1 := tmax + 1
-	if cap(w.boys) < n1 {
-		w.boys = make([]float64, n1)
-	}
-	if cap(w.cube) < 2*n1*n1*n1 {
-		w.cube = make([]float64, 2*n1*n1*n1)
+	if n := 2 * cubeLen(tmax); cap(w.cube) < n {
+		w.cube = make([]float64, n)
 	}
 }
 
-// compute fills a cube of stride tmax+1 with scale·R^0_{tuv} for all
-// t+u+v <= tmax and returns it; entry (t,u,v) sits at (t·(tmax+1)+u)·(tmax+1)+v.
+// compute fills a cube of stride rStride, at least cubeLen(tmax) long,
+// with scale·R^0_{tuv} for all t+u+v <= tmax and returns it; entry
+// (t,u,v) sits at (t·rStride+u)·rStride+v. tmax may not exceed
+// boysTableOrder.
 //
 //	R^n_{000}    = (-2p)^n F_n(p·|PC|²)
 //	R^n_{t+1,uv} = t R^{n+1}_{t-1,uv} + X_PC R^{n+1}_{tuv}   (same for u, v)
@@ -120,17 +129,19 @@ func (w *hermiteRWork) grow(tmax int) {
 // first, so stale data from an earlier call never leaks and nothing is
 // zeroed.
 func (w *hermiteRWork) compute(tmax int, p float64, pc Vec3, scale float64) []float64 {
-	n1 := tmax + 1
-	n2 := n1 * n1
-	n3 := n2 * n1
+	const n1, n2 = rStride, rStride * rStride
+	if tmax > boysTableOrder {
+		panic("chem: Hermite order above the R cube's stride")
+	}
 	w.grow(tmax)
-	f := w.boys[:n1]
+	f := w.boys[:tmax+1]
 	Boys(tmax, p*pc.Norm2(), f)
 	for n := range f {
 		f[n] *= scale
 		scale *= -2 * p
 	}
-	src, dst := w.cube[:n3], w.cube[n3:2*n3]
+	m := len(w.cube) / 2
+	src, dst := w.cube[:m], w.cube[m:]
 	if tmax == 0 {
 		dst[0] = f[0]
 		return dst

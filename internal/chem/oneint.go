@@ -188,7 +188,7 @@ func nuclearBlock(a, b *Shell, mol *Molecule, rw *hermiteRWork) []float64 {
 			ez.fill(ea, eb, ab.Z)
 			for _, atom := range mol.Atoms {
 				// The cube carries -Z_C·pref, so the terms below add up bare.
-				r := hermiteR{tmax: ltot, data: rw.compute(ltot, p, P.Sub(atom.Pos), -float64(atom.Z)*pref)}
+				r := hermiteR{rw.compute(ltot, p, P.Sub(atom.Pos), -float64(atom.Z)*pref)}
 				for fa, A := range ca {
 					for fb, B := range cb {
 						var sum float64

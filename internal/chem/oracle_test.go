@@ -196,7 +196,7 @@ func newHermiteE(imax, jmax int, a, b, ab float64) *hermiteE {
 // amortize the allocations away.
 func newHermiteR(tmax int, p float64, pc Vec3) *hermiteR {
 	var w hermiteRWork
-	return &hermiteR{tmax: tmax, data: w.compute(tmax, p, pc, 1)}
+	return &hermiteR{w.compute(tmax, p, pc, 1)}
 }
 
 // eriGetter returns the integral (ab|cd) for function offsets within a

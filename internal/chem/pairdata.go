@@ -48,7 +48,7 @@ type PairData struct {
 	prims []pairPrim
 	q     []float64 // Cauchy–Schwarz factor of each primitive pair, descending
 	start []int32   // terms of component pair ab are start[ab]:start[ab+1]
-	slot  []int32   // position of each term's (t,u,v) in hermiteOffsets(lab)
+	slot  []int32   // position of each term's (t,u,v) in hermiteOff[lab]
 	// norm is each component pair's product of ComponentNorms factors;
 	// nil when every one is 1 (no d shell).
 	norm []float64
@@ -79,18 +79,22 @@ func shellComps(sh *Shell) []shellComp {
 // numHermite returns the number of Hermite indices with t+u+v <= l.
 func numHermite(l int) int { return (l + 1) * (l + 2) * (l + 3) / 6 }
 
-// hermiteOffsets appends to dst, for every Hermite index t+u+v <= l in a
-// fixed order, its offset (t·n+u)·n+v in a cube of stride n.
-func hermiteOffsets(dst []int32, l, n int) []int32 {
-	for t := 0; t <= l; t++ {
-		for u := 0; u <= l-t; u++ {
-			for v := 0; v <= l-t-u; v++ {
-				dst = append(dst, int32((t*n+u)*n+v))
+// hermiteOff[l] lists, for every Hermite index t+u+v <= l in a fixed
+// order, its offset (t·rStride+u)·rStride+v in the R cube. A PairData's
+// slot indexes hermiteOff[lab], and the kernel's T[cd][tuv] is laid out
+// in the same order.
+var hermiteOff = func() (tab [boysTableOrder + 1][]int32) {
+	for l := range tab {
+		for t := 0; t <= l; t++ {
+			for u := 0; u <= l-t; u++ {
+				for v := 0; v <= l-t-u; v++ {
+					tab[l] = append(tab[l], int32((t*rStride+u)*rStride+v))
+				}
 			}
 		}
 	}
-	return dst
-}
+	return tab
+}()
 
 // NewPairData precomputes the Hermite expansion of the shell pair (a, b)
 // and the Cauchy–Schwarz factor q of each of its primitive pairs.
@@ -113,9 +117,9 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 		slot: make([]int32, 0, len(ca)*len(cb)*numHermite(lab)),
 	}
 	tuv := make([][3]int, 0, cap(pd.slot)) // Hermite index of each term
-	// slotOf inverts hermiteOffsets on a cube just large enough for lab.
-	slotOf := make([]int32, (lab+1)*(lab+1)*(lab+1))
-	for i, off := range hermiteOffsets(nil, lab, lab+1) {
+	// slotOf inverts hermiteOff[lab].
+	slotOf := make([]int32, cubeLen(lab))
+	for i, off := range hermiteOff[lab] {
 		slotOf[off] = int32(i)
 	}
 	norm := make([]float64, 0, len(ca)*len(cb))
@@ -127,7 +131,7 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 				for u := 0; u <= A.Ly+B.Ly; u++ {
 					for v := 0; v <= A.Lz+B.Lz; v++ {
 						tuv = append(tuv, [3]int{t, u, v})
-						pd.slot = append(pd.slot, slotOf[(t*(lab+1)+u)*(lab+1)+v])
+						pd.slot = append(pd.slot, slotOf[(t*rStride+u)*rStride+v])
 					}
 				}
 			}
@@ -293,6 +297,28 @@ func ERIBlockPairInto(bra, ket *PairData, s *ERIScratch) []float64 {
 	return eriBlockPairInto(bra, ket, s, s.budget)
 }
 
+// eriSSSS is eriBlockPairInto's scalar path, the one element of an
+// (ss|ss) block: one term a side, R is F_0. A function of its own, it
+// compiles apart from the kernel's larger loops.
+func eriSSSS(bra, ket *PairData, cut float64) float64 {
+	var sum float64
+	var f [1]float64
+	kept := len(ket.prims)
+	for bp := range bra.prims {
+		pp := &bra.prims[bp]
+		if kept = primKept(ket, bra.q[bp], cut, kept); kept == 0 {
+			break
+		}
+		for kp := range ket.prims[:kept] {
+			qq := &ket.prims[kp]
+			ipq := 1 / (pp.p + qq.p)
+			Boys(0, pp.p*qq.p*ipq*pp.P.Sub(qq.P).Norm2(), f[:])
+			sum += pp.e[0] * qq.e[0] * math.Sqrt(ipq) * f[0]
+		}
+	}
+	return 2 * piPow25 * sum
+}
+
 // eriBlockPairInto is ERIBlockPairInto on the skip budget given instead
 // of the scratch's: the Fock executor divides s.budget by the density
 // weight of the quartet, so that the budget bounds what the skipped
@@ -306,27 +332,12 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 	cut := primCut(bra, ket, budget)
 	ltot := bra.lab + ket.lab
 	if ltot == 0 {
-		// (ss|ss): one term a side, R is F_0.
-		var sum float64
-		var f [1]float64
-		kept := len(ket.prims)
-		for bp := range bra.prims {
-			pp := &bra.prims[bp]
-			if kept = primKept(ket, bra.q[bp], cut, kept); kept == 0 {
-				break
-			}
-			for kp := range ket.prims[:kept] {
-				qq := &ket.prims[kp]
-				ipq := 1 / (pp.p + qq.p)
-				Boys(0, pp.p*qq.p*ipq*pp.P.Sub(qq.P).Norm2(), f[:])
-				sum += pp.e[0] * qq.e[0] * math.Sqrt(ipq) * f[0]
-			}
-		}
-		blk[0] = 2 * piPow25 * sum
+		blk[0] = eriSSSS(bra, ket, cut)
 		return blk
 	}
 	clear(blk)
 	normAB, normCD := bra.norm, ket.norm
+	const n1, n2 = rStride, rStride * rStride
 
 	// T costs (bra Hermite indices) × (ket terms) per primitive quartet and
 	// the final contraction only (bra terms) × (ket components) per bra
@@ -338,15 +349,12 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 		nb, nk, sb, sk = ncd, nab, 1, ncd
 	}
 	lbra := bra.lab
-	n1 := ltot + 1
 	nh := numHermite(lbra)
 	if cap(s.acc) < nk*nh {
 		s.acc = make([]float64, nk*nh)
 	}
 	acc := s.acc[:nk*nh]
-	s.braOff = hermiteOffsets(s.braOff[:0], lbra, n1)
-	s.ketOff = hermiteOffsets(s.ketOff[:0], ltot-lbra, n1)
-	braOff, ketOff := s.braOff, s.ketOff
+	braOff, ketOff := hermiteOff[lbra], hermiteOff[ket.lab]
 
 	kept := len(ket.prims)
 	for bp := range bra.prims {
@@ -359,12 +367,67 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 			qq := &ket.prims[kp]
 			ipq := 1 / (pp.p + qq.p)
 			r := s.rw.compute(ltot, pp.p*qq.p*ipq, pp.P.Sub(qq.P), 2*piPow25*math.Sqrt(ipq))
-			for cd := 0; cd < nk; cd++ {
-				t := acc[cd*nh : (cd+1)*nh]
-				for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
-					e, rk := qq.eKet[k], r[ketOff[ket.slot[k]]:]
-					for i, bo := range braOff {
-						t[i] += e * rk[bo]
+			// T[cd][tuv] += Σ_k e_k R[ket offset_k + bra offset_tuv]. The
+			// bra widths the shipped bases reach, nh = 4 (lbra 1) and 10
+			// (lbra 2), sum a component pair's terms in registers at the
+			// constant offsets of hermiteOff[1] and [2]: an int offset and
+			// a slice of constant length leave one bounds check per term
+			// on R. Only 6-31G* d pairs take the generic loop.
+			switch lbra {
+			case 1:
+				for cd := 0; cd < nk; cd++ {
+					var t0, t1, t2, t3 float64
+					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
+						o := int(ketOff[ket.slot[k]])
+						e, rk := qq.eKet[k], r[o:o+n2+1]
+						t0 += e * rk[0]
+						t1 += e * rk[1]
+						t2 += e * rk[n1]
+						t3 += e * rk[n2]
+					}
+					t := acc[cd*4 : cd*4+4]
+					t[0] += t0
+					t[1] += t1
+					t[2] += t2
+					t[3] += t3
+				}
+			case 2:
+				for cd := 0; cd < nk; cd++ {
+					var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 float64
+					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
+						o := int(ketOff[ket.slot[k]])
+						e, rk := qq.eKet[k], r[o:o+2*n2+1]
+						t0 += e * rk[0]
+						t1 += e * rk[1]
+						t2 += e * rk[2]
+						t3 += e * rk[n1]
+						t4 += e * rk[n1+1]
+						t5 += e * rk[2*n1]
+						t6 += e * rk[n2]
+						t7 += e * rk[n2+1]
+						t8 += e * rk[n2+n1]
+						t9 += e * rk[2*n2]
+					}
+					t := acc[cd*10 : cd*10+10]
+					t[0] += t0
+					t[1] += t1
+					t[2] += t2
+					t[3] += t3
+					t[4] += t4
+					t[5] += t5
+					t[6] += t6
+					t[7] += t7
+					t[8] += t8
+					t[9] += t9
+				}
+			default:
+				for cd := 0; cd < nk; cd++ {
+					t := acc[cd*nh : (cd+1)*nh]
+					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
+						e, rk := qq.eKet[k], r[ketOff[ket.slot[k]]:]
+						for i, bo := range braOff {
+							t[i] += e * rk[bo]
+						}
 					}
 				}
 			}

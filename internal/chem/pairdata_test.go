@@ -1,19 +1,26 @@
 package chem
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"execmodels/internal/linalg"
 )
 
-// classShell builds a shell of angular momentum l with the first depth
-// primitives of a fixed tight-to-diffuse ladder. Coefficients are plain
-// numbers: the oracle and the kernel take them as given.
+// classShell builds a shell of kind l — angular momentum 0, 1 or 2, or
+// 3 for a merged sp shell — with the first depth primitives of a fixed
+// tight-to-diffuse ladder. Coefficients are plain numbers: the oracle and
+// the kernel take them as given.
 func classShell(l, depth int, center Vec3) *Shell {
 	exps := []float64{0.27, 1.1, 5.4, 23.0, 130.0, 870.0}
 	coefs := []float64{0.44, 0.53, 0.15, -0.09, 0.31, 0.02}
+	if l == 3 {
+		sCoefs := []float64{-0.21, 0.62, 0.37, 0.05, -0.18, 0.11}
+		return &Shell{L: 1, Center: center, Exps: exps[:depth], Coefs: coefs[:depth], SCoefs: sCoefs[:depth]}
+	}
 	return &Shell{L: l, Center: center, Exps: exps[:depth], Coefs: coefs[:depth]}
 }
 
@@ -33,6 +40,24 @@ func checkAgainstOracle(t *testing.T, a, b, c, d *Shell, s *ERIScratch) {
 			return
 		}
 	}
+}
+
+// checkWithinBudget holds the (bra|ket) block on scratch budgeted, which
+// carries a Fock build's skip budget, within that budget of the block on
+// the exact scratch exact, plus rounding: the kept terms are summed in
+// the same order as the exact block's. It returns the primitive quartets
+// the budgeted block evaluated and the block's total.
+func checkWithinBudget(t *testing.T, bra, ket *PairData, exact, budgeted *ERIScratch) (kept, total int) {
+	t.Helper()
+	want := append([]float64(nil), ERIBlockPairInto(bra, ket, exact)...)
+	got := ERIBlockPairInto(bra, ket, budgeted)
+	for e, w := range want {
+		if d := math.Abs(got[e] - w); d > budgeted.budget+1e-15*math.Max(1, math.Abs(w)) {
+			t.Fatalf("(%d%d|%d%d) element %d: %.17g on a budget of %g, exact %.17g: off by %g",
+				bra.A.L, bra.B.L, ket.A.L, ket.B.L, e, got[e], budgeted.budget, w, d)
+		}
+	}
+	return primQuartetsKept(bra, ket, budgeted.budget), len(bra.prims) * len(ket.prims)
 }
 
 // The primitive-quartet skip is pinned by its counts, not only by a
@@ -60,12 +85,17 @@ func TestPrimitiveQuartetCounts(t *testing.T) {
 	}
 }
 
-// Every shell class (la lb|lc ld) with l in {s, p, d} against the oracle,
-// at contraction depths 1, 3 and 6, on four, two and one centre. One
-// scratch serves every quartet, first from the largest block down and then
-// back up: the kernel never zeroes its workspace, so this is the check
-// that nothing of a larger, earlier quartet leaks into a smaller, later
-// one.
+// Every shell class (la lb|lc ld) with each shell s, p, d or a merged sp
+// shell, 256 classes, against the oracle, at contraction depths 1, 3 and
+// 6, on four, two and one centre. They reach every bra width of the
+// kernel's ket contraction: 4 and 10 (lbra 1 and 2), each with and
+// without merged parts, and the generic loop of lbra 3 and 4. One scratch
+// serves every quartet, first from the largest block down and then back
+// up: the kernel never zeroes its workspace, so this is the check that
+// nothing of a larger, earlier quartet leaks into a smaller, later one.
+// A second pass runs every quartet again on one scratch with a Fock
+// build's skip budget and holds each block within that budget of the
+// exact one; it must skip some primitive quartets, or it checks nothing.
 func TestERIBlockPairIntoAllClasses(t *testing.T) {
 	p := [4]Vec3{{0, 0, 0}, {0.3, 1.2, -0.8}, {-1.1, 0.4, 0.9}, {1.6, -0.7, 0.5}}
 	geometries := []struct {
@@ -76,29 +106,29 @@ func TestERIBlockPairIntoAllClasses(t *testing.T) {
 		{"two-centre", [4]Vec3{p[0], p[1], p[0], p[1]}},
 		{"one-centre", [4]Vec3{p[1], p[1], p[1], p[1]}},
 	}
+	nf := [4]int{1, 3, 6, 4} // functions of each shell kind: s, p, d, sp
 	var classes [][4]int
-	for sum := 8; sum >= 0; sum-- { // descending block size
-		for la := 0; la <= 2; la++ {
-			for lb := 0; lb <= 2; lb++ {
-				for lc := 0; lc <= 2; lc++ {
-					if ld := sum - la - lb - lc; ld >= 0 && ld <= 2 {
-						classes = append(classes, [4]int{la, lb, lc, ld})
-					}
+	for la := range nf {
+		for lb := range nf {
+			for lc := range nf {
+				for ld := range nf {
+					classes = append(classes, [4]int{la, lb, lc, ld})
 				}
 			}
 		}
 	}
-	if len(classes) != 81 {
-		t.Fatalf("%d classes, want 81", len(classes))
-	}
+	size := func(l [4]int) int { return nf[l[0]] * nf[l[1]] * nf[l[2]] * nf[l[3]] }
+	slices.SortStableFunc(classes, func(x, y [4]int) int { return cmp.Compare(size(y), size(x)) })
 	for _, g := range geometries {
 		t.Run(g.name, func(t *testing.T) {
 			var s ERIScratch
+			budgeted := ERIScratch{budget: primBudget(1e-10)}
+			var kept, total int
 			for _, depth := range []int{1, 3, 6} {
 				// Four deep shells would cost the (dd|dd) oracle 1296
 				// primitive quartets; one deep shell a side, rotating,
 				// reaches every position with depth² of them.
-				run := func(ci int) {
+				quartet := func(ci int) [4]*Shell {
 					l := classes[ci]
 					var sh [4]*Shell
 					for i := range sh {
@@ -108,16 +138,50 @@ func TestERIBlockPairIntoAllClasses(t *testing.T) {
 						}
 						sh[i] = classShell(l[i], dep, g.centres[i])
 					}
-					checkAgainstOracle(t, sh[0], sh[1], sh[2], sh[3], &s)
+					return sh
 				}
+				order := make([]int, 0, 2*len(classes))
 				for ci := range classes {
-					run(ci)
+					order = append(order, ci)
 				}
 				for ci := len(classes) - 1; ci >= 0; ci-- {
-					run(ci)
+					order = append(order, ci)
+				}
+				for _, ci := range order {
+					sh := quartet(ci)
+					checkAgainstOracle(t, sh[0], sh[1], sh[2], sh[3], &s)
+				}
+				for _, ci := range order {
+					sh := quartet(ci)
+					k, n := checkWithinBudget(t, NewPairData(sh[0], sh[1]), NewPairData(sh[2], sh[3]), &s, &budgeted)
+					kept, total = kept+k, total+n
 				}
 			}
+			t.Logf("budget %g: %d of %d primitive quartets evaluated", budgeted.budget, kept, total)
+			if kept == total {
+				t.Errorf("the budgeted pass skipped no primitive quartet")
+			}
 		})
+	}
+}
+
+// The R cube's fixed stride, rStride = boysTableOrder+1, holds the
+// Hermite orders up to ltot = 4·L of a quartet of four shells of L, and
+// the Boys table serves the same orders: every shell of every shipped
+// basis must fit both, so that a basis with f shells fails here instead
+// of indexing past the cube.
+func TestBasisLibraryFitsKernelStride(t *testing.T) {
+	for name, lib := range basisLibrary {
+		maxL := 0
+		for _, specs := range lib {
+			for _, sp := range specs {
+				maxL = max(maxL, sp.l)
+			}
+		}
+		if 4*maxL > boysTableOrder {
+			t.Errorf("%s: shells up to L = %d need Hermite order %d, the kernel serves %d",
+				name, maxL, 4*maxL, boysTableOrder)
+		}
 	}
 }
 
@@ -203,17 +267,7 @@ func FuzzPrimitiveBound(f *testing.F) {
 				}
 			}
 		}
-		want := append([]float64(nil), ERIBlockPairInto(bra, ket, &exact)...)
-		budget := primBudget(1e-10)
-		got := ERIBlockPairInto(bra, ket, &ERIScratch{budget: budget})
-		for e, w := range want {
-			// The budget, plus rounding: the kept terms are summed in the
-			// same order as the exact block's.
-			if d := math.Abs(got[e] - w); d > budget+1e-15*math.Max(1, math.Abs(w)) {
-				t.Fatalf("element %d: %.17g on a budget of %g, exact %.17g: off by %g",
-					e, got[e], budget, w, d)
-			}
-		}
+		checkWithinBudget(t, bra, ket, &exact, &ERIScratch{budget: primBudget(1e-10)})
 	})
 }
 
