@@ -43,10 +43,13 @@ lint-fuzz:
 	go test ./internal/lint/ -fuzz FuzzDirectiveParse -fuzztime 30s -run '^$$'
 
 # The zero-allocation gate: the AllocsPerRun tests, run without -race,
-# which inserts allocations of its own.
+# which inserts allocations of its own, and one iteration of every chem
+# benchmark, whose kernel rows (ERIBlockPairClass, HermiteR) fail unless
+# they allocate nothing.
 zero-alloc:
 	go test ./internal/chem/ -run ZeroAlloc -count=1 -v
 	go test ./internal/core/ -run ZeroAlloc -count=1 -v
+	go test ./internal/chem/ -run '^$$' -bench . -benchtime 1x
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -10,6 +10,10 @@ package chem
 // per (lbra, ltot) class:
 //
 //	go test -run '^$' -bench 'ERIBlockPairClass' -benchmem ./internal/chem/
+//
+// BenchmarkHermiteR times one R cube, Boys included, one row per order:
+//
+//	go test -run '^$' -bench 'HermiteR' -benchmem ./internal/chem/
 
 import (
 	"fmt"
@@ -88,6 +92,29 @@ func BenchmarkERIBlockPairClass(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// One sub-benchmark per Hermite order 0–8 of hermiteRWork.compute, Boys
+// included, at x = p·|PC|² ≈ 1.9, below Boys' switch as most calls of a
+// Fock build are: orders 1–4 take the straight-line code, 5–8 the loop.
+// Each runs on a warmed workspace and must allocate nothing.
+func BenchmarkHermiteR(b *testing.B) {
+	const p, scale = 1.3, 0.7
+	pc := Vec3{X: 0.4, Y: -0.7, Z: 0.9}
+	var w hermiteRWork
+	w.grow(boysTableOrder)
+	for tmax := 0; tmax <= boysTableOrder; tmax++ {
+		b.Run(fmt.Sprintf("order%d", tmax), func(b *testing.B) {
+			if n := testing.AllocsPerRun(10, func() { w.compute(tmax, p, pc, scale) }); n != 0 {
+				b.Fatalf("%g allocations per cube", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blockSink += w.compute(tmax, p, pc, scale)[0]
+			}
+		})
 	}
 }
 

@@ -48,7 +48,8 @@ type PairData struct {
 	prims []pairPrim
 	q     []float64 // Cauchy–Schwarz factor of each primitive pair, descending
 	start []int32   // terms of component pair ab are start[ab]:start[ab+1]
-	slot  []int32   // position of each term's (t,u,v) in hermiteOff[lab]
+	slot  []int32   // position of each term's (t,u,v) in hermiteOff[lab]: its T index as the bra
+	roff  []int32   // each term's R-cube offset as the ket, hermiteOff[lab][slot[k]]
 	// norm is each component pair's product of ComponentNorms factors;
 	// nil when every one is 1 (no d shell).
 	norm []float64
@@ -115,6 +116,7 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 		start: make([]int32, 0, len(ca)*len(cb)+1),
 		// A component pair's terms are a box inside t+u+v <= lab.
 		slot: make([]int32, 0, len(ca)*len(cb)*numHermite(lab)),
+		roff: make([]int32, 0, len(ca)*len(cb)*numHermite(lab)),
 	}
 	tuv := make([][3]int, 0, cap(pd.slot)) // Hermite index of each term
 	// slotOf inverts hermiteOff[lab].
@@ -130,8 +132,10 @@ func newPairData(a, b *Shell, s *ERIScratch) (*PairData, float64) {
 			for t := 0; t <= A.Lx+B.Lx; t++ {
 				for u := 0; u <= A.Ly+B.Ly; u++ {
 					for v := 0; v <= A.Lz+B.Lz; v++ {
+						off := (t*rStride+u)*rStride + v
 						tuv = append(tuv, [3]int{t, u, v})
-						pd.slot = append(pd.slot, slotOf[(t*rStride+u)*rStride+v])
+						pd.slot = append(pd.slot, slotOf[off])
+						pd.roff = append(pd.roff, int32(off))
 					}
 				}
 			}
@@ -354,7 +358,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 		s.acc = make([]float64, nk*nh)
 	}
 	acc := s.acc[:nk*nh]
-	braOff, ketOff := hermiteOff[lbra], hermiteOff[ket.lab]
+	braOff := hermiteOff[lbra]
 
 	kept := len(ket.prims)
 	for bp := range bra.prims {
@@ -367,7 +371,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 			qq := &ket.prims[kp]
 			ipq := 1 / (pp.p + qq.p)
 			r := s.rw.compute(ltot, pp.p*qq.p*ipq, pp.P.Sub(qq.P), 2*piPow25*math.Sqrt(ipq))
-			// T[cd][tuv] += Σ_k e_k R[ket offset_k + bra offset_tuv]. The
+			// T[cd][tuv] += Σ_k e_k R[roff_k + bra offset_tuv]. The
 			// bra widths the shipped bases reach, nh = 4 (lbra 1) and 10
 			// (lbra 2), sum a component pair's terms in registers at the
 			// constant offsets of hermiteOff[1] and [2]: an int offset and
@@ -378,7 +382,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 				for cd := 0; cd < nk; cd++ {
 					var t0, t1, t2, t3 float64
 					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
-						o := int(ketOff[ket.slot[k]])
+						o := int(ket.roff[k])
 						e, rk := qq.eKet[k], r[o:o+n2+1]
 						t0 += e * rk[0]
 						t1 += e * rk[1]
@@ -395,7 +399,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 				for cd := 0; cd < nk; cd++ {
 					var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 float64
 					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
-						o := int(ketOff[ket.slot[k]])
+						o := int(ket.roff[k])
 						e, rk := qq.eKet[k], r[o:o+2*n2+1]
 						t0 += e * rk[0]
 						t1 += e * rk[1]
@@ -424,7 +428,7 @@ func eriBlockPairInto(bra, ket *PairData, s *ERIScratch, budget float64) []float
 				for cd := 0; cd < nk; cd++ {
 					t := acc[cd*nh : (cd+1)*nh]
 					for k := ket.start[cd]; k < ket.start[cd+1]; k++ {
-						e, rk := qq.eKet[k], r[ketOff[ket.slot[k]]:]
+						e, rk := qq.eKet[k], r[ket.roff[k]:]
 						for i, bo := range braOff {
 							t[i] += e * rk[bo]
 						}

@@ -185,6 +185,71 @@ func TestBasisLibraryFitsKernelStride(t *testing.T) {
 	}
 }
 
+// compute writes orders 1–4 out as straight-line code; recur is the
+// loop it replaced there and still runs for orders 5–8. The ERI oracle
+// builds its R through compute too, so no kernel test would see a wrong
+// entry: this one holds every entry t+u+v <= tmax of compute to recur's,
+// bit for bit, on the same scaled Boys values. The draws put components
+// of PC at +0 and −0, x = p·|PC|² on both sides of Boys' switch at 35,
+// and scale at 0 and below it, where a dropped 0·R term changes the sign
+// of a zero entry.
+func TestHermiteRStraightLineMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var w hermiteRWork
+	got := make([]float64, cubeLen(4))
+	var below, above, zeros int
+	for range 20000 {
+		p := math.Exp(rng.Float64()*math.Log(1e6)) * 1e-2 // 0.01 to 1e4
+		var d Vec3
+		for _, c := range []*float64{&d.X, &d.Y, &d.Z} {
+			switch rng.Intn(6) {
+			case 0:
+				*c = 0
+			case 1:
+				*c = math.Copysign(0, -1)
+			default:
+				*c = 2*rng.Float64() - 1
+			}
+		}
+		x := 35 * rng.Float64()
+		if rng.Intn(2) == 0 {
+			x = 35 + 85*rng.Float64()
+		}
+		pc := d
+		if n2 := d.Norm2(); n2 > 0 {
+			pc = d.Scale(math.Sqrt(x / (p * n2)))
+		}
+		if p*pc.Norm2() < boysSwitch {
+			below++
+		} else {
+			above++
+		}
+		scale := math.Exp(rng.Float64()*math.Log(1e6)) * 1e-3
+		switch rng.Intn(8) {
+		case 0:
+			scale = 0
+		case 1, 2, 3:
+			scale = -scale
+		}
+		for tmax := 1; tmax <= 4; tmax++ {
+			copy(got, w.compute(tmax, p, pc, scale))
+			want := w.recur(tmax, pc)
+			for _, o := range hermiteOff[tmax] {
+				if math.Float64bits(got[o]) != math.Float64bits(want[o]) {
+					t.Fatalf("tmax %d, p %g, PC %v, scale %g: entry at %d is %g (%#x), the loop's %g (%#x)",
+						tmax, p, pc, scale, o, got[o], math.Float64bits(got[o]), want[o], math.Float64bits(want[o]))
+				}
+				if got[o] == 0 {
+					zeros++
+				}
+			}
+		}
+	}
+	if below == 0 || above == 0 || zeros == 0 {
+		t.Fatalf("draws miss a case: %d below the Boys switch, %d above, %d zero entries", below, above, zeros)
+	}
+}
+
 // randomQuartet draws the four shells of a fuzz quartet: exponents
 // log-uniform in [0.05, 5000], coefficients in [-1, 1], centres within
 // 12 bohr, each shell s, p, d or a merged sp shell (its own s
